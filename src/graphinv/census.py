@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .exact import charpoly, snf
 from .generators import generate_connected_graphs, generate_trees
 from .graphs import Graph, complete_graph, distance_profile
-from .matrices import KIND_ORDER, MatrixKind, build
+from .matrices import KIND_ORDER, IntMatrix, MatrixKind, build
 
 MODES = ("spectral", "invariant")
 
@@ -34,6 +34,15 @@ def _encode_ints(values: Iterable[int]) -> bytes:
         out += len(blob).to_bytes(2, "big")
         out += blob
     return bytes(out)
+
+
+def _payload(m: IntMatrix, mode: str) -> bytes:
+    """Fingerprint bytes of one built matrix: charpoly coefficients in
+    spectral mode, invariant factors then the zero count otherwise."""
+    if mode == "spectral":
+        return _encode_ints(charpoly(m).coeffs)
+    result = snf(m)
+    return _encode_ints(result.factors + (result.zeros,))
 
 
 @dataclass(frozen=True)
@@ -50,13 +59,7 @@ def fingerprint(g: Graph, kind: MatrixKind, mode: str, profile=None) -> Fingerpr
         raise ValueError(f"mode must be one of {MODES}")
     if profile is None:
         profile = distance_profile(g)  # also rejects disconnected input
-    m = build(g, kind, profile)
-    if mode == "spectral":
-        payload = _encode_ints(charpoly(m).coeffs)
-    else:
-        result = snf(m)
-        payload = _encode_ints(result.factors + (result.zeros,))
-    return Fingerprint(kind, mode, payload)
+    return Fingerprint(kind, mode, _payload(build(g, kind, profile), mode))
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,7 @@ def _graph_payloads(args) -> tuple[int, list[tuple[MatrixKind, str, bytes]]]:
     for kind in kinds:
         m = build(g, kind, profile)
         for mode in modes:
-            if mode == "spectral":
-                payload = _encode_ints(charpoly(m).coeffs)
-            else:
-                result = snf(m)
-                payload = _encode_ints(result.factors + (result.zeros,))
-            out.append((kind, mode, payload))
+            out.append((kind, mode, _payload(m, mode)))
     return g.n, out
 
 

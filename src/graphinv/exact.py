@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .matrices import IntMatrix
 
@@ -165,29 +166,26 @@ def snf(m: IntMatrix) -> SnfResult:
 
 
 def charpoly(m: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(xI - m) by the division-free vector
-    recurrence: the coefficient vector of each leading principal block is
-    a lower-triangular Toeplitz image of the previous one, with Toeplitz
-    entries built from powers of the block applied to the new column.
+    """Characteristic polynomial det(xI - m) by the division-free Berkowitz
+    recurrence: each leading block's coefficient vector is a lower-triangular
+    Toeplitz image of the previous one, with Toeplitz entries built from
+    powers of the block applied to the new column.  Each block is sliced
+    once, and every dot product (mat-vec, Toeplitz entry, Toeplitz product
+    row) is a C-level ``sum(map(mul, ...))``.
     """
     n = _check_square(m)
     coeffs = [1]
     for k in range(n):
-        a = m[k][k]
+        block = [r[:k] for r in m[:k]]
         row = m[k][:k]
-        col = [m[i][k] for i in range(k)]
-        diags = [1, -a]
-        w = col
+        w = [r[k] for r in m[:k]]
+        diags = [1, -m[k][k]]
         for step in range(k):
-            diags.append(-sum(r * x for r, x in zip(row, w)))
+            diags.append(-sum(map(mul, row, w)))
             if step + 1 < k:
-                w = [sum(m[i][j] * w[j] for j in range(k)) for i in range(k)]
-        new = [0] * (k + 2)
-        for j, c in enumerate(coeffs):
-            if c:
-                for d in range(min(len(diags), k + 2 - j)):
-                    new[j + d] += diags[d] * c
-        coeffs = new
+                w = [sum(map(mul, r, w)) for r in block]
+        rev = diags[::-1]
+        coeffs = [sum(map(mul, coeffs, rev[k + 1 - i:])) for i in range(k + 2)]
     return IntPolynomial(tuple(coeffs))
 
 

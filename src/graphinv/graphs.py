@@ -206,7 +206,9 @@ def write_graph6(g: Graph) -> str:
 def parse_graph6(line: str) -> Graph:
     if line.startswith(GRAPH6_HEADER):
         line = line[len(GRAPH6_HEADER):]
-    data = line.rstrip("\r\n").encode("ascii", errors="replace")
+    # Every non-ASCII character, lone surrogates included, encodes to bytes
+    # >= 128, which the alphabet check rejects at that character's offset.
+    data = line.rstrip("\r\n").encode("utf-8", "surrogatepass")
     if not data:
         raise Graph6ParseError("empty graph6 record", 0)
     for i, b in enumerate(data):

@@ -146,10 +146,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def mat_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

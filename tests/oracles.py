@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Deliberately naive implementations (Laplace cofactor expansion, explicit
-minor enumeration, Floyd-Warshall, subset sweeps) that share no code with
-the library paths they check.
+minor enumeration, Floyd-Warshall, subset sweeps, the plain-loop Berkowitz
+recurrence) that share no code with the library paths they check.
 """
 
 from __future__ import annotations
@@ -60,6 +60,32 @@ def charpoly_cofactor(m) -> tuple[int, ...]:
     coeffs = det_poly(rows)
     coeffs = coeffs + [0] * (n + 1 - len(coeffs))
     return tuple(reversed(coeffs))
+
+
+def charpoly_berkowitz_reference(m) -> tuple[int, ...]:
+    """det(xI - m) by the plain-loop form of the Berkowitz recurrence that
+    ``exact.charpoly`` computes with pre-sliced blocks and ``map``;
+    descending coefficients.  Kept as the reference the fast form must
+    match coefficient for coefficient."""
+    n = len(m)
+    coeffs = [1]
+    for k in range(n):
+        a = m[k][k]
+        row = m[k][:k]
+        col = [m[i][k] for i in range(k)]
+        diags = [1, -a]
+        w = col
+        for step in range(k):
+            diags.append(-sum(r * x for r, x in zip(row, w)))
+            if step + 1 < k:
+                w = [sum(m[i][j] * w[j] for j in range(k)) for i in range(k)]
+        new = [0] * (k + 2)
+        for j, c in enumerate(coeffs):
+            if c:
+                for d in range(min(len(diags), k + 2 - j)):
+                    new[j + d] += diags[d] * c
+        coeffs = new
+    return tuple(coeffs)
 
 
 def det_cofactor(m) -> int:

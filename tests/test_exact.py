@@ -9,7 +9,13 @@ from graphinv.graphs import complete_graph, cricket_graph, cycle_graph
 from graphinv.matrices import MatrixKind, build, identity_matrix, mat_mul
 from graphinv.sandpile import cone_graph
 
-from oracles import charpoly_cofactor, det_cofactor, minor_gcd, poly_mul
+from oracles import (
+    charpoly_berkowitz_reference,
+    charpoly_cofactor,
+    det_cofactor,
+    minor_gcd,
+    poly_mul,
+)
 
 
 def _random_matrix(rng, n, bound=9):
@@ -129,6 +135,24 @@ def test_charpoly_against_cofactor_oracle():
         n = rng.randint(1, 5)
         m = _random_matrix(rng, n)
         assert charpoly(m).coeffs == charpoly_cofactor(m)
+
+
+def test_charpoly_matches_reference_on_trees():
+    kinds = (MatrixKind.Atr, MatrixKind.AtrPlus, MatrixKind.Ddeg, MatrixKind.DdegPlus)
+    for n in range(1, 11):
+        for t in generate_trees(n):
+            for kind in kinds:
+                m = build(t, kind)
+                assert charpoly(m).coeffs == charpoly_berkowitz_reference(m)
+
+
+def test_charpoly_matches_reference_on_random_matrices():
+    # not necessarily symmetric, wide entries, n = 0 included
+    rng = random.Random(1984)
+    for i in range(300):
+        m = _random_matrix(rng, i % 10, bound=50)
+        assert charpoly(m).coeffs == charpoly_berkowitz_reference(m)
+    assert charpoly([]).coeffs == (1,)
 
 
 def test_charpoly_newton_power_sums():
