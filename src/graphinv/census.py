@@ -14,6 +14,7 @@ generator's or ingester's contract, never re-tested here.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -118,21 +119,12 @@ def bucket_counts(
     n = -1
     total = 0
     tasks = ((g, tuple(kinds), tuple(modes)) for g in graphs)
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        if pool is None:
+            results = map(_graph_payloads, tasks)
+        else:
             results = pool.imap_unordered(_graph_payloads, tasks, chunksize=64)
-            for gn, payloads in results:
-                if n < 0:
-                    n = gn
-                elif gn != n:
-                    raise ValueError("census stream mixes vertex counts")
-                total += 1
-                for kind, mode, payload in payloads:
-                    table = buckets[(kind, mode)]
-                    table[payload] = table.get(payload, 0) + 1
-    else:
-        for task in tasks:
-            gn, payloads = _graph_payloads(task)
+        for gn, payloads in results:
             if n < 0:
                 n = gn
             elif gn != n:
@@ -185,12 +177,9 @@ def tree_census(
 def completeness_check(n: int, kind: MatrixKind) -> bool:
     """True iff the complete graph's invariant fingerprint occurs exactly
     once in the full connected-graph corpus on n vertices (n <= 8)."""
+    _, _, buckets = bucket_counts(generate_connected_graphs(n), (kind,), ("invariant",))
     target = fingerprint(complete_graph(n), kind, "invariant").payload
-    hits = 0
-    for g in generate_connected_graphs(n):
-        if fingerprint(g, kind, "invariant").payload == target:
-            hits += 1
-    return hits == 1
+    return buckets[(kind, "invariant")][target] == 1
 
 
 def report_tsv(report: CensusReport) -> str:

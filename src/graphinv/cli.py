@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from typing import Iterable
 
 from . import closedforms
@@ -38,7 +39,8 @@ from .spectra import (
     eigenvalues_symmetric,
 )
 
-CLI_KINDS = ("A", "L", "Q", "D", "DL", "DQ", "Atr", "AtrPlus", "Ddeg", "DdegPlus")
+# Every kind but the diagonal R, which only the API exposes.
+CLI_KINDS = tuple(k.value for k in MatrixKind if k is not MatrixKind.R)
 
 
 def _parse_kinds(spec: str, parser: argparse.ArgumentParser) -> list[MatrixKind]:
@@ -62,10 +64,22 @@ def _parse_modes(spec: str, parser: argparse.ArgumentParser) -> list[str]:
 
 
 def _read_graphs(path: str) -> list[Graph]:
+    """Parse a graph6 file ('-' for stdin); a malformed record raises
+    ValueError naming it as ``path:line``."""
     if path == "-":
-        return list(iter_graph6(sys.stdin))
-    with open(path, "r", encoding="ascii") as fh:
-        return list(iter_graph6(fh))
+        source = nullcontext(sys.stdin)
+    else:
+        # surrogateescape lets a non-ASCII byte reach parse_graph6, which
+        # rejects it at its offset within the record.
+        source = open(path, "r", encoding="ascii", errors="surrogateescape")
+    graphs = []
+    with source as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                graphs.extend(iter_graph6((line,)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return graphs
 
 
 def _cmd_gen(args, parser) -> int:

@@ -1,8 +1,7 @@
 """Exact integer matrices derived from a graph.
 
-Ten symmetric matrix kinds are supported, all combinations of a diagonal
-part (degrees or transmissions) with an off-diagonal part (adjacency or
-distances), plus the bare building blocks:
+Every kind is a diagonal part plus or minus an off-diagonal part, or one
+of the bare building blocks:
 
     A            adjacency
     L  = deg - A        Q  = deg + A
@@ -12,6 +11,12 @@ distances), plus the bare building blocks:
     Ddeg = deg - D      DdegPlus = deg + D
     R  = tr - deg       (diagonal)
 
+``RECIPES`` holds that split for each kind as a triple (diagonal source,
+sign, off-diagonal source), and ``build`` runs one code path for all of
+them.  A kind needs a ``DistanceProfile``, and so a connected graph, when
+its diagonal uses transmissions or its off-diagonal part uses distances;
+``A``, ``L`` and ``Q`` work on any graph.
+
 Entries are plain Python ints, so nothing ever overflows downstream in the
 Smith normal form or characteristic polynomial computations.
 """
@@ -19,6 +24,7 @@ Smith normal form or characteristic polynomial computations.
 from __future__ import annotations
 
 from enum import Enum
+from operator import neg, sub
 
 from .graphs import DistanceProfile, Graph, distance_profile
 
@@ -41,14 +47,28 @@ class MatrixKind(Enum):
 
 KIND_ORDER = tuple(MatrixKind)
 
-# Kinds whose definition involves distances or transmissions; these require
-# a connected graph (distance_profile raises otherwise).
-DISTANCE_KINDS = frozenset({
-    MatrixKind.D, MatrixKind.DL, MatrixKind.DQ,
-    MatrixKind.Atr, MatrixKind.AtrPlus,
-    MatrixKind.Ddeg, MatrixKind.DdegPlus,
-    MatrixKind.R,
-})
+# Diagonal sources, by the name ``RECIPES`` uses; a diagonal of None is zero.
+_DIAGONALS = {
+    "deg": lambda g, profile: g.degree_sequence(),
+    "tr": lambda g, profile: profile.tr,
+    "tr - deg": lambda g, profile: map(sub, profile.tr, profile.deg),
+}
+
+# kind -> (diagonal source, sign of the off-diagonal part, off-diagonal
+# source: "A" for adjacency, "D" for distances, None with sign 0 for none).
+RECIPES: dict[MatrixKind, tuple[str | None, int, str | None]] = {
+    MatrixKind.A: (None, 1, "A"),
+    MatrixKind.L: ("deg", -1, "A"),
+    MatrixKind.Q: ("deg", 1, "A"),
+    MatrixKind.D: (None, 1, "D"),
+    MatrixKind.DL: ("tr", -1, "D"),
+    MatrixKind.DQ: ("tr", 1, "D"),
+    MatrixKind.Atr: ("tr", -1, "A"),
+    MatrixKind.AtrPlus: ("tr", 1, "A"),
+    MatrixKind.Ddeg: ("deg", -1, "D"),
+    MatrixKind.DdegPlus: ("deg", 1, "D"),
+    MatrixKind.R: ("tr - deg", 0, None),
+}
 
 
 def build(g: Graph, kind: MatrixKind, profile: DistanceProfile | None = None) -> IntMatrix:
@@ -57,65 +77,22 @@ def build(g: Graph, kind: MatrixKind, profile: DistanceProfile | None = None) ->
     A precomputed ``profile`` skips the per-call BFS; callers looping over
     kinds should supply one.
     """
+    recipe = RECIPES.get(kind)
+    if recipe is None:
+        raise ValueError(f"unknown matrix kind {kind!r}")
+    diagonal, sign, off = recipe
+    if profile is None and (diagonal in ("tr", "tr - deg") or off == "D"):
+        profile = distance_profile(g)  # raises on a disconnected graph
     n = g.n
-    if kind in DISTANCE_KINDS:
-        if profile is None:
-            profile = distance_profile(g)
-        dist, tr, deg = profile.dist, profile.tr, profile.deg
+    if sign == 0:
+        m = [[0] * n for _ in range(n)]
     else:
-        dist, tr = None, None
-        deg = g.degree_sequence()
-
-    if kind is MatrixKind.A:
-        return [[(g.adj[u] >> v) & 1 for v in range(n)] for u in range(n)]
-    if kind is MatrixKind.L:
-        return [
-            [deg[u] if u == v else -((g.adj[u] >> v) & 1) for v in range(n)]
-            for u in range(n)
-        ]
-    if kind is MatrixKind.Q:
-        return [
-            [deg[u] if u == v else (g.adj[u] >> v) & 1 for v in range(n)]
-            for u in range(n)
-        ]
-    if kind is MatrixKind.D:
-        return [list(row) for row in dist]
-    if kind is MatrixKind.DL:
-        return [
-            [tr[u] if u == v else -dist[u][v] for v in range(n)]
-            for u in range(n)
-        ]
-    if kind is MatrixKind.DQ:
-        return [
-            [tr[u] if u == v else dist[u][v] for v in range(n)]
-            for u in range(n)
-        ]
-    if kind is MatrixKind.Atr:
-        return [
-            [tr[u] if u == v else -((g.adj[u] >> v) & 1) for v in range(n)]
-            for u in range(n)
-        ]
-    if kind is MatrixKind.AtrPlus:
-        return [
-            [tr[u] if u == v else (g.adj[u] >> v) & 1 for v in range(n)]
-            for u in range(n)
-        ]
-    if kind is MatrixKind.Ddeg:
-        return [
-            [deg[u] if u == v else -dist[u][v] for v in range(n)]
-            for u in range(n)
-        ]
-    if kind is MatrixKind.DdegPlus:
-        return [
-            [deg[u] if u == v else dist[u][v] for v in range(n)]
-            for u in range(n)
-        ]
-    if kind is MatrixKind.R:
-        return [
-            [tr[u] - deg[u] if u == v else 0 for v in range(n)]
-            for u in range(n)
-        ]
-    raise ValueError(f"unknown matrix kind {kind!r}")
+        rows = profile.dist if off == "D" else [[(a >> v) & 1 for v in range(n)] for a in g.adj]
+        m = [list(map(neg, row)) for row in rows] if sign < 0 else [list(row) for row in rows]
+    if diagonal is not None:
+        for u, x in enumerate(_DIAGONALS[diagonal](g, profile)):
+            m[u][u] = x
+    return m
 
 
 def row_sums(m: IntMatrix) -> list[int]:
@@ -124,10 +101,6 @@ def row_sums(m: IntMatrix) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Generic helpers on dense integer matrices.
-
-def identity_matrix(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     n = len(a)
@@ -146,14 +119,5 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def trace(m: IntMatrix) -> int:
     return sum(m[i][i] for i in range(len(m)))
-
-
-def is_symmetric(m: IntMatrix) -> bool:
-    n = len(m)
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .exact import AbelianGroup, SnfResult, snf
+from .exact import AbelianGroup, SnfResult, cokernel, snf
 from .graphs import Graph, distance_profile
 from .matrices import IntMatrix, MatrixKind, build
 
@@ -56,15 +56,10 @@ def sandpile_group(g: Graph) -> tuple[AbelianGroup, int]:
     """Sandpile group of the cone over g, and the cone's spanning-tree count."""
     if g.is_complete():
         raise ValueError("cone apex would be isolated")
-    result = snf(build(g, MatrixKind.Atr))
-    trees = 1
-    for f in result.factors:
-        trees *= f
-    group = AbelianGroup(
-        torsion=tuple(f for f in result.factors if f > 1),
-        free_rank=result.zeros,
-    )
-    return group, trees
+    # For connected non-complete g, Atr = L + R with R >= 0 and R != 0, so
+    # Atr is positive definite: free_rank is 0 and the order is the tree count.
+    group = cokernel(build(g, MatrixKind.Atr))
+    return group, group.order()
 
 
 def reduced_laplacian(h: Multigraph, q: int) -> IntMatrix:

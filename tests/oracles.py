@@ -2,7 +2,8 @@
 
 Deliberately naive implementations (Laplace cofactor expansion, explicit
 minor enumeration, Floyd-Warshall, subset sweeps, the plain-loop Berkowitz
-recurrence) that share no code with the library paths they check.
+recurrence, the per-kind matrix builder) that share no code with the
+library paths they check, beyond the distance profile the builder reads.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from graphinv.graphs import distance_profile
+from graphinv.matrices import MatrixKind
 
 
 # Polynomials as ascending coefficient lists over the integers.
@@ -147,3 +151,92 @@ def conductance_bruteforce(g):
             if best is None or ratio < best:
                 best = ratio
     return best
+
+
+# Kinds whose definition involves distances or transmissions; these require
+# a connected graph (distance_profile raises otherwise).
+DISTANCE_KINDS = frozenset({
+    MatrixKind.D, MatrixKind.DL, MatrixKind.DQ,
+    MatrixKind.Atr, MatrixKind.AtrPlus,
+    MatrixKind.Ddeg, MatrixKind.DdegPlus,
+    MatrixKind.R,
+})
+
+
+def build_reference(g, kind, profile=None):
+    """The per-kind branch form of ``matrices.build``, kept as the reference
+    the table-driven form must match entry for entry."""
+    n = g.n
+    if kind in DISTANCE_KINDS:
+        if profile is None:
+            profile = distance_profile(g)
+        dist, tr, deg = profile.dist, profile.tr, profile.deg
+    else:
+        dist, tr = None, None
+        deg = g.degree_sequence()
+
+    if kind is MatrixKind.A:
+        return [[(g.adj[u] >> v) & 1 for v in range(n)] for u in range(n)]
+    if kind is MatrixKind.L:
+        return [
+            [deg[u] if u == v else -((g.adj[u] >> v) & 1) for v in range(n)]
+            for u in range(n)
+        ]
+    if kind is MatrixKind.Q:
+        return [
+            [deg[u] if u == v else (g.adj[u] >> v) & 1 for v in range(n)]
+            for u in range(n)
+        ]
+    if kind is MatrixKind.D:
+        return [list(row) for row in dist]
+    if kind is MatrixKind.DL:
+        return [
+            [tr[u] if u == v else -dist[u][v] for v in range(n)]
+            for u in range(n)
+        ]
+    if kind is MatrixKind.DQ:
+        return [
+            [tr[u] if u == v else dist[u][v] for v in range(n)]
+            for u in range(n)
+        ]
+    if kind is MatrixKind.Atr:
+        return [
+            [tr[u] if u == v else -((g.adj[u] >> v) & 1) for v in range(n)]
+            for u in range(n)
+        ]
+    if kind is MatrixKind.AtrPlus:
+        return [
+            [tr[u] if u == v else (g.adj[u] >> v) & 1 for v in range(n)]
+            for u in range(n)
+        ]
+    if kind is MatrixKind.Ddeg:
+        return [
+            [deg[u] if u == v else -dist[u][v] for v in range(n)]
+            for u in range(n)
+        ]
+    if kind is MatrixKind.DdegPlus:
+        return [
+            [deg[u] if u == v else dist[u][v] for v in range(n)]
+            for u in range(n)
+        ]
+    if kind is MatrixKind.R:
+        return [
+            [tr[u] - deg[u] if u == v else 0 for v in range(n)]
+            for u in range(n)
+        ]
+    raise ValueError(f"unknown matrix kind {kind!r}")
+
+
+# Dense integer matrix helpers that only the tests use.
+
+def identity_matrix(n: int):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def is_symmetric(m) -> bool:
+    n = len(m)
+    return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))

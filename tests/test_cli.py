@@ -118,3 +118,12 @@ def test_computation_errors_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert main(["gen", "--n", "20"]) == 1  # beyond the built-in range
     assert "graph6" in capsys.readouterr().err
+
+
+def test_input_errors_name_path_and_line(tmp_path, capsys):
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(write_graph6(cricket_graph()).encode() + b"\nB\xc3\xa9\n")
+    assert main(["snf", "--input", str(path), "--matrix", "Atr"]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:2: " in err
+    assert "byte offset 1" in err

@@ -6,13 +6,14 @@ import pytest
 from graphinv.exact import SnfResult, charpoly, cokernel, determinant, snf
 from graphinv.generators import generate_connected_graphs, generate_trees
 from graphinv.graphs import complete_graph, cricket_graph, cycle_graph
-from graphinv.matrices import MatrixKind, build, identity_matrix, mat_mul
+from graphinv.matrices import MatrixKind, build, mat_mul
 from graphinv.sandpile import cone_graph
 
 from oracles import (
     charpoly_berkowitz_reference,
     charpoly_cofactor,
     det_cofactor,
+    identity_matrix,
     minor_gcd,
     poly_mul,
 )

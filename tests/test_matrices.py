@@ -9,14 +9,9 @@ from graphinv.graphs import (
     distance_profile,
     graph_from_edges,
 )
-from graphinv.generators import generate_connected_graphs
-from graphinv.matrices import (
-    MatrixKind,
-    build,
-    is_symmetric,
-    mat_add,
-    row_sums,
-)
+from graphinv.generators import generate_connected_graphs, generate_trees
+from graphinv.matrices import MatrixKind, build, row_sums
+from oracles import build_reference, is_symmetric, mat_add
 
 ALL_KINDS = list(MatrixKind)
 
@@ -100,3 +95,20 @@ def test_distance_kinds_reject_disconnected():
     # purely adjacency-based kinds tolerate disconnected graphs
     assert build(g, MatrixKind.A)[0][1] == 1
     assert row_sums(build(g, MatrixKind.L)) == [0] * 4
+
+
+def test_build_matches_reference():
+    corpus = [g for n in range(1, 8) for g in generate_connected_graphs(n)]
+    corpus += [t for n in range(2, 11) for t in generate_trees(n)]
+    for g in corpus:
+        prof = distance_profile(g)
+        for kind in ALL_KINDS:
+            want = build_reference(g, kind)
+            assert build(g, kind) == want
+            assert build(g, kind, prof) == want
+
+
+def test_build_matches_reference_on_disconnected_graph():
+    g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    for kind in (MatrixKind.A, MatrixKind.L, MatrixKind.Q):
+        assert build(g, kind) == build_reference(g, kind)
