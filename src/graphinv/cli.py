@@ -22,45 +22,27 @@ import sys
 from contextlib import nullcontext
 from typing import Iterable
 
-from . import closedforms
+from . import verify
 from .census import MODES, report_tsv, run_census, tree_census
-from .exact import charpoly, determinant, snf
+from .exact import charpoly, snf
 from .generators import generate_connected_graphs, generate_trees
-from .graphs import Graph, complete_graph, iter_graph6, star_graph, write_graph6
+from .graphs import Graph, iter_graph6, write_graph6
 from .matrices import MatrixKind, build
-from .sandpile import cross_check, sandpile_group
-from .spectra import (
-    THIRD_MOMENT_EXPANSION,
-    check_conductance_bracket,
-    check_extreme_bounds,
-    check_lambda1_bracket,
-    check_moments,
-    check_weyl_sandwich,
-    eigenvalues_symmetric,
-)
+from .sandpile import sandpile_group
+from .spectra import eigenvalues_symmetric
 
 # Every kind but the diagonal R, which only the API exposes.
 CLI_KINDS = tuple(k.value for k in MatrixKind if k is not MatrixKind.R)
 
 
-def _parse_kinds(spec: str, parser: argparse.ArgumentParser) -> list[MatrixKind]:
-    kinds = []
-    for name in spec.split(","):
-        name = name.strip()
-        if name not in CLI_KINDS:
-            parser.error(f"unknown matrix kind {name!r}; choose from {', '.join(CLI_KINDS)}")
-        kinds.append(MatrixKind[name])
-    return kinds
-
-
-def _parse_modes(spec: str, parser: argparse.ArgumentParser) -> list[str]:
-    modes = []
-    for name in spec.split(","):
-        name = name.strip()
-        if name not in MODES:
-            parser.error(f"unknown mode {name!r}; choose from {', '.join(MODES)}")
-        modes.append(name)
-    return modes
+def _parse_names(spec: str, allowed: tuple[str, ...], what: str,
+                 parser: argparse.ArgumentParser) -> list[str]:
+    """Split a comma list, exiting with a usage error on a name not in ``allowed``."""
+    names = [name.strip() for name in spec.split(",")]
+    for name in names:
+        if name not in allowed:
+            parser.error(f"unknown {what} {name!r}; choose from {', '.join(allowed)}")
+    return names
 
 
 def _read_graphs(path: str) -> list[Graph]:
@@ -91,8 +73,8 @@ def _cmd_gen(args, parser) -> int:
 
 
 def _cmd_census(args, parser) -> int:
-    kinds = _parse_kinds(args.matrices, parser)
-    modes = _parse_modes(args.modes, parser)
+    kinds = [MatrixKind[k] for k in _parse_names(args.matrices, CLI_KINDS, "matrix kind", parser)]
+    modes = _parse_names(args.modes, MODES, "mode", parser)
     if args.input:
         graphs = _read_graphs(args.input)
         if args.n and any(g.n != args.n for g in graphs):
@@ -108,8 +90,8 @@ def _cmd_census(args, parser) -> int:
 
 
 def _cmd_trees(args, parser) -> int:
-    kinds = _parse_kinds(args.matrices, parser)
-    modes = _parse_modes(args.modes, parser)
+    kinds = [MatrixKind[k] for k in _parse_names(args.matrices, CLI_KINDS, "matrix kind", parser)]
+    modes = _parse_names(args.modes, MODES, "mode", parser)
     report = tree_census(args.n, kinds, modes, jobs=args.jobs)
     sys.stdout.write(report_tsv(report))
     return 0
@@ -142,90 +124,11 @@ def _cmd_sandpile(args, parser) -> int:
     return 0
 
 
-def _suite_bounds(n_max: int) -> list[str]:
-    failures = []
-    for n in range(2, n_max + 1):
-        for g in generate_connected_graphs(n):
-            for report in (
-                check_extreme_bounds(g),
-                check_lambda1_bracket(g),
-                check_weyl_sandwich(g),
-                check_conductance_bracket(g),
-            ):
-                for c in report.checks:
-                    if not c.holds:
-                        failures.append(
-                            f"n={n} {write_graph6(g)}: {c.name} "
-                            f"left={c.left!r} right={c.right!r}"
-                        )
-    return failures
-
-
-def _suite_closed_forms(n_max: int) -> list[str]:
-    failures = []
-    minus = (MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.L)
-    plus = (MatrixKind.AtrPlus, MatrixKind.DdegPlus, MatrixKind.Q)
-    for n in range(2, n_max + 1):
-        kn = complete_graph(n)
-        for kind in minus + plus:
-            got = snf(build(kn, kind))
-            want = closedforms.snf_complete(kind, n)
-            if got != want:
-                failures.append(f"complete n={n} kind={kind.value}: {got} != {want}")
-    for m in range(1, n_max + 1):
-        star = star_graph(m)
-        for kind in (MatrixKind.Ddeg, MatrixKind.DdegPlus):
-            got = snf(build(star, kind))
-            want = closedforms.snf_star(kind, m)
-            if got != want:
-                failures.append(f"star m={m} kind={kind.value}: {got} != {want}")
-    for n in range(2, min(n_max, 12) + 1):
-        for t in generate_trees(n):
-            d = build(t, MatrixKind.D)
-            if snf(d) != closedforms.snf_tree_distance(n):
-                failures.append(f"tree distance SNF n={n}: {write_graph6(t)}")
-            if determinant(d) != closedforms.det_tree_distance(n):
-                failures.append(f"tree distance det n={n}: {write_graph6(t)}")
-    return failures
-
-
-def _suite_sandpile(n_max: int) -> list[str]:
-    failures = []
-    for n in range(2, n_max + 1):
-        for g in generate_connected_graphs(n):
-            if g.is_complete():
-                continue
-            if not cross_check(g):
-                failures.append(f"cone cross-check failed: {write_graph6(g)}")
-    return failures
-
-
-def _suite_moments(n_max: int) -> list[str]:
-    failures = []
-    for n in range(1, n_max + 1):
-        for g in generate_connected_graphs(n):
-            report = check_moments(g)
-            first, second = report.checks[0], report.checks[1]
-            expansion = report.by_name(THIRD_MOMENT_EXPANSION)
-            for c in (first, second, expansion):
-                if not c.holds:
-                    failures.append(f"{write_graph6(g)}: {c.name} left={c.left} right={c.right}")
-    return failures
-
-
-_SUITES = {
-    "bounds": _suite_bounds,
-    "closed-forms": _suite_closed_forms,
-    "sandpile": _suite_sandpile,
-    "moments": _suite_moments,
-}
-
-
 def _cmd_verify(args, parser) -> int:
-    names = [args.suite] if args.suite else list(_SUITES)
+    names = [args.suite] if args.suite else list(verify.SUITES)
     failed = False
     for name in names:
-        failures = _SUITES[name](args.n_max)
+        objects, checks, failures = verify.SUITES[name](args.n_max)
         if failures:
             failed = True
             print(f"FAIL {name}: {len(failures)} failures")
@@ -279,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sandpile)
 
     p = sub.add_parser("verify", help="run property suites")
-    p.add_argument("--suite", choices=sorted(_SUITES), help="run one suite (default: all)")
+    p.add_argument("--suite", choices=sorted(verify.SUITES), help="run one suite (default: all)")
     p.add_argument("--n-max", type=int, default=6, dest="n_max")
     p.set_defaults(func=_cmd_verify)
 

@@ -10,33 +10,18 @@ import random
 
 import pytest
 
+from graphinv import verify
 from graphinv.census import completeness_check, run_census, tree_census
-from graphinv.closedforms import (
-    det_tree_distance,
-    snf_complete,
-    snf_star,
-    snf_tree_distance,
-)
-from graphinv.exact import charpoly, determinant, snf
-from graphinv.generators import generate_connected_graphs, generate_trees
-from graphinv.graphs import (
-    complete_graph,
-    cricket_graph,
-    cycle_graph,
-    petersen_graph,
-    star_graph,
-)
+from graphinv.exact import charpoly, snf
+from graphinv.generators import generate_connected_graphs
+from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, petersen_graph
 from graphinv.matrices import MatrixKind, build
 from graphinv.sandpile import cone_graph, sandpile_group
 from graphinv.spectra import (
     THIRD_MOMENT_EXPANSION,
     THIRD_MOMENT_UNIT_MIXED,
-    check_conductance_bracket,
-    check_extreme_bounds,
-    check_lambda1_bracket,
     check_moments,
     check_shift_lemmas,
-    check_weyl_sandwich,
 )
 
 from oracles import charpoly_cofactor, minor_gcd
@@ -46,6 +31,8 @@ CLASSICAL_KINDS = (MatrixKind.A, MatrixKind.L, MatrixKind.Q,
                    MatrixKind.D, MatrixKind.DL, MatrixKind.DQ)
 
 CORPUS_TOTALS = {4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, **CORPUS_TOTALS}  # OEIS A001349
+TREE_COUNTS = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}  # A000055
 
 TABLE_NEW = {
     ("Atr", "spectral"): {4: 0, 5: 2, 6: 6, 7: 38, 8: 413},
@@ -174,34 +161,15 @@ def test_criterion_05_cycle5_example_set():
 
 
 def test_criterion_06_closed_form_oracles():
-    failures = []
-    minus = (MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.L)
-    plus = (MatrixKind.AtrPlus, MatrixKind.DdegPlus, MatrixKind.Q)
-    for n in range(2, 31):
-        kn = complete_graph(n)
-        for kind in minus + plus:
-            if snf_complete(kind, n) != snf(build(kn, kind)):
-                failures.append(f"complete n={n} {kind.value}")
-    branch_hits = {True: 0, False: 0}
-    for m in range(1, 31):
-        star = star_graph(m)
-        branch_hits[(2 * m + 1) % 3 == 0] += 1
-        for kind in (MatrixKind.Ddeg, MatrixKind.DdegPlus):
-            if snf_star(kind, m) != snf(build(star, kind)):
-                failures.append(f"star m={m} {kind.value}")
-    if not (branch_hits[True] and branch_hits[False]):
+    # complete graphs n = 2..30, stars m = 1..30, trees n = 2..12
+    cases, comparisons, failures = verify.closed_forms(30)
+    if {(2 * m + 1) % 3 == 0 for m in range(1, 31)} != {True, False}:
         failures.append("divisibility branches not both exercised")
-    for n in range(2, 13):
-        want_snf = snf_tree_distance(n)
-        want_det = det_tree_distance(n)
-        for t in generate_trees(n):
-            d = build(t, MatrixKind.D)
-            if snf(d) != want_snf:
-                failures.append(f"tree distance SNF at n={n}")
-                break
-            if determinant(d) != want_det:
-                failures.append(f"tree distance det at n={n}")
-                break
+    trees = sum(TREE_COUNTS.values())
+    # six kinds per complete graph, two per star, SNF and determinant per tree
+    want = (29 + 30 + trees, 6 * 29 + 2 * 30 + 2 * trees)
+    if (cases, comparisons) != want:
+        failures.append(f"(cases, comparisons) = {(cases, comparisons)} != {want}")
     _report(6, "closed forms agree with direct SNF (complete n<=30, stars m<=30, trees n<=12)", failures)
 
 
@@ -215,22 +183,13 @@ def test_criterion_07_complete_graphs_unique_snf():
 
 
 def test_criterion_08_bound_property_suite():
-    failures = []
-    graphs_checked = 0
-    for n in range(2, 8):
-        for g in generate_connected_graphs(n):
-            graphs_checked += 1
-            for report in (
-                check_extreme_bounds(g),
-                check_lambda1_bracket(g),
-                check_weyl_sandwich(g),
-                check_conductance_bracket(g),
-            ):
-                for c in report.checks:
-                    if not c.holds:
-                        failures.append(f"n={n}: {c.name} left={c.left} right={c.right}")
+    graphs_checked, records, failures = verify.bounds(7)
     if graphs_checked < 992:
         failures.append(f"only {graphs_checked} graphs checked")
+    # per graph: 4 extreme, 2 lambda_1, 2 conductance and 2n Weyl records
+    want = sum((8 + 2 * n) * CONNECTED_COUNTS[n] for n in range(2, 8))
+    if records != want:
+        failures.append(f"{records} inequality records read, not {want}")
     _report(8, f"eigenvalue bounds hold on all {graphs_checked} connected graphs with n <= 7", failures)
 
 
@@ -291,19 +250,15 @@ def test_criterion_10_exact_algebra_suite():
             failures.append("charpoly disagrees with cofactor oracle")
 
     # exact moment identities over all connected graphs with n <= 6
-    expansion_holds = unit_mixed_holds = total = 0
-    for n in range(1, 7):
-        for g in generate_connected_graphs(n):
-            total += 1
-            report = check_moments(g)
-            if not report.checks[0].holds:
-                failures.append("first-moment trace identity failed")
-            if not report.checks[1].holds:
-                failures.append("second-moment trace identity failed")
-            if report.by_name(THIRD_MOMENT_EXPANSION).holds:
-                expansion_holds += 1
-            if report.by_name(THIRD_MOMENT_UNIT_MIXED).holds:
-                unit_mixed_holds += 1
+    total, records, moment_failures = verify.moments(6)
+    failures += moment_failures
+    if (total, records) != (sum(CONNECTED_COUNTS[n] for n in range(1, 7)), 3 * total):
+        failures.append(f"moments suite read {records} records on {total} graphs")
+    expansion_holds = total - sum(THIRD_MOMENT_EXPANSION in line for line in moment_failures)
+    unit_mixed_holds = sum(
+        check_moments(g).by_name(THIRD_MOMENT_UNIT_MIXED).holds
+        for n in range(1, 7) for g in generate_connected_graphs(n)
+    )
     if expansion_holds != total:
         failures.append(f"expansion-form third moment held on {expansion_holds}/{total}")
     print(
