@@ -126,9 +126,15 @@ def _cmd_sandpile(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     names = [args.suite] if args.suite else list(verify.SUITES)
+    for name in names:
+        try:
+            verify.require_n_max(name, args.n_max)
+        except ValueError as exc:
+            parser.error(str(exc))
     failed = False
     for name in names:
         objects, checks, failures = verify.SUITES[name](args.n_max)
+        print(f"{name}: {objects} objects, {checks} checks", file=sys.stderr)
         if failures:
             failed = True
             print(f"FAIL {name}: {len(failures)} failures")

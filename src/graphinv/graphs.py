@@ -206,14 +206,22 @@ def write_graph6(g: Graph) -> str:
 def parse_graph6(line: str) -> Graph:
     if line.startswith(GRAPH6_HEADER):
         line = line[len(GRAPH6_HEADER):]
-    # Every non-ASCII character, lone surrogates included, encodes to bytes
-    # >= 128, which the alphabet check rejects at that character's offset.
-    data = line.rstrip("\r\n").encode("utf-8", "surrogatepass")
-    if not data:
+    # surrogateescape turns U+DC80..U+DCFF (an undecodable input byte) back
+    # into that byte and any other non-ASCII character into bytes >= 128;
+    # the alphabet check rejects either at its offset.  Any other lone
+    # surrogate has no byte form and is rejected after the bytes before it.
+    text = line.rstrip("\r\n")
+    try:
+        data, bad = text.encode("utf-8", "surrogateescape"), None
+    except UnicodeEncodeError as exc:
+        data, bad = text[:exc.start].encode("utf-8", "surrogateescape"), text[exc.start]
+    if not data and bad is None:
         raise Graph6ParseError("empty graph6 record", 0)
     for i, b in enumerate(data):
         if not 63 <= b <= 126:
             raise Graph6ParseError(f"byte {b} outside graph6 alphabet", i)
+    if bad is not None:
+        raise Graph6ParseError(f"character U+{ord(bad):04X} outside graph6 alphabet", len(data))
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:

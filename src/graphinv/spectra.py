@@ -72,11 +72,17 @@ def _eq_exact(name: str, left: int, right: int) -> InequalityRecord:
     return InequalityRecord(name, left, right, 0.0, holds=left == right)
 
 
+# Jacobi converges quadratically: the default tolerances on every connected
+# graph with n <= 7 need at most 6 sweeps.
+JACOBI_MAX_SWEEPS = 100
+
+
 def eigenvalues_symmetric(m: IntMatrix, tol: float | None = None) -> Spectrum:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps until the off-diagonal Frobenius mass drops below tol**2; the
-    quadratic convergence of Jacobi makes that a handful of sweeps.
+    quadratic convergence of Jacobi makes that a handful of sweeps.  Raises
+    ValueError if JACOBI_MAX_SWEEPS sweeps do not get there.
     """
     n = len(m)
     for i, row in enumerate(m):
@@ -87,13 +93,15 @@ def eigenvalues_symmetric(m: IntMatrix, tol: float | None = None) -> Spectrum:
                 raise ValueError("matrix not symmetric")
     if tol is None:
         tol = default_tol(m)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    threshold = tol * tol
+    if threshold == 0.0:
+        raise ValueError(f"tolerance {tol!r} too small: its square underflows to 0")
     a = [[float(x) for x in row] for row in m]
     if n == 1:
         return Spectrum((a[0][0],), tol)
-    threshold = tol * tol
-    for _sweep in range(100):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off = 0.0
         for p in range(n - 1):
             row_p = a[p]
@@ -101,6 +109,8 @@ def eigenvalues_symmetric(m: IntMatrix, tol: float | None = None) -> Spectrum:
                 off += 2.0 * row_p[q] * row_p[q]
         if off < threshold:
             break
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise ValueError(f"Jacobi iteration did not converge within {JACOBI_MAX_SWEEPS} sweeps")
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from . import closedforms
 from .exact import determinant, snf
-from .generators import generate_connected_graphs, generate_trees
-from .graphs import complete_graph, star_graph, write_graph6
+from .generators import CONNECTED_MAX_VERTICES, generate_connected_graphs, generate_trees
+from .graphs import MAX_VERTICES, complete_graph, star_graph, write_graph6
 from .matrices import MatrixKind, build
 from .sandpile import cross_check
 from .spectra import (
@@ -43,6 +43,7 @@ class SuiteResult(NamedTuple):
 
 
 def bounds(n_max: int) -> SuiteResult:
+    require_n_max("bounds", n_max)
     objects = checks = 0
     failures = []
     for n in range(2, n_max + 1):
@@ -65,6 +66,7 @@ def bounds(n_max: int) -> SuiteResult:
 
 
 def closed_forms(n_max: int) -> SuiteResult:
+    require_n_max("closed-forms", n_max)
     objects = checks = 0
     failures = []
     minus = (MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.L)
@@ -101,6 +103,7 @@ def closed_forms(n_max: int) -> SuiteResult:
 
 
 def sandpile(n_max: int) -> SuiteResult:
+    require_n_max("sandpile", n_max)
     objects = checks = 0
     failures = []
     for n in range(2, n_max + 1):
@@ -115,6 +118,7 @@ def sandpile(n_max: int) -> SuiteResult:
 
 
 def moments(n_max: int) -> SuiteResult:
+    require_n_max("moments", n_max)
     objects = checks = 0
     failures = []
     for n in range(1, n_max + 1):
@@ -134,3 +138,20 @@ SUITES = {
     "sandpile": sandpile,
     "moments": moments,
 }
+
+# Inclusive n_max range per suite: below it the suite checks nothing (the
+# only graph with n = 2 is complete, and sandpile skips complete graphs);
+# above it the built-in generators, or the largest star, cannot reach.
+N_MAX_RANGE = {
+    "bounds": (2, CONNECTED_MAX_VERTICES),
+    "closed-forms": (1, MAX_VERTICES - 1),
+    "sandpile": (3, CONNECTED_MAX_VERTICES),
+    "moments": (1, CONNECTED_MAX_VERTICES),
+}
+
+
+def require_n_max(name: str, n_max: int) -> None:
+    """Raise ValueError unless suite ``name`` accepts ``n_max``."""
+    lo, hi = N_MAX_RANGE[name]
+    if not lo <= n_max <= hi:
+        raise ValueError(f"suite {name} supports {lo} <= n_max <= {hi}, got {n_max}")

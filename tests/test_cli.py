@@ -1,5 +1,6 @@
 import pytest
 
+from graphinv import verify
 from graphinv.cli import main
 from graphinv.graphs import cricket_graph, parse_graph6, write_graph6
 
@@ -97,6 +98,45 @@ def test_verify_ok(capsys):
     assert "ok moments" in capsys.readouterr().out
 
 
+def test_verify_counts_on_stderr(capsys):
+    assert main(["verify", "--n-max", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"ok {name} (n <= 4)\n" for name in verify.SUITES)
+    # 9 graphs with 2 <= n <= 4; closed forms: K2..K4, 4 stars, 4 trees;
+    # sandpile skips K2, K3, K4; moments adds K1
+    assert captured.err.splitlines() == [
+        "bounds: 9 objects, 136 checks",
+        "closed-forms: 11 objects, 34 checks",
+        "sandpile: 6 objects, 6 checks",
+        "moments: 10 objects, 30 checks",
+    ]
+
+
+def test_verify_fail_exits_1(monkeypatch, capsys):
+    monkeypatch.setitem(verify.SUITES, "sandpile", lambda n_max: verify.SuiteResult(1, 1, ["boom"]))
+    assert main(["verify", "--suite", "sandpile", "--n-max", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL sandpile: 1 failures\n"
+    assert "  boom" in captured.err
+
+
+def test_verify_rejects_n_max_before_any_work(monkeypatch, capsys):
+    ran = []
+    for name in list(verify.SUITES):
+        monkeypatch.setitem(verify.SUITES, name, ran.append)
+    # moments reaches n = 9 only after computing every n <= 8
+    for argv, allowed in ((["--suite", "moments", "--n-max", "9"], "1 <= n_max <= 8"),
+                          (["--n-max", "0"], "2 <= n_max <= 8"),
+                          (["--n-max", "2"], "3 <= n_max <= 8")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert allowed in capsys.readouterr().err
+    assert ran == []
+    with pytest.raises(ValueError, match="3 <= n_max <= 8"):
+        verify.sandpile(2)
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-subcommand"])
@@ -126,4 +166,5 @@ def test_input_errors_name_path_and_line(tmp_path, capsys):
     assert main(["snf", "--input", str(path), "--matrix", "Atr"]) == 1
     err = capsys.readouterr().err
     assert f"{path}:2: " in err
+    assert "byte 195 " in err
     assert "byte offset 1" in err

@@ -76,11 +76,11 @@ def test_parse_graph6_errors_name_offset():
 
 def test_parse_graph6_rejects_non_ascii():
     # a lossy ASCII encoding once turned "é" into "?", a valid graph6 byte
-    for line, offset in (("Bé", 1), (">>graph6<<Bé", 1), ("D?é{", 2), ("\udce9@", 0)):
+    for line, offset in (("Bé", 1), (">>graph6<<Bé", 1), ("D?é{", 2), ("\udce9@", 0),
+                         ("B\ud800", 1), ("\udc41", 0), ("é\ud800", 0)):
         with pytest.raises(Graph6ParseError) as exc:
             parse_graph6(line)
         assert exc.value.offset == offset
-
 
 def test_write_graph6_examples():
     assert write_graph6(Graph(1, (0,))) == "@"

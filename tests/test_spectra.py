@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from graphinv import spectra
 from graphinv.exact import charpoly
 from graphinv.generators import generate_connected_graphs
 from graphinv.graphs import (
@@ -48,13 +49,27 @@ def test_eigenvalues_laplacian_k4():
     assert _close(spec.eigenvalues, (0.0, 4.0, 4.0, 4.0))
 
 
-def test_eigenvalues_reject_bad_input():
+def test_eigenvalues_reject_bad_input(monkeypatch):
     with pytest.raises(ValueError, match="symmetric"):
         eigenvalues_symmetric([[0, 1], [0, 0]])
     with pytest.raises(ValueError, match="square"):
         eigenvalues_symmetric([[0, 1]])
     with pytest.raises(ValueError, match="positive"):
         eigenvalues_symmetric([[1]], tol=0.0)
+    # nan and 1e-162 once ran out all 100 sweeps silently; inf returned the
+    # unrotated diagonal
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            eigenvalues_symmetric([[0, 1], [1, 0]], tol=tol)
+    with pytest.raises(ValueError, match="underflows"):
+        eigenvalues_symmetric([[0, 1], [1, 0]], tol=1e-162)
+    # running out of sweeps raises instead of returning unconverged values
+    m = build(cricket_graph(), MatrixKind.Atr)
+    monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 2)
+    with pytest.raises(ValueError, match="within 2 sweeps"):
+        eigenvalues_symmetric(m)
+    monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 6)
+    assert eigenvalues_symmetric(m).eigenvalues[0] > 0
 
 
 def test_eigenvalue_sums_match_traces():
