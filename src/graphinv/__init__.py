@@ -23,7 +23,6 @@ from .graphs import (
     DistanceProfile,
     Graph,
     Graph6ParseError,
-    complete_bipartite_graph,
     complete_graph,
     conductance,
     cricket_graph,
@@ -39,10 +38,11 @@ from .graphs import (
     wiener_indices,
     write_graph6,
 )
-from .matrices import IntMatrix, MatrixKind, build, row_sums
+from .matrices import IntMatrix, MatrixKind, build
 from .sandpile import Multigraph, cone_graph, cross_check, sandpile_group
 from .spectra import (
     BoundReport,
+    GraphSpectra,
     InequalityRecord,
     Spectrum,
     check_conductance_bracket,

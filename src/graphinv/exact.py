@@ -47,12 +47,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval(self, x):
-        acc = 0
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
-
 
 @dataclass(frozen=True)
 class AbelianGroup:

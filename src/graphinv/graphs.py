@@ -153,10 +153,6 @@ def star_graph(leaves: int) -> Graph:
     return graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-def complete_bipartite_graph(m: int, n: int) -> Graph:
-    return graph_from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-
-
 def petersen_graph() -> Graph:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
@@ -337,9 +333,8 @@ def triangle_count(g: Graph) -> int:
     return total
 
 
-def wiener_indices(g: Graph) -> tuple[int, int]:
+def wiener_indices(profile: DistanceProfile) -> tuple[int, int]:
     """(sum of all transmissions, sum of degree-weighted transmissions)."""
-    profile = distance_profile(g)
     w = sum(profile.tr)
     wdeg = sum(d * t for d, t in zip(profile.deg, profile.tr))
     return w, wdeg

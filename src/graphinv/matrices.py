@@ -95,10 +95,6 @@ def build(g: Graph, kind: MatrixKind, profile: DistanceProfile | None = None) ->
     return m
 
 
-def row_sums(m: IntMatrix) -> list[int]:
-    return [sum(row) for row in m]
-
-
 # ---------------------------------------------------------------------------
 # Generic helpers on dense integer matrices.
 

@@ -1,9 +1,11 @@
 """Floating-point spectra and verification of eigenvalue bounds.
 
 The eigensolver is a dependency-free cyclic Jacobi iteration, accurate for
-the symmetric integer matrices and sizes (n <= 64) used here.  Every check
-returns a report of inequality records; an inequality "holds" when
-left <= right + tol, with the default tolerance scaled by the matrix
+the symmetric integer matrices and sizes (n <= 64) used here.  The bound
+checks read one shared per-graph context, ``GraphSpectra``, which builds
+the distance profile once and each matrix kind's spectrum at most once.
+Every check returns a report of inequality records; an inequality "holds"
+when left <= right + tol, with the default tolerance scaled by the matrix
 max-norm so equality cases survive roundoff.
 
 The moment checks are the exception: they compare exact integer traces of
@@ -134,59 +136,55 @@ def eigenvalues_symmetric(m: IntMatrix, tol: float | None = None) -> Spectrum:
     return Spectrum(tuple(sorted(a[i][i] for i in range(n))), tol)
 
 
-def _spectrum_of(g: Graph, kind: MatrixKind, profile, tol: float | None):
-    m = build(g, kind, profile)
-    eff = tol if tol is not None else default_tol(m)
-    return eigenvalues_symmetric(m, eff).eigenvalues, eff
+class GraphSpectra:
+    """One connected graph with what the bound checks read from it: its
+    distance profile, ``r = tr - deg`` per vertex, and ``ctx[kind]``, the
+    Spectrum of each matrix kind, computed on first access and kept."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.profile = distance_profile(g)
+        self.r = [t - d for t, d in zip(self.profile.tr, self.profile.deg)]
+        self._spectra: dict[MatrixKind, Spectrum] = {}
+
+    def __getitem__(self, kind: MatrixKind) -> Spectrum:
+        if kind not in self._spectra:
+            self._spectra[kind] = eigenvalues_symmetric(build(self.g, kind, self.profile))
+        return self._spectra[kind]
 
 
-def check_extreme_bounds(g: Graph, tol: float | None = None) -> BoundReport:
+def check_extreme_bounds(ctx: GraphSpectra) -> BoundReport:
     """The four extreme-eigenvalue inequalities relating the diagonal-shifted
     matrices to their off-diagonal parts, e.g. the smallest eigenvalue of
     tr(G) - A is at least (min transmission) - (largest eigenvalue of A)."""
-    profile = distance_profile(g)
+    profile = ctx.profile
     theta, big_theta = min(profile.tr), max(profile.tr)
     delta, big_delta = min(profile.deg), max(profile.deg)
-    spec_a, tol_a = _spectrum_of(g, MatrixKind.A, profile, tol)
-    spec_d, tol_d = _spectrum_of(g, MatrixKind.D, profile, tol)
-    spec_atr, tol_atr = _spectrum_of(g, MatrixKind.Atr, profile, tol)
-    spec_ddeg, tol_ddeg = _spectrum_of(g, MatrixKind.Ddeg, profile, tol)
-    t1 = max(tol_a, tol_atr)
-    t2 = max(tol_d, tol_ddeg)
+    a, d, atr, ddeg = (ctx[k] for k in (MatrixKind.A, MatrixKind.D, MatrixKind.Atr, MatrixKind.Ddeg))
+    t1 = max(a.tol, atr.tol)
+    t2 = max(d.tol, ddeg.tol)
     return BoundReport((
         _leq("min_tr - max_eig(A) <= min_eig(Atr)",
-             theta - spec_a[-1], spec_atr[0], t1),
+             theta - a.eigenvalues[-1], atr.eigenvalues[0], t1),
         _leq("min_deg - max_eig(D) <= min_eig(Ddeg)",
-             delta - spec_d[-1], spec_ddeg[0], t2),
+             delta - d.eigenvalues[-1], ddeg.eigenvalues[0], t2),
         _leq("max_eig(Atr) <= max_tr - min_eig(A)",
-             spec_atr[-1], big_theta - spec_a[0], t1),
+             atr.eigenvalues[-1], big_theta - a.eigenvalues[0], t1),
         _leq("max_eig(Ddeg) <= max_deg - min_eig(D)",
-             spec_ddeg[-1], big_delta - spec_d[0], t2),
+             ddeg.eigenvalues[-1], big_delta - d.eigenvalues[0], t2),
     ))
 
 
-def check_weyl_sandwich(g: Graph, i: int | None = None,
-                        tol: float | None = None) -> BoundReport:
+def check_weyl_sandwich(ctx: GraphSpectra) -> BoundReport:
     """Weyl sandwich for tr(G) - A = L + R with R the diagonal of
-    transmission-minus-degree: for each index (1-based),
+    transmission-minus-degree: for each index i (1-based),
     eig_i(L) + min(R) <= eig_i(Atr) <= eig_i(L) + max(R).
-
-    ``i`` selects one index; None checks every index.
     """
-    profile = distance_profile(g)
-    n = g.n
-    if i is not None and not 1 <= i <= n:
-        raise ValueError(f"index must be in 1..{n}")
-    r = [t - d for t, d in zip(profile.tr, profile.deg)]
-    r_lo, r_hi = min(r), max(r)
-    spec_l, tol_l = _spectrum_of(g, MatrixKind.L, profile, tol)
-    spec_atr, tol_atr = _spectrum_of(g, MatrixKind.Atr, profile, tol)
-    eff = max(tol_l, tol_atr)
-    indices = range(1, n + 1) if i is None else (i,)
+    r_lo, r_hi = min(ctx.r), max(ctx.r)
+    l, atr = ctx[MatrixKind.L], ctx[MatrixKind.Atr]
+    eff = max(l.tol, atr.tol)
     checks = []
-    for idx in indices:
-        lam_l = spec_l[idx - 1]
-        lam = spec_atr[idx - 1]
+    for idx, (lam_l, lam) in enumerate(zip(l.eigenvalues, atr.eigenvalues), 1):
         checks.append(_leq(f"eig_{idx}(L) + min(R) <= eig_{idx}(Atr)",
                            lam_l + r_lo, lam, eff))
         checks.append(_leq(f"eig_{idx}(Atr) <= eig_{idx}(L) + max(R)",
@@ -194,19 +192,17 @@ def check_weyl_sandwich(g: Graph, i: int | None = None,
     return BoundReport(tuple(checks))
 
 
-def check_lambda1_bracket(g: Graph, tol: float | None = None) -> BoundReport:
+def check_lambda1_bracket(ctx: GraphSpectra) -> BoundReport:
     """min(tr - deg) <= min_eig(Atr) <= average(tr - deg)."""
-    profile = distance_profile(g)
-    r = [t - d for t, d in zip(profile.tr, profile.deg)]
-    spec_atr, eff = _spectrum_of(g, MatrixKind.Atr, profile, tol)
-    lam1 = spec_atr[0]
+    atr = ctx[MatrixKind.Atr]
+    lam1 = atr.eigenvalues[0]
     return BoundReport((
-        _leq("min(tr - deg) <= min_eig(Atr)", min(r), lam1, eff),
-        _leq("min_eig(Atr) <= mean(tr - deg)", lam1, sum(r) / g.n, eff),
+        _leq("min(tr - deg) <= min_eig(Atr)", min(ctx.r), lam1, atr.tol),
+        _leq("min_eig(Atr) <= mean(tr - deg)", lam1, sum(ctx.r) / ctx.g.n, atr.tol),
     ))
 
 
-def check_conductance_bracket(g: Graph, tol: float | None = None) -> BoundReport:
+def check_conductance_bracket(ctx: GraphSpectra) -> BoundReport:
     """Conductance bracket for the second-smallest eigenvalue of Atr:
 
         phi^2 / (2 * max_deg) + min(tr - deg) < eig_2(Atr)
@@ -215,23 +211,20 @@ def check_conductance_bracket(g: Graph, tol: float | None = None) -> BoundReport
     The lower bound is strict in exact arithmetic; numerically it is
     checked with the usual slack.
     """
-    if g.n < 2:
+    if ctx.g.n < 2:
         raise ValueError("second eigenvalue needs at least two vertices")
-    profile = distance_profile(g)
-    r = [t - d for t, d in zip(profile.tr, profile.deg)]
-    phi, _ = conductance(g)
-    big_delta = max(profile.deg)
-    spec_atr, eff = _spectrum_of(g, MatrixKind.Atr, profile, tol)
-    lam2 = spec_atr[1]
-    lower = float(phi) ** 2 / (2 * big_delta) + min(r)
-    upper = 2 * float(phi) + max(r)
+    phi, _ = conductance(ctx.g)
+    atr = ctx[MatrixKind.Atr]
+    lam2 = atr.eigenvalues[1]
+    lower = float(phi) ** 2 / (2 * max(ctx.profile.deg)) + min(ctx.r)
+    upper = 2 * float(phi) + max(ctx.r)
     return BoundReport((
-        _leq("phi^2/(2*max_deg) + min(tr - deg) < eig_2(Atr)", lower, lam2, eff),
-        _leq("eig_2(Atr) <= 2*phi + max(tr - deg)", lam2, upper, eff),
+        _leq("phi^2/(2*max_deg) + min(tr - deg) < eig_2(Atr)", lower, lam2, atr.tol),
+        _leq("eig_2(Atr) <= 2*phi + max(tr - deg)", lam2, upper, atr.tol),
     ))
 
 
-def check_shift_lemmas(g: Graph, tol: float | None = None) -> BoundReport:
+def check_shift_lemmas(ctx: GraphSpectra) -> BoundReport:
     """Constant-diagonal shift identities.
 
     When every degree equals k, the spectrum of deg(G) - D is the
@@ -240,15 +233,14 @@ def check_shift_lemmas(g: Graph, tol: float | None = None) -> BoundReport:
     a sorted-multiset comparison and reported as not applicable when the
     relevant regularity fails.
     """
-    profile = distance_profile(g)
+    profile = ctx.profile
     checks = []
 
     def shifted_match(name, minus_kind, base_kind, shift):
-        spec_minus, t1 = _spectrum_of(g, minus_kind, profile, tol)
-        spec_base, t2 = _spectrum_of(g, base_kind, profile, tol)
-        mirrored = sorted(shift - lam for lam in spec_base)
-        dev = max(abs(x - y) for x, y in zip(spec_minus, mirrored))
-        return _leq(name, dev, 0.0, max(t1, t2))
+        minus, base = ctx[minus_kind], ctx[base_kind]
+        mirrored = sorted(shift - lam for lam in base.eigenvalues)
+        dev = max(abs(x - y) for x, y in zip(minus.eigenvalues, mirrored))
+        return _leq(name, dev, 0.0, max(minus.tol, base.tol))
 
     if len(set(profile.deg)) == 1:
         checks.append(shifted_match(
@@ -285,7 +277,7 @@ def check_moments(g: Graph) -> BoundReport:
     atr = build(g, MatrixKind.Atr, profile)
     sq = mat_mul(atr, atr)
     cube = mat_mul(sq, atr)
-    w, wdeg = wiener_indices(g)
+    w, wdeg = wiener_indices(profile)
     edges = g.edge_count()
     triangles = triangle_count(g)
     tr2 = sum(t * t for t in profile.tr)

@@ -29,6 +29,7 @@ from .matrices import MatrixKind, build
 from .sandpile import cross_check
 from .spectra import (
     THIRD_MOMENT_EXPANSION,
+    GraphSpectra,
     check_conductance_bracket,
     check_extreme_bounds,
     check_lambda1_bracket,
@@ -49,11 +50,12 @@ def bounds(n_max: int) -> SuiteResult:
     for n in range(2, n_max + 1):
         for g in generate_connected_graphs(n):
             objects += 1
+            ctx = GraphSpectra(g)
             for report in (
-                check_extreme_bounds(g),
-                check_lambda1_bracket(g),
-                check_weyl_sandwich(g),
-                check_conductance_bracket(g),
+                check_extreme_bounds(ctx),
+                check_lambda1_bracket(ctx),
+                check_weyl_sandwich(ctx),
+                check_conductance_bracket(ctx),
             ):
                 for c in report.checks:
                     checks += 1

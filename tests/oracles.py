@@ -36,6 +36,14 @@ def poly_mul(a, b):
     return out
 
 
+def poly_eval(p, x):
+    """Horner evaluation of an IntPolynomial (descending coefficients) at x."""
+    acc = 0
+    for c in p.coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def det_poly(rows):
     """Laplace expansion along the first row of a polynomial matrix."""
     n = len(rows)
@@ -235,6 +243,10 @@ def identity_matrix(n: int):
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def row_sums(m) -> list[int]:
+    return [sum(row) for row in m]
 
 
 def is_symmetric(m) -> bool:

@@ -20,6 +20,7 @@ from graphinv.sandpile import cone_graph, sandpile_group
 from graphinv.spectra import (
     THIRD_MOMENT_EXPANSION,
     THIRD_MOMENT_UNIT_MIXED,
+    GraphSpectra,
     check_moments,
     check_shift_lemmas,
 )
@@ -199,7 +200,7 @@ def test_criterion_09_shift_identities():
     subjects += [complete_graph(n) for n in range(2, 9)]
     subjects.append(petersen_graph())
     for g in subjects:
-        report = check_shift_lemmas(g)
+        report = check_shift_lemmas(GraphSpectra(g))
         for c in report.checks:
             if not c.applicable:
                 failures.append(f"{g.n} vertices: {c.name} unexpectedly inapplicable")

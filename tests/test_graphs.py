@@ -178,10 +178,10 @@ def test_triangle_count():
 
 
 def test_wiener_indices():
-    assert wiener_indices(cycle_graph(5)) == (30, 60)
-    assert wiener_indices(path_graph(3)) == (8, 10)
+    assert wiener_indices(distance_profile(cycle_graph(5))) == (30, 60)
+    assert wiener_indices(distance_profile(path_graph(3))) == (8, 10)
     for n in range(2, 7):
-        assert wiener_indices(complete_graph(n)) == (n * (n - 1), n * (n - 1) ** 2)
+        assert wiener_indices(distance_profile(complete_graph(n))) == (n * (n - 1), n * (n - 1) ** 2)
 
 
 def test_conductance_examples():

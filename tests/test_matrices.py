@@ -10,8 +10,8 @@ from graphinv.graphs import (
     graph_from_edges,
 )
 from graphinv.generators import generate_connected_graphs, generate_trees
-from graphinv.matrices import MatrixKind, build, row_sums
-from oracles import build_reference, is_symmetric, mat_add
+from graphinv.matrices import MatrixKind, build
+from oracles import build_reference, is_symmetric, mat_add, row_sums
 
 ALL_KINDS = list(MatrixKind)
 

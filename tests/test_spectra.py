@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from graphinv import spectra
+from graphinv import spectra, verify
 from graphinv.exact import charpoly
 from graphinv.generators import generate_connected_graphs
 from graphinv.graphs import (
@@ -18,6 +18,7 @@ from graphinv.matrices import MatrixKind, build, mat_mul, trace
 from graphinv.spectra import (
     THIRD_MOMENT_EXPANSION,
     THIRD_MOMENT_UNIT_MIXED,
+    GraphSpectra,
     check_conductance_bracket,
     check_extreme_bounds,
     check_lambda1_bracket,
@@ -27,6 +28,8 @@ from graphinv.spectra import (
     default_tol,
     eigenvalues_symmetric,
 )
+
+from oracles import poly_eval
 
 
 def _close(xs, ys, tol=1e-8):
@@ -89,22 +92,22 @@ def test_numeric_roots_satisfy_charpoly():
         spec = eigenvalues_symmetric(m)
         scale = max(abs(c) for c in cp.coeffs)
         for lam in spec.eigenvalues:
-            assert abs(cp.eval(lam)) <= 1e-6 * scale
+            assert abs(poly_eval(cp, lam)) <= 1e-6 * scale
 
 
 def test_extreme_bounds_equalities_on_cycle():
-    report = check_extreme_bounds(cycle_graph(5))
+    report = check_extreme_bounds(GraphSpectra(cycle_graph(5)))
     assert report.all_hold()
     for c in report.checks:
         assert abs(c.slack) <= c.tol  # vertex-transitive: all four are tight
 
 
 def test_extreme_bounds_cricket_and_complete():
-    report = check_extreme_bounds(cricket_graph())
+    report = check_extreme_bounds(GraphSpectra(cricket_graph()))
     assert report.all_hold()
     assert any(c.slack > 1e-6 for c in report.checks)
     for n in range(2, 7):
-        report = check_extreme_bounds(complete_graph(n))
+        report = check_extreme_bounds(GraphSpectra(complete_graph(n)))
         assert report.all_hold()
         lower = report.checks[0]
         assert abs(lower.left) <= lower.tol and abs(lower.right) <= lower.tol
@@ -113,43 +116,42 @@ def test_extreme_bounds_cricket_and_complete():
 def test_weyl_sandwich():
     # transmission-regular: both sides collapse to equality at every index
     for g in (cycle_graph(5), petersen_graph(), complete_graph(5)):
-        report = check_weyl_sandwich(g)
+        report = check_weyl_sandwich(GraphSpectra(g))
         assert report.all_hold()
         for c in report.checks:
             assert abs(c.slack) <= c.tol
-    report = check_weyl_sandwich(path_graph(4), i=2)
+    report = check_weyl_sandwich(GraphSpectra(path_graph(4)))
     assert report.all_hold()
-    with pytest.raises(ValueError, match="index"):
-        check_weyl_sandwich(path_graph(4), i=5)
+    assert len(report.checks) == 8
 
 
 def test_lambda1_bracket():
     for n in range(2, 7):
-        report = check_lambda1_bracket(complete_graph(n))
+        report = check_lambda1_bracket(GraphSpectra(complete_graph(n)))
         assert report.all_hold()
         assert all(abs(c.left) <= c.tol and abs(c.right) <= c.tol for c in report.checks)
-    report = check_lambda1_bracket(cycle_graph(5))
+    report = check_lambda1_bracket(GraphSpectra(cycle_graph(5)))
     assert report.all_hold()
     assert abs(report.checks[0].left - 4) <= 1e-9
-    report = check_lambda1_bracket(star_graph(4))
+    report = check_lambda1_bracket(GraphSpectra(star_graph(4)))
     assert report.all_hold()
     assert report.checks[0].left == 0
     assert abs(report.checks[1].right - 24 / 5) <= 1e-9
 
 
 def test_conductance_bracket():
-    report = check_conductance_bracket(complete_graph(4))
+    report = check_conductance_bracket(GraphSpectra(complete_graph(4)))
     assert report.all_hold()
     lower, upper = report.checks
     assert abs(lower.left - 2 / 3) <= 1e-9
     assert abs(lower.right - 4.0) <= 1e-6
     assert abs(upper.right - 4.0) <= 1e-9
-    assert check_conductance_bracket(cycle_graph(5)).all_hold()
-    assert check_conductance_bracket(path_graph(3)).all_hold()
+    assert check_conductance_bracket(GraphSpectra(cycle_graph(5))).all_hold()
+    assert check_conductance_bracket(GraphSpectra(path_graph(3))).all_hold()
 
 
 def test_shift_lemmas_petersen():
-    report = check_shift_lemmas(petersen_graph())
+    report = check_shift_lemmas(GraphSpectra(petersen_graph()))
     assert all(c.applicable for c in report.checks)
     assert report.all_hold()
     # transmission 15 against adjacency spectrum {3, 1^5, (-2)^4}
@@ -159,10 +161,10 @@ def test_shift_lemmas_petersen():
 
 
 def test_shift_lemmas_cycle_and_cricket():
-    report = check_shift_lemmas(cycle_graph(5))
+    report = check_shift_lemmas(GraphSpectra(cycle_graph(5)))
     assert all(c.applicable for c in report.checks)
     assert report.all_hold()
-    report = check_shift_lemmas(cricket_graph())
+    report = check_shift_lemmas(GraphSpectra(cricket_graph()))
     assert not any(c.applicable for c in report.checks)
     assert report.all_hold()  # inapplicable reports as holding trivially
 
@@ -198,3 +200,30 @@ def test_lambda1_simple_for_connected():
             m = build(g, MatrixKind.Atr)
             spec = eigenvalues_symmetric(m)
             assert spec.eigenvalues[1] - spec.eigenvalues[0] > spec.tol
+
+
+def test_graph_spectra_caches_each_kind():
+    for g in (cricket_graph(), cycle_graph(5), path_graph(4)):
+        ctx = GraphSpectra(g)
+        for kind in (MatrixKind.A, MatrixKind.D, MatrixKind.L, MatrixKind.Atr, MatrixKind.Ddeg):
+            spec = ctx[kind]
+            assert spec == eigenvalues_symmetric(build(g, kind))
+            assert ctx[kind] is spec
+
+
+def test_bounds_suite_shares_one_context_per_graph(monkeypatch):
+    # one distance profile and one Jacobi run per distinct matrix kind
+    # (A, D, L, Atr, Ddeg) for each graph, however many checks read them
+    calls = {"eigen": 0, "profile": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectra, "eigenvalues_symmetric", counted("eigen", spectra.eigenvalues_symmetric))
+    monkeypatch.setattr(spectra, "distance_profile", counted("profile", spectra.distance_profile))
+    graphs_checked = verify.bounds(5).objects
+    assert graphs_checked == 1 + 2 + 6 + 21
+    assert calls == {"eigen": 5 * graphs_checked, "profile": graphs_checked}
