@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from .exact import charpoly, snf
 from .generators import generate_connected_graphs, generate_trees
 from .graphs import Graph, complete_graph, distance_profile
-from .matrices import KIND_ORDER, IntMatrix, MatrixKind, build
+from .matrices import IntMatrix, MatrixKind, build
 
 MODES = ("spectral", "invariant")
 
@@ -53,13 +53,12 @@ class Fingerprint:
     payload: bytes
 
 
-def fingerprint(g: Graph, kind: MatrixKind, mode: str, profile=None) -> Fingerprint:
+def fingerprint(g: Graph, kind: MatrixKind, mode: str) -> Fingerprint:
     """Deterministic, isomorphism-invariant certificate of g for one
     (matrix kind, mode) pair."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if profile is None:
-        profile = distance_profile(g)  # also rejects disconnected input
+    profile = distance_profile(g)  # also rejects disconnected input
     return Fingerprint(kind, mode, _payload(build(g, kind, profile), mode))
 
 
@@ -108,11 +107,16 @@ def bucket_counts(
     """Fingerprint every graph and tally bucket sizes.
 
     Returns (n, total, buckets) where buckets maps (kind, mode) to a
-    payload -> count table.  Raises on an empty stream or mixed orders.
+    payload -> count table.  Raises on a repeated kind or mode, an empty
+    stream or mixed orders.
     """
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+    for what, names in (("kind", kinds), ("mode", modes)):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{what} {name} given twice")
     buckets: dict[tuple[MatrixKind, str], dict[bytes, int]] = {
         (kind, mode): {} for kind in kinds for mode in modes
     }
@@ -138,19 +142,6 @@ def bucket_counts(
     return n, total, buckets
 
 
-def _report_from_buckets(n, total, buckets, kinds, modes) -> CensusReport:
-    ordered_kinds = [k for k in KIND_ORDER if k in set(kinds)]
-    entries = []
-    for kind in ordered_kinds:
-        for mode in MODES:
-            if mode not in modes:
-                continue
-            table = buckets[(kind, mode)]
-            mates = sum(c for c in table.values() if c >= 2)
-            entries.append(CensusEntry(kind, mode, mates, total))
-    return CensusReport(n, total, tuple(entries))
-
-
 def run_census(
     graphs: Iterable[Graph],
     kinds: Sequence[MatrixKind],
@@ -159,7 +150,14 @@ def run_census(
 ) -> CensusReport:
     """Count graphs with a cospectral/coinvariant mate, per kind and mode."""
     n, total, buckets = bucket_counts(graphs, kinds, modes, jobs)
-    return _report_from_buckets(n, total, buckets, kinds, modes)
+    entries = []
+    for kind in MatrixKind:
+        for mode in MODES:
+            if kind in kinds and mode in modes:
+                table = buckets[(kind, mode)]
+                mates = sum(c for c in table.values() if c >= 2)
+                entries.append(CensusEntry(kind, mode, mates, total))
+    return CensusReport(n, total, tuple(entries))
 
 
 def tree_census(

@@ -37,11 +37,14 @@ CLI_KINDS = tuple(k.value for k in MatrixKind if k is not MatrixKind.R)
 
 def _parse_names(spec: str, allowed: tuple[str, ...], what: str,
                  parser: argparse.ArgumentParser) -> list[str]:
-    """Split a comma list, exiting with a usage error on a name not in ``allowed``."""
+    """Split a comma list, exiting with a usage error on a name not in
+    ``allowed`` or a name given twice."""
     names = [name.strip() for name in spec.split(",")]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in allowed:
             parser.error(f"unknown {what} {name!r}; choose from {', '.join(allowed)}")
+        if name in names[:i]:
+            parser.error(f"{what} {name!r} given twice")
     return names
 
 

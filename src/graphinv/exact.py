@@ -89,6 +89,11 @@ def snf(m: IntMatrix) -> SnfResult:
     the entry of smallest nonzero absolute value (keeps intermediate
     growth tame at the sizes used here), then restores the divisibility
     chain with pairwise gcd/lcm exchanges on the diagonal.
+
+    The column pass touches only the pivot row: the row pass has already
+    cleared column t below the pivot, so a column operation just reduces
+    ``a[t][j]`` modulo the pivot.  A nonzero remainder is swapped into
+    column t over rows t..n-1 (rows above t are zero from column t on).
     """
     n = _check_square(m)
     a = [list(row) for row in m]
@@ -110,43 +115,33 @@ def snf(m: IntMatrix) -> SnfResult:
         if pi < 0:
             break
         rank += 1
-        if pi != t:
-            a[pi], a[t] = a[t], a[pi]
-        if pj != t:
-            for row in a:
-                row[pj], row[t] = row[t], row[pj]
+        a[pi], a[t] = a[t], a[pi]
+        for row in a[t:]:
+            row[pj], row[t] = row[t], row[pj]
         while True:
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, n):
-                x = a[i][t]
-                if x:
-                    q = x // pivot
-                    if q:
-                        row_i, row_t = a[i], a[t]
-                        for j in range(t, n):
-                            row_i[j] -= q * row_t[j]
-                    if a[i][t]:
-                        # Remainder is strictly smaller: promote it.
-                        a[i], a[t] = a[t], a[i]
-                        dirty = True
-                        break
-            if dirty:
-                continue
             row_t = a[t]
             pivot = row_t[t]
+            dirty = False
+            for i in range(t + 1, n):
+                row_i = a[i]
+                q = row_i[t] // pivot
+                if q:
+                    for j in range(t, n):
+                        row_i[j] -= q * row_t[j]
+                if row_i[t]:
+                    # Remainder is strictly smaller: promote it.
+                    a[i], a[t] = row_t, row_i
+                    dirty = True
+                    break
+            if dirty:
+                continue
             for j in range(t + 1, n):
-                x = row_t[j]
-                if x:
-                    q = x // pivot
-                    if q:
-                        for i in range(t, n):
-                            a[i][j] -= q * a[i][t]
-                    if row_t[j]:
-                        for i in range(t, n):
-                            a[i][j], a[i][t] = a[i][t], a[i][j]
-                        dirty = True
-                        break
+                row_t[j] %= pivot
+                if row_t[j]:
+                    for row in a[t:]:
+                        row[j], row[t] = row[t], row[j]
+                    dirty = True
+                    break
             if not dirty:
                 break
     fs = sorted(abs(a[i][i]) for i in range(rank))

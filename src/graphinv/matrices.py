@@ -45,8 +45,6 @@ class MatrixKind(Enum):
     R = "R"
 
 
-KIND_ORDER = tuple(MatrixKind)
-
 # Diagonal sources, by the name ``RECIPES`` uses; a diagonal of None is zero.
 _DIAGONALS = {
     "deg": lambda g, profile: g.degree_sequence(),

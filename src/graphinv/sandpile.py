@@ -74,10 +74,9 @@ def cross_check(g: Graph) -> bool:
     cone equals the transmission-adjacency matrix entrywise, and the cone
     Laplacian's SNF is that matrix's SNF extended by one zero.
 
-    Returns False (with a note on stderr) instead of raising on mismatch.
+    Returns False (with a note on stderr) instead of raising on mismatch;
+    ``cone_graph`` rejects a complete graph.
     """
-    if g.is_complete():
-        raise ValueError("cone apex would be isolated")
     h = cone_graph(g)
     atr = build(g, MatrixKind.Atr)
     reduced = reduced_laplacian(h, g.n)

@@ -79,12 +79,13 @@ def _eq_exact(name: str, left: int, right: int) -> InequalityRecord:
 JACOBI_MAX_SWEEPS = 100
 
 
-def eigenvalues_symmetric(m: IntMatrix, tol: float | None = None) -> Spectrum:
+def eigenvalues_symmetric(m: IntMatrix) -> Spectrum:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps until the off-diagonal Frobenius mass drops below tol**2; the
-    quadratic convergence of Jacobi makes that a handful of sweeps.  Raises
-    ValueError if JACOBI_MAX_SWEEPS sweeps do not get there.
+    Sweeps until the off-diagonal Frobenius mass drops below tol**2, with
+    tol = default_tol(m); the quadratic convergence of Jacobi makes that a
+    handful of sweeps.  Raises ValueError if JACOBI_MAX_SWEEPS sweeps do
+    not get there.
     """
     n = len(m)
     for i, row in enumerate(m):
@@ -93,13 +94,8 @@ def eigenvalues_symmetric(m: IntMatrix, tol: float | None = None) -> Spectrum:
         for j in range(i + 1, n):
             if m[i][j] != m[j][i]:
                 raise ValueError("matrix not symmetric")
-    if tol is None:
-        tol = default_tol(m)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    tol = default_tol(m)
     threshold = tol * tol
-    if threshold == 0.0:
-        raise ValueError(f"tolerance {tol!r} too small: its square underflows to 0")
     a = [[float(x) for x in row] for row in m]
     if n == 1:
         return Spectrum((a[0][0],), tol)

@@ -2,8 +2,10 @@
 
 Deliberately naive implementations (Laplace cofactor expansion, explicit
 minor enumeration, Floyd-Warshall, subset sweeps, the plain-loop Berkowitz
-recurrence, the per-kind matrix builder) that share no code with the
-library paths they check, beyond the distance profile the builder reads.
+recurrence, the full-column Smith normal form loop, the per-kind matrix
+builder) that share no code with the library paths they check, beyond the
+distance profile the builder reads and the Smith form's square check and
+result type.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from graphinv.exact import SnfResult, _check_square
 from graphinv.graphs import distance_profile
 from graphinv.matrices import MatrixKind
 
@@ -98,6 +101,86 @@ def charpoly_berkowitz_reference(m) -> tuple[int, ...]:
                     new[j + d] += diags[d] * c
         coeffs = new
     return tuple(coeffs)
+
+
+def snf_reference(m) -> SnfResult:
+    """Smith normal form over the integers.
+
+    Diagonalises with Euclidean row/column reduction, always pivoting on
+    the entry of smallest nonzero absolute value (keeps intermediate
+    growth tame at the sizes used here), then restores the divisibility
+    chain with pairwise gcd/lcm exchanges on the diagonal.
+
+    The full-column form of ``exact.snf``, kept verbatim as the reference
+    its pivot-row column pass must match result for result.
+    """
+    n = _check_square(m)
+    a = [list(row) for row in m]
+    rank = 0
+    for t in range(n):
+        # Locate the minimal-magnitude nonzero entry of the trailing block.
+        pi = pj = -1
+        pbest = 0
+        for i in range(t, n):
+            row = a[i]
+            for j in range(t, n):
+                x = row[j]
+                if x:
+                    if x < 0:
+                        x = -x
+                    if pbest == 0 or x < pbest:
+                        pbest = x
+                        pi, pj = i, j
+        if pi < 0:
+            break
+        rank += 1
+        if pi != t:
+            a[pi], a[t] = a[t], a[pi]
+        if pj != t:
+            for row in a:
+                row[pj], row[t] = row[t], row[pj]
+        while True:
+            pivot = a[t][t]
+            dirty = False
+            for i in range(t + 1, n):
+                x = a[i][t]
+                if x:
+                    q = x // pivot
+                    if q:
+                        row_i, row_t = a[i], a[t]
+                        for j in range(t, n):
+                            row_i[j] -= q * row_t[j]
+                    if a[i][t]:
+                        # Remainder is strictly smaller: promote it.
+                        a[i], a[t] = a[t], a[i]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            row_t = a[t]
+            pivot = row_t[t]
+            for j in range(t + 1, n):
+                x = row_t[j]
+                if x:
+                    q = x // pivot
+                    if q:
+                        for i in range(t, n):
+                            a[i][j] -= q * a[i][t]
+                    if row_t[j]:
+                        for i in range(t, n):
+                            a[i][j], a[i][t] = a[i][t], a[i][j]
+                        dirty = True
+                        break
+            if not dirty:
+                break
+    fs = sorted(abs(a[i][i]) for i in range(rank))
+    # diag(a, b) ~ diag(gcd, lcm): one forward sweep yields the chain.
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            if fs[j] % fs[i]:
+                g = gcd(fs[i], fs[j])
+                fs[i], fs[j] = g, fs[i] // g * fs[j]
+    return SnfResult(tuple(fs), n - rank, n)
 
 
 def det_cofactor(m) -> int:

@@ -98,6 +98,15 @@ def test_census_input_errors():
         run_census([path_graph(3)], [MatrixKind.A], ["bogus"])
 
 
+def test_census_rejects_repeated_names():
+    # a repeated name once tallied each graph twice: mate_count 42 of total 21
+    graphs = list(generate_connected_graphs(5))
+    with pytest.raises(ValueError, match="Atr given twice"):
+        run_census(graphs, [MatrixKind.Atr, MatrixKind.Atr], ["invariant"])
+    with pytest.raises(ValueError, match="spectral given twice"):
+        bucket_counts(graphs, [MatrixKind.A], ["spectral", "invariant", "spectral"])
+
+
 def test_census_parallel_matches_serial():
     graphs = list(generate_connected_graphs(5))
     serial = run_census(graphs, NEW_KINDS, jobs=1)

@@ -152,6 +152,19 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_repeated_names_exit_2(capsys):
+    # a repeated name once tallied each graph twice: mate_count 42 of total 21
+    for argv, name in ((["census", "--n", "5", "--matrices", "A,A", "--modes", "spectral"], "'A'"),
+                       (["census", "--n", "5", "--matrices", "A", "--modes", "spectral,spectral"],
+                        "'spectral'"),
+                       (["trees", "--n", "5", "--matrices", "Atr,Ddeg,Atr"], "'Atr'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert name in err and "twice" in err
+
+
 def test_computation_errors_exit_1(tmp_path, capsys):
     missing = str(tmp_path / "missing.g6")
     assert main(["snf", "--input", missing, "--matrix", "Atr"]) == 1

@@ -3,9 +3,10 @@ from math import gcd
 
 import pytest
 
+from graphinv.cli import CLI_KINDS
 from graphinv.exact import SnfResult, charpoly, cokernel, determinant, snf
 from graphinv.generators import generate_connected_graphs, generate_trees
-from graphinv.graphs import complete_graph, cricket_graph, cycle_graph
+from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, distance_profile
 from graphinv.matrices import MatrixKind, build, mat_mul
 from graphinv.sandpile import cone_graph
 
@@ -17,6 +18,7 @@ from oracles import (
     minor_gcd,
     poly_eval,
     poly_mul,
+    snf_reference,
 )
 
 
@@ -104,6 +106,35 @@ def test_snf_matches_minor_gcd_oracle():
             assert prod == abs(minor_gcd(m, k))
         if res.rank < len(m):
             assert minor_gcd(m, res.rank + 1) == 0
+
+
+def test_snf_matches_reference_on_graph_matrices():
+    kinds = [MatrixKind[k] for k in CLI_KINDS]
+    cases = [(g, kinds) for n in range(1, 8) for g in generate_connected_graphs(n)]
+    new_kinds = [MatrixKind.Atr, MatrixKind.AtrPlus, MatrixKind.Ddeg, MatrixKind.DdegPlus]
+    cases += [(t, new_kinds) for n in range(1, 11) for t in generate_trees(n)]
+    checked = 0
+    for g, ks in cases:
+        profile = distance_profile(g)
+        for kind in ks:
+            m = build(g, kind, profile)
+            assert snf(m) == snf_reference(m), (g, kind)
+            checked += 1
+    assert checked == 996 * 10 + 201 * 4
+
+
+def test_snf_matches_reference_on_random_matrices():
+    # dense wide entries, and sparse {0, +-1, 2} entries that leave
+    # remainders in the pivot row and rank-deficient blocks
+    rng = random.Random(1979)
+    sparse = (0,) * 6 + (1, -1, 2)
+    for i in range(400):
+        n = i % 17
+        if i % 2:
+            m = [[rng.choice(sparse) for _ in range(n)] for _ in range(n)]
+        else:
+            m = _random_matrix(rng, n, bound=rng.choice((2, 9, 50)))
+        assert snf(m) == snf_reference(m), m
 
 
 def test_snf_rejects_nonsquare():

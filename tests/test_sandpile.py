@@ -24,10 +24,9 @@ def test_cone_graph_cycle_and_path():
 
 def test_cone_rejects_complete():
     for n in range(2, 6):
-        with pytest.raises(ValueError, match="isolated"):
-            cone_graph(complete_graph(n))
-        with pytest.raises(ValueError, match="isolated"):
-            sandpile_group(complete_graph(n))
+        for fn in (cone_graph, sandpile_group, cross_check):
+            with pytest.raises(ValueError, match="isolated"):
+                fn(complete_graph(n))
 
 
 def test_sandpile_group_cricket():

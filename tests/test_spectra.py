@@ -57,15 +57,6 @@ def test_eigenvalues_reject_bad_input(monkeypatch):
         eigenvalues_symmetric([[0, 1], [0, 0]])
     with pytest.raises(ValueError, match="square"):
         eigenvalues_symmetric([[0, 1]])
-    with pytest.raises(ValueError, match="positive"):
-        eigenvalues_symmetric([[1]], tol=0.0)
-    # nan and 1e-162 once ran out all 100 sweeps silently; inf returned the
-    # unrotated diagonal
-    for tol in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            eigenvalues_symmetric([[0, 1], [1, 0]], tol=tol)
-    with pytest.raises(ValueError, match="underflows"):
-        eigenvalues_symmetric([[0, 1], [1, 0]], tol=1e-162)
     # running out of sweeps raises instead of returning unconverged values
     m = build(cricket_graph(), MatrixKind.Atr)
     monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 2)
