@@ -67,6 +67,11 @@ def _read_graphs(path: str) -> list[Graph]:
     return graphs
 
 
+def _require_jobs(args, parser) -> None:
+    if args.jobs < 1:
+        parser.error(f"--jobs needs N >= 1, got {args.jobs}")
+
+
 def _cmd_gen(args, parser) -> int:
     graphs: Iterable[Graph]
     graphs = generate_trees(args.n) if args.trees else generate_connected_graphs(args.n)
@@ -76,6 +81,7 @@ def _cmd_gen(args, parser) -> int:
 
 
 def _cmd_census(args, parser) -> int:
+    _require_jobs(args, parser)
     kinds = [MatrixKind[k] for k in _parse_names(args.matrices, CLI_KINDS, "matrix kind", parser)]
     modes = _parse_names(args.modes, MODES, "mode", parser)
     if args.input:
@@ -93,6 +99,7 @@ def _cmd_census(args, parser) -> int:
 
 
 def _cmd_trees(args, parser) -> int:
+    _require_jobs(args, parser)
     kinds = [MatrixKind[k] for k in _parse_names(args.matrices, CLI_KINDS, "matrix kind", parser)]
     modes = _parse_names(args.modes, MODES, "mode", parser)
     report = tree_census(args.n, kinds, modes, jobs=args.jobs)

@@ -90,10 +90,17 @@ def snf(m: IntMatrix) -> SnfResult:
     growth tame at the sizes used here), then restores the divisibility
     chain with pairwise gcd/lcm exchanges on the diagonal.
 
+    The pivot is the first entry of least magnitude in row-major order, so
+    the scan stops at the first +-1: no later entry can be smaller.
+
     The column pass touches only the pivot row: the row pass has already
     cleared column t below the pivot, so a column operation just reduces
     ``a[t][j]`` modulo the pivot.  A nonzero remainder is swapped into
-    column t over rows t..n-1 (rows above t are zero from column t on).
+    column t over rows t..n-1.  Under a +-1 pivot every quotient is exact
+    and every remainder zero, so the step ends after the row pass and the
+    rest of the pivot row is left as it stands.  That is safe because
+    later steps read only rows and columns past t, and the result reads
+    only the diagonal.
     """
     n = _check_square(m)
     a = [list(row) for row in m]
@@ -112,6 +119,10 @@ def snf(m: IntMatrix) -> SnfResult:
                     if pbest == 0 or x < pbest:
                         pbest = x
                         pi, pj = i, j
+                        if x == 1:
+                            break
+            if pbest == 1:
+                break
         if pi < 0:
             break
         rank += 1
@@ -135,6 +146,8 @@ def snf(m: IntMatrix) -> SnfResult:
                     break
             if dirty:
                 continue
+            if pivot == 1 or pivot == -1:
+                break
             for j in range(t + 1, n):
                 row_t[j] %= pivot
                 if row_t[j]:

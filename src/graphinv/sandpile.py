@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .exact import AbelianGroup, SnfResult, cokernel, snf
-from .graphs import Graph, distance_profile
+from .graphs import DistanceProfile, Graph, distance_profile
 from .matrices import IntMatrix, MatrixKind, build
 
 
@@ -32,15 +32,17 @@ class Multigraph:
         ]
 
 
-def cone_graph(g: Graph) -> Multigraph:
+def cone_graph(g: Graph, profile: DistanceProfile | None = None) -> Multigraph:
     """G plus an apex joined to each v with multiplicity tr(v) - deg(v).
 
     Complete graphs are rejected: every multiplicity would be zero and the
-    apex would be isolated.
+    apex would be isolated.  A precomputed ``profile`` of ``g`` skips the
+    BFS.
     """
     if g.is_complete():
         raise ValueError("cone apex would be isolated")
-    profile = distance_profile(g)
+    if profile is None:
+        profile = distance_profile(g)
     n = g.n
     weights = [t - d for t, d in zip(profile.tr, profile.deg)]
     rows = []
@@ -77,8 +79,9 @@ def cross_check(g: Graph) -> bool:
     Returns False (with a note on stderr) instead of raising on mismatch;
     ``cone_graph`` rejects a complete graph.
     """
-    h = cone_graph(g)
-    atr = build(g, MatrixKind.Atr)
+    profile = distance_profile(g)
+    h = cone_graph(g, profile)
+    atr = build(g, MatrixKind.Atr, profile)
     reduced = reduced_laplacian(h, g.n)
     if reduced != atr:
         print("cone cross-check: reduced Laplacian differs entrywise", file=sys.stderr)

@@ -152,6 +152,19 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_jobs_below_one_exit_2(capsys):
+    # a zero or negative pool width once ran serially and exited 0
+    census = ["census", "--n", "4", "--matrices", "A", "--modes", "spectral"]
+    trees = ["trees", "--n", "5", "--matrices", "A", "--modes", "spectral"]
+    for argv, jobs in ((census, "-3"), (census, "0"), (trees, "0")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", jobs])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--jobs needs N >= 1, got {jobs}" in err
+
+
 def test_repeated_names_exit_2(capsys):
     # a repeated name once tallied each graph twice: mate_count 42 of total 21
     for argv, name in ((["census", "--n", "5", "--matrices", "A,A", "--modes", "spectral"], "'A'"),

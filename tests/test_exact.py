@@ -137,6 +137,55 @@ def test_snf_matches_reference_on_random_matrices():
         assert snf(m) == snf_reference(m), m
 
 
+NO_UNIT = (0, 0, 2, -2, 3, -3, 4, -4, 6)
+
+
+def _no_unit_matrix(rng, n):
+    return [[rng.choice(NO_UNIT) for _ in range(n)] for _ in range(n)]
+
+
+def test_snf_matches_reference_without_unit_entries():
+    # no +-1 to stop the pivot scan early, so the full scan and the
+    # remainder column pass both run
+    rng = random.Random(1980)
+    for i in range(300):
+        m = _no_unit_matrix(rng, 1 + i % 12)
+        assert snf(m) == snf_reference(m), m
+    assert snf([[2, 3], [3, 4]]).factors == (1, 1)
+    assert snf([[4, 6], [6, 4]]).factors == (2, 10)
+
+
+def test_snf_matches_reference_with_a_late_unit():
+    # the only unit is a -1 in the last row or in the last column
+    rng = random.Random(1981)
+    for i in range(200):
+        n = 2 + i % 11
+        m = _no_unit_matrix(rng, n)
+        k = rng.randrange(n)
+        if i % 2:
+            m[n - 1][k] = -1
+        else:
+            m[k][n - 1] = -1
+        assert snf(m) == snf_reference(m), m
+    assert snf([[2, 0, 0], [0, 2, 0], [0, 0, -1]]).factors == (1, 2, 2)
+    assert snf([[2, 4, 0], [6, 2, 0], [4, 0, -1]]).factors == (1, 2, 10)
+
+
+def test_snf_matches_reference_with_unit_after_a_two():
+    # a +-1 only after an earlier entry of magnitude 2 in row-major order
+    rng = random.Random(1982)
+    for i in range(200):
+        n = 2 + i % 11
+        m = _no_unit_matrix(rng, n)
+        first = rng.randrange(n * n - 1)
+        later = rng.randrange(first + 1, n * n)
+        m[first // n][first % n] = rng.choice((2, -2))
+        m[later // n][later % n] = rng.choice((1, -1))
+        assert snf(m) == snf_reference(m), m
+    assert snf([[2, 0], [0, 1]]).factors == (1, 2)
+    assert snf([[-2, 3], [1, 2]]).factors == (1, 7)
+
+
 def test_snf_rejects_nonsquare():
     with pytest.raises(ValueError):
         snf([[1, 2, 3], [4, 5, 6]])

@@ -1,8 +1,9 @@
 import pytest
 
+from graphinv import matrices, sandpile
 from graphinv.exact import cokernel, determinant, snf
 from graphinv.generators import generate_connected_graphs
-from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, path_graph
+from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, distance_profile, path_graph
 from graphinv.matrices import MatrixKind, build
 from graphinv.sandpile import cone_graph, cross_check, reduced_laplacian, sandpile_group
 
@@ -50,6 +51,23 @@ def test_cross_check_examples():
     assert cross_check(cricket_graph())
     assert cross_check(cycle_graph(5))
     assert cross_check(path_graph(3))
+
+
+def test_cross_check_builds_one_profile(monkeypatch):
+    # cone_graph and build once each ran their own BFS
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return distance_profile(g)
+
+    monkeypatch.setattr(sandpile, "distance_profile", counting)
+    monkeypatch.setattr(matrices, "distance_profile", counting)
+    for g in (cricket_graph(), cycle_graph(5), path_graph(3)):
+        calls.clear()
+        assert cross_check(g)
+        assert calls == [g]
+        assert cone_graph(g, distance_profile(g)) == cone_graph(g)
 
 
 def test_cross_check_sweep():
