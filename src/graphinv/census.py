@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .exact import charpoly, snf
 from .generators import generate_connected_graphs, generate_trees
-from .graphs import Graph, complete_graph, distance_profile
+from .graphs import DistanceProfile, Graph, complete_graph, distance_profile
 from .matrices import IntMatrix, MatrixKind, build
 
 MODES = ("spectral", "invariant")
@@ -58,8 +58,8 @@ def fingerprint(g: Graph, kind: MatrixKind, mode: str) -> Fingerprint:
     (matrix kind, mode) pair."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    profile = distance_profile(g)  # also rejects disconnected input
-    return Fingerprint(kind, mode, _payload(build(g, kind, profile), mode))
+    _, [(_, _, payload)] = _graph_payloads((g, (kind,), (mode,)))
+    return Fingerprint(kind, mode, payload)
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,43 @@ class CensusReport:
         raise KeyError((kind, mode))
 
 
+BIPARTITE_TWINS = {MatrixKind.AtrPlus: MatrixKind.Atr, MatrixKind.Q: MatrixKind.L}
+"""On a bipartite graph, each key kind has the fingerprint of its value.
+
+With S the ±1 diagonal matrix of a 2-colouring, S·AtrPlus·S = Atr and
+S·Q·S = L, since conjugating by S negates exactly the adjacency entries.
+S is orthogonal and unimodular, so each pair shares its characteristic
+polynomial and its Smith normal form.
+"""
+
+
+def _is_bipartite(g: Graph, profile: DistanceProfile) -> bool:
+    """Whether the connected graph ``g`` is bipartite: iff no edge joins two
+    vertices whose distances from vertex 0 have the same parity."""
+    odd = sum(1 << v for v, d in enumerate(profile.dist[0]) if d & 1)
+    even = ((1 << g.n) - 1) ^ odd
+    return not any(row & (odd if (odd >> u) & 1 else even) for u, row in enumerate(g.adj))
+
+
 def _graph_payloads(args) -> tuple[int, list[tuple[MatrixKind, str, bytes]]]:
+    """Fingerprint payloads of one graph for every (kind, mode) asked for.
+
+    On a bipartite graph a kind in ``BIPARTITE_TWINS`` is built and
+    fingerprinted as its twin, and each built kind's payloads are
+    computed once, so a requested pair shares the same bytes.
+    """
     g, kinds, modes = args
-    profile = distance_profile(g)
+    profile = distance_profile(g)  # also rejects disconnected input
+    twins = BIPARTITE_TWINS if _is_bipartite(g, profile) else {}
+    by_source: dict[MatrixKind, list[bytes]] = {}
     out = []
     for kind in kinds:
-        m = build(g, kind, profile)
-        for mode in modes:
-            out.append((kind, mode, _payload(m, mode)))
+        source = twins.get(kind, kind)
+        payloads = by_source.get(source)
+        if payloads is None:
+            m = build(g, source, profile)
+            payloads = by_source[source] = [_payload(m, mode) for mode in modes]
+        out.extend((kind, mode, p) for mode, p in zip(modes, payloads))
     return g.n, out
 
 
@@ -107,9 +136,11 @@ def bucket_counts(
     """Fingerprint every graph and tally bucket sizes.
 
     Returns (n, total, buckets) where buckets maps (kind, mode) to a
-    payload -> count table.  Raises on a repeated kind or mode, an empty
-    stream or mixed orders.
+    payload -> count table.  Raises on a worker count below 1, a repeated
+    kind or mode, an empty stream or mixed orders.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")

@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
-from typing import Iterable
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Iterable
 
 from . import verify
 from .census import MODES, report_tsv, run_census, tree_census
@@ -48,23 +48,61 @@ def _parse_names(spec: str, allowed: tuple[str, ...], what: str,
     return names
 
 
-def _read_graphs(path: str) -> list[Graph]:
-    """Parse a graph6 file ('-' for stdin); a malformed record raises
-    ValueError naming it as ``path:line``."""
+def _read_graphs(path: str) -> list[tuple[int, Graph]]:
+    """Parse a graph6 file ('-' for stdin) into (line number, graph)
+    pairs; a malformed record raises ValueError naming it as ``path:line``."""
     if path == "-":
         source = nullcontext(sys.stdin)
     else:
         # surrogateescape lets a non-ASCII byte reach parse_graph6, which
         # rejects it at its offset within the record.
         source = open(path, "r", encoding="ascii", errors="surrogateescape")
-    graphs = []
+    records = []
     with source as fh:
         for lineno, line in enumerate(fh, 1):
-            try:
-                graphs.extend(iter_graph6((line,)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            with _naming(path, lineno):
+                records.extend((lineno, g) for g in iter_graph6((line,)))
+    return records
+
+
+@contextmanager
+def _naming(path: str, lineno: int):
+    """Re-raise a ValueError from the block with ``path:line:`` in front."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def _census_input(path: str, n: int | None) -> list[Graph]:
+    """The graphs of a census input file, each checked against the census
+    contract: one vertex count (``n`` if given), connected, and no record
+    repeated exactly."""
+    graphs = []
+    first_line: dict[Graph, int] = {}
+    for lineno, g in _read_graphs(path):
+        with _naming(path, lineno):
+            n = n or g.n
+            if g.n != n:
+                raise ValueError(f"graph on {g.n} vertices, expected {n}")
+            if not g.is_connected():
+                raise ValueError("graph not connected")
+            first = first_line.setdefault(g, lineno)
+            if first != lineno:
+                raise ValueError(f"duplicate of line {first}")
+        graphs.append(g)
     return graphs
+
+
+def _print_per_record(path: str, line_of: Callable[[Graph], str]) -> None:
+    """Print ``line_of(g)`` for each record of ``path``, only once every
+    record has succeeded, so a failure leaves no partial output; its
+    ValueError names the record as ``path:line``."""
+    lines = []
+    for lineno, g in _read_graphs(path):
+        with _naming(path, lineno):
+            lines.append(line_of(g) + "\n")
+    sys.stdout.write("".join(lines))
 
 
 def _require_jobs(args, parser) -> None:
@@ -85,10 +123,7 @@ def _cmd_census(args, parser) -> int:
     kinds = [MatrixKind[k] for k in _parse_names(args.matrices, CLI_KINDS, "matrix kind", parser)]
     modes = _parse_names(args.modes, MODES, "mode", parser)
     if args.input:
-        graphs = _read_graphs(args.input)
-        if args.n and any(g.n != args.n for g in graphs):
-            print(f"error: input contains graphs not on {args.n} vertices", file=sys.stderr)
-            return 1
+        graphs = _census_input(args.input, args.n)
     elif args.n:
         graphs = generate_connected_graphs(args.n)
     else:
@@ -109,28 +144,29 @@ def _cmd_trees(args, parser) -> int:
 
 def _cmd_snf(args, parser) -> int:
     kind = MatrixKind[args.matrix]
-    for g in _read_graphs(args.input):
-        result = snf(build(g, kind))
-        print(" ".join(str(d) for d in result.diagonal()))
+    _print_per_record(args.input, lambda g: " ".join(map(str, snf(build(g, kind)).diagonal())))
     return 0
 
 
 def _cmd_spectrum(args, parser) -> int:
     kind = MatrixKind[args.matrix]
-    for g in _read_graphs(args.input):
+
+    def line_of(g: Graph) -> str:
         m = build(g, kind)
         if args.exact:
-            print(" ".join(str(c) for c in charpoly(m).coeffs))
-        else:
-            spec = eigenvalues_symmetric(m)
-            print(" ".join(f"{x:.10g}" for x in spec.eigenvalues))
+            return " ".join(str(c) for c in charpoly(m).coeffs)
+        return " ".join(f"{x:.10g}" for x in eigenvalues_symmetric(m).eigenvalues)
+
+    _print_per_record(args.input, line_of)
     return 0
 
 
 def _cmd_sandpile(args, parser) -> int:
-    for g in _read_graphs(args.input):
+    def line_of(g: Graph) -> str:
         group, tau = sandpile_group(g)
-        print(f"{group}, tau={tau}")
+        return f"{group}, tau={tau}"
+
+    _print_per_record(args.input, line_of)
     return 0
 
 

@@ -3,6 +3,9 @@ import random
 import pytest
 
 from graphinv.census import (
+    _graph_payloads,
+    _is_bipartite,
+    _payload,
     bucket_counts,
     completeness_check,
     fingerprint,
@@ -10,9 +13,16 @@ from graphinv.census import (
     run_census,
     tree_census,
 )
+from graphinv.cli import CLI_KINDS
 from graphinv.generators import generate_connected_graphs, generate_trees
-from graphinv.graphs import complete_graph, path_graph
-from graphinv.matrices import MatrixKind
+from graphinv.graphs import (
+    complete_graph,
+    cycle_graph,
+    distance_profile,
+    graph_from_edges,
+    path_graph,
+)
+from graphinv.matrices import MatrixKind, build
 
 NEW_KINDS = (MatrixKind.Atr, MatrixKind.AtrPlus, MatrixKind.Ddeg, MatrixKind.DdegPlus)
 
@@ -105,6 +115,47 @@ def test_census_rejects_repeated_names():
         run_census(graphs, [MatrixKind.Atr, MatrixKind.Atr], ["invariant"])
     with pytest.raises(ValueError, match="spectral given twice"):
         bucket_counts(graphs, [MatrixKind.A], ["spectral", "invariant", "spectral"])
+
+
+def test_census_rejects_worker_count_below_one():
+    # a zero or negative worker count once ran serially: total 6, total 3
+    with pytest.raises(ValueError, match="jobs must be >= 1, got -5"):
+        run_census(generate_connected_graphs(4), [MatrixKind.A], ["spectral"], jobs=-5)
+    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+        tree_census(5, [MatrixKind.A], ["spectral"], jobs=0)
+
+
+def test_is_bipartite_from_distance_parity():
+    c5 = cycle_graph(5)
+    cases = (
+        (complete_graph(1), True),
+        (complete_graph(2), True),
+        (path_graph(4), True),
+        (c5, False),
+        (cycle_graph(6), True),
+        (graph_from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]), True),
+        (graph_from_edges(6, c5.edges() + [(0, 5)]), False),
+    )
+    for g, expected in cases:
+        assert _is_bipartite(g, distance_profile(g)) is expected
+
+
+def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
+    # AtrPlus and Q are fingerprinted as Atr and L on bipartite graphs;
+    # every payload must equal the one computed from the kind's own matrix
+    kinds = tuple(MatrixKind[k] for k in CLI_KINDS)
+    modes = ("spectral", "invariant")
+    # the bipartite graphs with n <= 8 include the trees with n <= 8
+    graphs = [g for n in range(1, 9) for g in generate_connected_graphs(n)
+              if _is_bipartite(g, distance_profile(g))]
+    assert len(graphs) == 254
+    graphs += [t for n in range(9, 13) for t in generate_trees(n)]
+    assert len(graphs) == 254 + 47 + 106 + 235 + 551
+    for g in graphs:
+        profile = distance_profile(g)
+        direct = [(kind, mode, _payload(build(g, kind, profile), mode))
+                  for kind in kinds for mode in modes]
+        assert _graph_payloads((g, kinds, modes)) == (g.n, direct)
 
 
 def test_census_parallel_matches_serial():

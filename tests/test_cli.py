@@ -93,6 +93,54 @@ def test_sandpile_subcommand(cricket_file, capsys):
     assert capsys.readouterr().out == "Z_7 + Z_812, tau=5684\n"
 
 
+def _g6_file(tmp_path, *records):
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(f"{r}\n" for r in records))
+    return str(path)
+
+
+def test_census_input_names_disconnected_record(tmp_path, capsys):
+    # the error once named no record: "error: graph not connected"
+    path = _g6_file(tmp_path, "Bg", "B?")
+    assert main(["census", "--input", path, "--matrices", "A", "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}:2: graph not connected\n"
+
+
+def test_census_input_rejects_duplicate_record(tmp_path, capsys):
+    # two copies of one record once counted as mates: mate_count 2, total 2
+    path = _g6_file(tmp_path, "Bg", "Bg")
+    assert main(["census", "--input", path, "--matrices", "Atr",
+                 "--modes", "invariant", "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}:2: duplicate of line 1\n"
+
+
+def test_census_input_names_record_of_wrong_order(tmp_path, capsys):
+    path = _g6_file(tmp_path, "Bg", "C~")
+    for extra, expected in (([], "2: graph on 4 vertices, expected 3"),
+                            (["--n", "4"], "1: graph on 3 vertices, expected 4")):
+        assert main(["census", "--input", path, *extra, "--matrices", "A", "--jobs", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}:{expected}\n"
+
+
+def test_per_record_commands_leave_no_partial_output(tmp_path, capsys):
+    # sandpile once printed "Z_12, tau=12" for Bg before failing on C~ (K4)
+    for argv, records, message in (
+            (["sandpile"], ("Bg", "C~"), "cone apex would be isolated"),
+            (["snf", "--matrix", "Atr"], ("Bg", "B?"), "graph not connected"),
+            (["spectrum", "--matrix", "Atr", "--exact"], ("Bg", "B?"), "graph not connected")):
+        path = _g6_file(tmp_path, *records)
+        assert main([*argv, "--input", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}:2: {message}\n"
+
+
 def test_verify_ok(capsys):
     assert main(["verify", "--suite", "moments", "--n-max", "5"]) == 0
     assert "ok moments" in capsys.readouterr().out
