@@ -76,8 +76,8 @@ def _naming(path: str, lineno: int):
 
 def _census_input(path: str, n: int | None) -> list[Graph]:
     """The graphs of a census input file, each checked against the census
-    contract: one vertex count (``n`` if given), connected, and no record
-    repeated exactly."""
+    contract: at least one record, one vertex count (``n`` if given),
+    connected, and no record repeated exactly."""
     graphs = []
     first_line: dict[Graph, int] = {}
     for lineno, g in _read_graphs(path):
@@ -91,6 +91,8 @@ def _census_input(path: str, n: int | None) -> list[Graph]:
             if first != lineno:
                 raise ValueError(f"duplicate of line {first}")
         graphs.append(g)
+    if not graphs:
+        raise ValueError(f"{path}: no graph6 records")
     return graphs
 
 

@@ -6,6 +6,19 @@ with a canonical certificate.  Growing is exhaustive because deleting a
 leaf of a tree, or any non-cut vertex of a connected graph, lands back in
 the previous level.
 
+Each level keeps, for every class, the first candidate seen (parents in
+level order, then neighbourhoods or attachment vertices in increasing
+order), and lists the classes by certificate.  Candidates are visited in
+that order, but some are skipped by the twin rule: if u < v are twins of
+the parent (swapping them is an automorphism), a neighbourhood that
+contains v but not u is skipped, and so is attaching a leaf to v.  The swap
+maps the skipped candidate onto an isomorphic one from the same parent with
+a smaller neighbourhood (or a smaller attachment vertex), so by induction
+an isomorphic candidate was visited before it, and the skip changes neither
+the first-seen representatives nor their order.  Each candidate's neighbour
+lists are the parent's with the new vertex appended, and only a first-seen
+candidate is built as a ``Graph``.
+
 Certificates: trees use the classic rooted-at-centroid encoding; general
 graphs use an individualisation-refinement search for the minimum
 upper-triangle bitmask over all relabellings, with twin pruning so that
@@ -15,9 +28,9 @@ highly symmetric graphs (stars, complete multipartite) stay cheap.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 TREE_MAX_VERTICES = 16
 CONNECTED_MAX_VERTICES = 8
@@ -30,17 +43,16 @@ def _refine(n: int, nbrs: list[list[int]], colors: list[int]) -> list[int]:
     """Stable colour refinement: split classes by neighbour-colour multisets.
 
     Returned colours are dense ranks ordered by (old colour, multiset), so
-    the class order is isomorphism-invariant.
+    the class order is isomorphism-invariant.  A discrete colouring is
+    returned at once: refining it again cannot split anything.
     """
     ncolors = len(set(colors))
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in nbrs[v])))
-            for v in range(n)
-        ]
+        get = colors.__getitem__
+        keys = [(c, tuple(sorted(map(get, nb)))) for c, nb in zip(colors, nbrs)]
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
         colors = [rank[k] for k in keys]
-        if len(rank) == ncolors:
+        if len(rank) == ncolors or len(rank) == n:
             return colors
         ncolors = len(rank)
 
@@ -51,59 +63,58 @@ def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return (adj[u] & mask) == (adj[v] & mask)
 
 
+def _lower_twins(adj: tuple[int, ...]) -> list[int]:
+    """Per vertex v, the mask of the vertices u < v that are twins of v."""
+    return [sum(1 << u for u in range(v) if _twins(adj, u, v)) for v in range(len(adj))]
+
+
 def canonical_key(g: Graph) -> tuple[int, int]:
     """(n, canonical upper-triangle bitmask): equal iff graphs isomorphic."""
-    n = g.n
-    if n == 1:
-        return 1, 0
-    adj = g.adj
-    nbrs = [g.neighbors(u) for u in range(n)]
-    colors = _refine(n, nbrs, [adj[u].bit_count() for u in range(n)])
+    return g.n, _canonical_mask(g.n, g.adj, [g.neighbors(u) for u in range(g.n)])
+
+
+def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> int:
+    """The minimum upper-triangle bitmask over the leaves of the
+    individualisation-refinement search; ``nbrs[u]`` lists the neighbours
+    of u, in any order."""
     best: int | None = None
+    # Bit offset of row i's entries (i, i+1..n-1) in the upper triangle.
+    offsets = [i * (2 * n - i - 1) // 2 for i in range(n)]
 
     def leaf_mask(colors: list[int]) -> int:
         # Discrete colouring: colour rank is the new position.
-        vert_at = [0] * n
-        for v in range(n):
-            vert_at[colors[v]] = v
         mask = 0
-        bit = 0
-        for i in range(n):
-            row = adj[vert_at[i]]
-            for j in range(i + 1, n):
-                if (row >> vert_at[j]) & 1:
-                    mask |= 1 << bit
-                bit += 1
+        for v in range(n):
+            i = colors[v]
+            row = 0
+            for w in nbrs[v]:
+                row |= 1 << colors[w]
+            mask |= (row >> (i + 1)) << offsets[i]
         return mask
 
     def dfs(colors: list[int]) -> None:
         nonlocal best
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = None
-        for c in sorted(counts):
-            if counts[c] > 1:
-                target = c
-                break
-        if target is None:
+        if len(set(colors)) == n:
             mask = leaf_mask(colors)
             if best is None or mask < best:
                 best = mask
             return
-        cell = [v for v in range(n) if colors[v] == target]
+        counts = [0] * n
+        for c in colors:
+            counts[c] += 1
+        target = next(c for c, k in enumerate(counts) if k > 1)
         tried: list[int] = []
-        for v in cell:
-            if any(_twins(adj, u, v) for u in tried):
+        for v in range(n):
+            if colors[v] != target or any(_twins(adj, u, v) for u in tried):
                 continue
             tried.append(v)
             branched = [2 * c for c in colors]
             branched[v] -= 1
             dfs(_refine(n, nbrs, branched))
 
-    dfs(colors)
+    dfs(_refine(n, nbrs, [a.bit_count() for a in adj]))
     assert best is not None
-    return n, best
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +122,10 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 
 def tree_certificate(g: Graph):
     """Canonical encoding of a free tree, rooted at its centroid(s)."""
-    n = g.n
+    return _tree_certificate(g.n, [g.neighbors(u) for u in range(g.n)])
+
+
+def _tree_certificate(n: int, nbrs: list[list[int]]):
     if n == 1:
         return (1,)
     size = [1] * n
@@ -122,7 +136,7 @@ def tree_certificate(g: Graph):
     while stack:
         u = stack.pop()
         order.append(u)
-        for w in g.neighbors(u):
+        for w in nbrs[u]:
             if not (seen >> w) & 1:
                 seen |= 1 << w
                 parent[w] = u
@@ -133,14 +147,14 @@ def tree_certificate(g: Graph):
     centroids = []
     for u in range(n):
         heaviest = n - size[u]
-        for w in g.neighbors(u):
+        for w in nbrs[u]:
             if w != parent[u]:
                 heaviest = max(heaviest, size[w])
         if heaviest <= n // 2:
             centroids.append(u)
 
     def encode(v: int, banned: int):
-        subs = sorted(encode(w, v) for w in g.neighbors(v) if w != banned)
+        subs = sorted(encode(w, v) for w in nbrs[v] if w != banned)
         return tuple(subs)
 
     if len(centroids) == 1:
@@ -153,15 +167,22 @@ def tree_certificate(g: Graph):
 def _tree_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
+    m = n - 1
     found: dict[object, Graph] = {}
-    for small in _tree_level(n - 1):
-        for v in range(n - 1):
-            rows = list(small.adj) + [1 << v]
-            rows[v] |= 1 << (n - 1)
-            g = Graph(n, tuple(rows))
-            cert = tree_certificate(g)
+    for small in _tree_level(m):
+        adj = small.adj
+        nbrs = [small.neighbors(u) for u in range(m)]
+        for v, lower in enumerate(_lower_twins(adj)):
+            if lower:
+                continue
+            cand = nbrs.copy()
+            cand[v] = nbrs[v] + [m]
+            cand.append([v])
+            cert = _tree_certificate(n, cand)
             if cert not in found:
-                found[cert] = g
+                rows = list(adj) + [1 << v]
+                rows[v] |= 1 << m
+                found[cert] = Graph(n, tuple(rows))
     return tuple(found[c] for c in sorted(found))
 
 
@@ -179,15 +200,24 @@ def generate_trees(n: int) -> Iterator[Graph]:
 def _connected_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
-    found: dict[tuple[int, int], Graph] = {}
-    for small in _connected_level(n - 1):
-        for nbhd in range(1, 1 << (n - 1)):
-            rows = [small.adj[u] | (((nbhd >> u) & 1) << (n - 1)) for u in range(n - 1)]
+    m = n - 1
+    new = 1 << m
+    new_nbrs = [_bits(nbhd) for nbhd in range(new)]
+    found: dict[int, Graph] = {}
+    for small in _connected_level(m):
+        adj = small.adj
+        nbrs = [small.neighbors(u) for u in range(m)]
+        twins = [(1 << v, lower) for v, lower in enumerate(_lower_twins(adj)) if lower]
+        for nbhd in range(1, new):
+            if any(nbhd & vbit and lower & ~nbhd for vbit, lower in twins):
+                continue
+            rows = [row | new if (nbhd >> u) & 1 else row for u, row in enumerate(adj)]
             rows.append(nbhd)
-            g = Graph(n, tuple(rows))
-            key = canonical_key(g)
+            cand = [nb + [m] if (nbhd >> u) & 1 else nb for u, nb in enumerate(nbrs)]
+            cand.append(new_nbrs[nbhd])
+            key = _canonical_mask(n, rows, cand)
             if key not in found:
-                found[key] = g
+                found[key] = Graph(n, tuple(rows))
     return tuple(found[k] for k in sorted(found))
 
 

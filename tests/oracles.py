@@ -3,19 +3,22 @@
 Deliberately naive implementations (Laplace cofactor expansion, explicit
 minor enumeration, Floyd-Warshall, subset sweeps, the plain-loop Berkowitz
 recurrence, the full-column Smith normal form loop, the per-kind matrix
-builder) that share no code with the library paths they check, beyond the
-distance profile the builder reads and the Smith form's square check and
-result type.
+builder, the unpruned graph generators and their canonical search) that
+share no code with the library paths they check, beyond the distance
+profile the builder reads, the Smith form's square check and result type,
+and the ``Graph`` type and tree certificate the generators use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
 from graphinv.exact import SnfResult, _check_square
-from graphinv.graphs import distance_profile
+from graphinv.generators import tree_certificate
+from graphinv.graphs import Graph, distance_profile
 from graphinv.matrices import MatrixKind
 
 
@@ -335,3 +338,118 @@ def row_sums(m) -> list[int]:
 def is_symmetric(m) -> bool:
     n = len(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+# Isomorph-free generation without twin pruning, and the canonical search
+# that decodes every neighbour list from the adjacency rows.
+
+def _refine_reference(n, nbrs, colors):
+    ncolors = len(set(colors))
+    while True:
+        keys = [
+            (colors[v], tuple(sorted(colors[w] for w in nbrs[v])))
+            for v in range(n)
+        ]
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        colors = [rank[k] for k in keys]
+        if len(rank) == ncolors:
+            return colors
+        ncolors = len(rank)
+
+
+def _twins_reference(adj, u, v):
+    mask = ~((1 << u) | (1 << v))
+    return (adj[u] & mask) == (adj[v] & mask)
+
+
+def canonical_key_reference(g):
+    """(n, minimum upper-triangle bitmask over the search's leaves), by the
+    individualisation-refinement search with full re-refinement."""
+    n = g.n
+    if n == 1:
+        return 1, 0
+    adj = g.adj
+    nbrs = [[v for v in range(n) if (adj[u] >> v) & 1] for u in range(n)]
+    colors = _refine_reference(n, nbrs, [adj[u].bit_count() for u in range(n)])
+    best = None
+
+    def leaf_mask(colors):
+        vert_at = [0] * n
+        for v in range(n):
+            vert_at[colors[v]] = v
+        mask = 0
+        bit = 0
+        for i in range(n):
+            row = adj[vert_at[i]]
+            for j in range(i + 1, n):
+                if (row >> vert_at[j]) & 1:
+                    mask |= 1 << bit
+                bit += 1
+        return mask
+
+    def dfs(colors):
+        nonlocal best
+        counts = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = None
+        for c in sorted(counts):
+            if counts[c] > 1:
+                target = c
+                break
+        if target is None:
+            mask = leaf_mask(colors)
+            if best is None or mask < best:
+                best = mask
+            return
+        cell = [v for v in range(n) if colors[v] == target]
+        tried = []
+        for v in cell:
+            if any(_twins_reference(adj, u, v) for u in tried):
+                continue
+            tried.append(v)
+            branched = [2 * c for c in colors]
+            branched[v] -= 1
+            dfs(_refine_reference(n, nbrs, branched))
+
+    dfs(colors)
+    return n, best
+
+
+def connected_candidates(small):
+    """Every one-vertex extension of ``small``: the new vertex n-1 joined
+    to each nonempty ``nbhd`` in increasing order."""
+    n = small.n + 1
+    for nbhd in range(1, 1 << (n - 1)):
+        rows = [small.adj[u] | (((nbhd >> u) & 1) << (n - 1)) for u in range(n - 1)]
+        rows.append(nbhd)
+        yield Graph(n, tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def connected_level_reference(n):
+    """First-seen representative of each class over every extension of
+    every graph one size down, sorted by canonical key."""
+    if n == 1:
+        return (Graph(1, (0,)),)
+    found = {}
+    for small in connected_level_reference(n - 1):
+        for g in connected_candidates(small):
+            found.setdefault(canonical_key_reference(g), g)
+    return tuple(found[k] for k in sorted(found))
+
+
+@lru_cache(maxsize=None)
+def tree_level_reference(n):
+    """First-seen representative of each class over every leaf attachment
+    to every tree one size down, sorted by certificate."""
+    if n == 1:
+        return (Graph(1, (0,)),)
+    found = {}
+    for small in tree_level_reference(n - 1):
+        for v in range(n - 1):
+            rows = list(small.adj) + [1 << v]
+            rows[v] |= 1 << (n - 1)
+            g = Graph(n, tuple(rows))
+            found.setdefault(tree_certificate(g), g)
+    return tuple(found[c] for c in sorted(found))

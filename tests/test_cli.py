@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
 
 from graphinv import verify
+from graphinv.census import bucket_counts
 from graphinv.cli import main
 from graphinv.graphs import cricket_graph, parse_graph6, write_graph6
+from graphinv.matrices import MatrixKind
 
 
 @pytest.fixture
@@ -24,6 +28,18 @@ def test_gen_trees(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 3
     assert all(parse_graph6(line).edge_count() == 4 for line in lines)
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["gen", "--n", "7"], "2139c5e182eb64ad090534b7c0d26eeb51a36cae7daac3cea0b694ceb42600a0"),
+    (["gen", "--n", "12", "--trees"],
+     "7c87c7427ce36c42ecb00e7670c6b7e00e3db0188492acfb1bc0ee032a3a78eb"),
+])
+def test_gen_output_bytes_pinned(argv, sha256, capsys):
+    # The generators return the first-seen labelled representative of each
+    # class, in canonical-key order; these bytes must not drift.
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == sha256
 
 
 def test_census_tsv(capsys):
@@ -116,6 +132,19 @@ def test_census_input_rejects_duplicate_record(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {path}:2: duplicate of line 1\n"
+
+
+def test_census_input_names_empty_file(tmp_path, capsys):
+    # the error once named no file: "error: census stream is empty"
+    for records in ((), (">>graph6<<",)):
+        path = _g6_file(tmp_path, *records)
+        assert main(["census", "--input", path, "--matrices", "A", "--jobs", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: no graph6 records\n")
+        for argv in (["snf", "--matrix", "A"], ["spectrum", "--matrix", "A"], ["sandpile"]):
+            assert main([*argv, "--input", path]) == 0
+            assert capsys.readouterr() == ("", "")
+    with pytest.raises(ValueError, match="^census stream is empty$"):
+        bucket_counts([], [MatrixKind.A])
 
 
 def test_census_input_names_record_of_wrong_order(tmp_path, capsys):

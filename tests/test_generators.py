@@ -8,11 +8,23 @@ from graphinv.generators import (
     generate_trees,
     tree_certificate,
 )
-from graphinv.graphs import complete_graph, cycle_graph, petersen_graph, star_graph
+from graphinv.graphs import (
+    complete_graph,
+    cycle_graph,
+    graph_from_edges,
+    petersen_graph,
+    star_graph,
+)
+from oracles import (
+    canonical_key_reference,
+    connected_candidates,
+    connected_level_reference,
+    tree_level_reference,
+)
 
 # Free trees by vertex count (OEIS A000055 tail).
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47,
-               10: 106, 11: 235, 12: 551}
+               10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159}
 
 # Connected graphs by vertex count.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -88,3 +100,34 @@ def test_tree_certificate_permutation_invariant():
         perm = list(range(t.n))
         rng.shuffle(perm)
         assert tree_certificate(t.permuted(perm)) == cert
+
+
+def test_generators_match_unpruned_reference():
+    # Twin pruning and the derived neighbour lists must keep the first-seen
+    # labelled representative of every class, in the same order.
+    for n in range(1, 8):
+        assert tuple(generate_connected_graphs(n)) == connected_level_reference(n)
+    for n in range(1, 13):
+        assert tuple(generate_trees(n)) == tree_level_reference(n)
+
+
+def test_canonical_key_matches_reference_on_every_candidate():
+    checked = 0
+    for n in range(2, 7):
+        for small in connected_level_reference(n - 1):
+            for g in connected_candidates(small):
+                assert canonical_key(g) == canonical_key_reference(g)
+                checked += 1
+    assert checked == 1 + 3 + 2 * 7 + 6 * 15 + 21 * 31
+
+
+def test_canonical_key_matches_reference_beyond_generator_orders():
+    # graph6 corpora beyond n = 8 are deduplicated with canonical_key.
+    rng = random.Random(3)
+    samples = [cycle_graph(9), star_graph(9), petersen_graph(), complete_graph(8)]
+    for n in range(9, 17):
+        for p in (0.2, 0.5, 0.8):
+            edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
+            samples.append(graph_from_edges(n, edges))
+    for g in samples:
+        assert canonical_key(g) == canonical_key_reference(g)
