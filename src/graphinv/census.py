@@ -10,6 +10,17 @@ A census buckets a stream of same-order, pairwise non-isomorphic graphs
 by fingerprint and counts the graphs lying in buckets of size >= 2, i.e.
 the graphs that have at least one mate.  Isomorphism dedup is the
 generator's or ingester's contract, never re-tested here.
+
+``run_census`` computes a characteristic polynomial only where it can
+matter.  Each matrix first gets the moment key ``(t1, t2, t3, t4)`` with
+``t_k = trace(M^k)``, all four read off one ``M²``.  By Newton's identities
+the power sums ``t_1..t_4`` are polynomials in the first four charpoly
+coefficients, so cospectral matrices share their key, and a graph alone in
+its key bucket has no cospectral mate.  The census holds the first graph of
+each key and computes charpolys only once a second graph brings the same
+key, so the report stays exact and the stream is read once.  Its tables
+hold the key's hash, which is just as much a function of the charpoly.
+``bucket_counts`` still fingerprints every graph in full.
 """
 
 from __future__ import annotations
@@ -17,8 +28,10 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import charpoly, snf
 from .generators import generate_connected_graphs, generate_trees
@@ -37,13 +50,41 @@ def _encode_ints(values: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def _payload(m: IntMatrix, mode: str) -> bytes:
-    """Fingerprint bytes of one built matrix: charpoly coefficients in
-    spectral mode, invariant factors then the zero count otherwise."""
-    if mode == "spectral":
-        return _encode_ints(charpoly(m).coeffs)
+def _charpoly_payload(m: IntMatrix) -> bytes:
+    return _encode_ints(charpoly(m).coeffs)
+
+
+def _snf_payload(m: IntMatrix) -> bytes:
     result = snf(m)
     return _encode_ints(result.factors + (result.zeros,))
+
+
+_PAYLOADS = {"spectral": _charpoly_payload, "invariant": _snf_payload}
+"""Mode -> fingerprint bytes of one built matrix."""
+
+
+def _moment_key(m: IntMatrix) -> tuple[int, int, int, int]:
+    """``(trace M^k for k = 1..4)`` of a symmetric matrix.
+
+    With ``S = M²``, symmetric too: ``t2 = trace S``, ``t3 = Σ S_ij M_ij``
+    and ``t4 = Σ S_ij²``, so only the upper triangle of S is formed and each
+    off-diagonal term is counted twice.
+    """
+    t1 = t2 = t3 = t4 = 0
+    for i, row in enumerate(m):
+        s = [sum(map(mul, row, other)) for other in m[i:]]
+        d = s[0]
+        t1 += row[i]
+        t2 += d
+        t3 += 2 * sum(map(mul, s, row[i:])) - d * row[i]
+        t4 += 2 * sum(map(mul, s, s)) - d * d
+    return t1, t2, t3, t4
+
+
+def _moment_hash(m: IntMatrix) -> int:
+    """``hash(_moment_key(m))``, smaller to hold than the tuple.  A hash
+    collision only costs charpolys, which then tell the graphs apart."""
+    return hash(_moment_key(m))
 
 
 @dataclass(frozen=True)
@@ -58,7 +99,7 @@ def fingerprint(g: Graph, kind: MatrixKind, mode: str) -> Fingerprint:
     (matrix kind, mode) pair."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    _, [(_, _, payload)] = _graph_payloads((g, (kind,), (mode,)))
+    [payload] = _values(g, (kind,), None, (_PAYLOADS[mode],))
     return Fingerprint(kind, mode, payload)
 
 
@@ -105,26 +146,77 @@ def _is_bipartite(g: Graph, profile: DistanceProfile) -> bool:
     return not any(row & (odd if (odd >> u) & 1 else even) for u, row in enumerate(g.adj))
 
 
-def _graph_payloads(args) -> tuple[int, list[tuple[MatrixKind, str, bytes]]]:
-    """Fingerprint payloads of one graph for every (kind, mode) asked for.
+def _bipartite_steps(kinds: tuple[MatrixKind, ...]) -> tuple | None:
+    """Per requested kind, what a bipartite graph computes for it: the kind
+    to build, or the position of the earlier kind whose values it copies.
+    None when no two requested kinds share a source, so nothing is saved."""
+    sources = [BIPARTITE_TWINS.get(kind, kind) for kind in kinds]
+    steps = tuple(s if sources.index(s) == i else sources.index(s) for i, s in enumerate(sources))
+    return steps if any(isinstance(step, int) for step in steps) else None
 
-    On a bipartite graph a kind in ``BIPARTITE_TWINS`` is built and
-    fingerprinted as its twin, and each built kind's payloads are
-    computed once, so a requested pair shares the same bytes.
+
+def _values(g: Graph, kinds: tuple[MatrixKind, ...], shared: tuple | None,
+            fns: tuple[Callable[[IntMatrix], object], ...]) -> list:
+    """``fn(build(g, kind))`` for each requested kind, then each fn.
+
+    ``shared`` is ``_bipartite_steps(kinds)``: on a bipartite graph a kind
+    in ``BIPARTITE_TWINS`` takes the values of its requested twin.
     """
-    g, kinds, modes = args
     profile = distance_profile(g)  # also rejects disconnected input
-    twins = BIPARTITE_TWINS if _is_bipartite(g, profile) else {}
-    by_source: dict[MatrixKind, list[bytes]] = {}
-    out = []
-    for kind in kinds:
-        source = twins.get(kind, kind)
-        payloads = by_source.get(source)
-        if payloads is None:
-            m = build(g, source, profile)
-            payloads = by_source[source] = [_payload(m, mode) for mode in modes]
-        out.extend((kind, mode, p) for mode, p in zip(modes, payloads))
-    return g.n, out
+    steps = shared if shared and _is_bipartite(g, profile) else kinds
+    width = len(fns)
+    out: list = []
+    for step in steps:
+        if isinstance(step, int):
+            out += out[step * width:(step + 1) * width]
+        else:
+            m = build(g, step, profile)
+            for fn in fns:
+                out.append(fn(m))
+    return out
+
+
+def _rows(job, g: Graph) -> tuple[Graph, list]:
+    return g, _values(g, *job)
+
+
+def _fingerprint_stream(
+    graphs: Iterable[Graph],
+    kinds: Sequence[MatrixKind],
+    modes: Sequence[str],
+    jobs: int,
+    spectral: Callable[[IntMatrix], object],
+) -> Iterator[tuple[Graph, list]]:
+    """Yield ``(g, values)`` per graph: ``spectral(M)`` or the SNF payload
+    of M for each (kind, mode), kind-major.  Raises on a worker count below
+    1, a repeated kind or mode, an empty stream or mixed orders."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+    for what, names in (("kind", kinds), ("mode", modes)):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{what} {name} given twice")
+    kinds = tuple(kinds)
+    fns = tuple(spectral if mode == "spectral" else _snf_payload for mode in modes)
+    task = partial(_rows, (kinds, _bipartite_steps(kinds), fns))
+    n = 0
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        rows = map(task, graphs) if pool is None else pool.imap_unordered(task, graphs, chunksize=64)
+        for g, values in rows:
+            if not n:
+                n = g.n
+            elif g.n != n:
+                raise ValueError("census stream mixes vertex counts")
+            yield g, values
+    if not n:
+        raise ValueError("census stream is empty")
+
+
+def _count(table: dict, value) -> None:
+    table[value] = table.get(value, 0) + 1
 
 
 def bucket_counts(
@@ -139,38 +231,16 @@ def bucket_counts(
     payload -> count table.  Raises on a worker count below 1, a repeated
     kind or mode, an empty stream or mixed orders.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-    for what, names in (("kind", kinds), ("mode", modes)):
-        for i, name in enumerate(names):
-            if name in names[:i]:
-                raise ValueError(f"{what} {name} given twice")
-    buckets: dict[tuple[MatrixKind, str], dict[bytes, int]] = {
-        (kind, mode): {} for kind in kinds for mode in modes
-    }
-    n = -1
+    tables: list[dict[bytes, int]] = [{} for _ in kinds for _ in modes]
     total = 0
-    tasks = ((g, tuple(kinds), tuple(modes)) for g in graphs)
-    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        if pool is None:
-            results = map(_graph_payloads, tasks)
-        else:
-            results = pool.imap_unordered(_graph_payloads, tasks, chunksize=64)
-        for gn, payloads in results:
-            if n < 0:
-                n = gn
-            elif gn != n:
-                raise ValueError("census stream mixes vertex counts")
-            total += 1
-            for kind, mode, payload in payloads:
-                table = buckets[(kind, mode)]
-                table[payload] = table.get(payload, 0) + 1
-    if total == 0:
-        raise ValueError("census stream is empty")
-    return n, total, buckets
+    for g, payloads in _fingerprint_stream(graphs, kinds, modes, jobs, _charpoly_payload):
+        total += 1
+        for table, payload in zip(tables, payloads):
+            _count(table, payload)
+    return g.n, total, dict(zip(((kind, mode) for kind in kinds for mode in modes), tables))
+
+
+_NEW = object()
 
 
 def run_census(
@@ -179,16 +249,41 @@ def run_census(
     modes: Sequence[str] = MODES,
     jobs: int = 1,
 ) -> CensusReport:
-    """Count graphs with a cospectral/coinvariant mate, per kind and mode."""
-    n, total, buckets = bucket_counts(graphs, kinds, modes, jobs)
-    entries = []
-    for kind in MatrixKind:
-        for mode in MODES:
-            if kind in kinds and mode in modes:
-                table = buckets[(kind, mode)]
-                mates = sum(c for c in table.values() if c >= 2)
-                entries.append(CensusEntry(kind, mode, mates, total))
-    return CensusReport(n, total, tuple(entries))
+    """Count graphs with a cospectral/coinvariant mate, per kind and mode.
+
+    Raises as ``bucket_counts`` does.  Spectral buckets are tallied only
+    among graphs whose moment key another graph shares (module docstring).
+    """
+    slots = [(kind, mode) for kind in kinds for mode in modes]
+    tables: list[dict[bytes, int]] = [{} for _ in slots]
+    # Spectral slots: moment key -> its first graph, or None once that
+    # graph's charpoly has been tallied.
+    firsts: list[dict | None] = [{} if mode == "spectral" else None for _, mode in slots]
+    total = 0
+    for g, values in _fingerprint_stream(graphs, kinds, modes, jobs, _moment_hash):
+        total += 1
+        wanted: dict[Graph, list[int]] = {}
+        for i, value in enumerate(values):
+            keys = firsts[i]
+            if keys is None:
+                _count(tables[i], value)
+                continue
+            first = keys.get(value, _NEW)
+            if first is _NEW:
+                keys[value] = g
+                continue
+            if first is not None:
+                keys[value] = None
+                wanted.setdefault(first, []).append(i)
+            wanted.setdefault(g, []).append(i)
+        for h, where in wanted.items():
+            ks = tuple(slots[i][0] for i in where)
+            for i, payload in zip(where, _values(h, ks, _bipartite_steps(ks), (_charpoly_payload,))):
+                _count(tables[i], payload)
+    mates = {slot: sum(c for c in table.values() if c >= 2) for slot, table in zip(slots, tables)}
+    entries = tuple(CensusEntry(kind, mode, mates[(kind, mode)], total)
+                    for kind in MatrixKind for mode in MODES if (kind, mode) in mates)
+    return CensusReport(g.n, total, entries)
 
 
 def tree_census(

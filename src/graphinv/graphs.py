@@ -52,9 +52,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
     def neighbors(self, u: int) -> list[int]:
         return _bits(self.adj[u])
 
@@ -75,22 +72,6 @@ class Graph:
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.adj)
-
-    def permuted(self, perm: Iterable[int]) -> "Graph":
-        """Relabel: vertex u becomes perm[u]."""
-        perm = list(perm)
-        rows = [0] * self.n
-        for u in range(self.n):
-            row = 0
-            old = self.adj[u]
-            v = 0
-            while old:
-                if old & 1:
-                    row |= 1 << perm[v]
-                old >>= 1
-                v += 1
-            rows[perm[u]] = row
-        return Graph(self.n, tuple(rows))
 
     def is_connected(self) -> bool:
         seen = 1

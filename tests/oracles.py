@@ -6,7 +6,8 @@ recurrence, the full-column Smith normal form loop, the per-kind matrix
 builder, the unpruned graph generators and their canonical search) that
 share no code with the library paths they check, beyond the distance
 profile the builder reads, the Smith form's square check and result type,
-and the ``Graph`` type and tree certificate the generators use.
+and the ``Graph`` type and tree certificate the generators use.  The
+edge test and the relabelling that tests apply to graphs live here too.
 """
 
 from __future__ import annotations
@@ -214,11 +215,32 @@ def minor_gcd(m, k: int) -> int:
     return g
 
 
+def has_edge(g, u: int, v: int) -> bool:
+    return bool((g.adj[u] >> v) & 1)
+
+
+def permuted(g, perm) -> Graph:
+    """Relabel: vertex u of ``g`` becomes perm[u]."""
+    perm = list(perm)
+    rows = [0] * g.n
+    for u in range(g.n):
+        row = 0
+        old = g.adj[u]
+        v = 0
+        while old:
+            if old & 1:
+                row |= 1 << perm[v]
+            old >>= 1
+            v += 1
+        rows[perm[u]] = row
+    return Graph(g.n, tuple(rows))
+
+
 def distances_floyd_warshall(g):
     """All-pairs distances; None entries mark unreachable pairs."""
     n = g.n
     inf = n + 1
-    d = [[0 if i == j else (1 if g.has_edge(i, j) else inf) for j in range(n)] for i in range(n)]
+    d = [[0 if i == j else (1 if has_edge(g, i, j) else inf) for j in range(n)] for i in range(n)]
     for k in range(n):
         for i in range(n):
             dik = d[i][k]

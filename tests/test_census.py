@@ -3,9 +3,14 @@ import random
 import pytest
 
 from graphinv.census import (
-    _graph_payloads,
+    _PAYLOADS,
+    MODES,
+    CensusEntry,
+    CensusReport,
+    _bipartite_steps,
     _is_bipartite,
-    _payload,
+    _moment_key,
+    _values,
     bucket_counts,
     completeness_check,
     fingerprint,
@@ -22,9 +27,12 @@ from graphinv.graphs import (
     graph_from_edges,
     path_graph,
 )
-from graphinv.matrices import MatrixKind, build
+from graphinv.exact import charpoly
+from graphinv.matrices import MatrixKind, build, mat_mul, trace
+from oracles import permuted
 
 NEW_KINDS = (MatrixKind.Atr, MatrixKind.AtrPlus, MatrixKind.Ddeg, MatrixKind.DdegPlus)
+ALL_KINDS = tuple(MatrixKind[k] for k in CLI_KINDS)
 
 
 def test_fingerprint_isomorphism_invariance():
@@ -39,7 +47,7 @@ def test_fingerprint_isomorphism_invariance():
         for _ in range(12):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            h = g.permuted(perm)
+            h = permuted(g, perm)
             for (kind, mode), payload in base.items():
                 assert fingerprint(h, kind, mode).payload == payload
                 trials += 1
@@ -143,8 +151,8 @@ def test_is_bipartite_from_distance_parity():
 def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     # AtrPlus and Q are fingerprinted as Atr and L on bipartite graphs;
     # every payload must equal the one computed from the kind's own matrix
-    kinds = tuple(MatrixKind[k] for k in CLI_KINDS)
-    modes = ("spectral", "invariant")
+    fns = tuple(_PAYLOADS[mode] for mode in MODES)
+    shared = _bipartite_steps(ALL_KINDS)
     # the bipartite graphs with n <= 8 include the trees with n <= 8
     graphs = [g for n in range(1, 9) for g in generate_connected_graphs(n)
               if _is_bipartite(g, distance_profile(g))]
@@ -153,9 +161,56 @@ def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     assert len(graphs) == 254 + 47 + 106 + 235 + 551
     for g in graphs:
         profile = distance_profile(g)
-        direct = [(kind, mode, _payload(build(g, kind, profile), mode))
-                  for kind in kinds for mode in modes]
-        assert _graph_payloads((g, kinds, modes)) == (g.n, direct)
+        direct = [fn(build(g, kind, profile)) for kind in ALL_KINDS for fn in fns]
+        assert _values(g, ALL_KINDS, shared, fns) == direct
+
+
+def _power_sums(coeffs, k_max):
+    """p_1..p_k_max of the roots of c_0 x^n + c_1 x^(n-1) + ... + c_n with
+    c_0 = 1, by Newton's identities p_k = -k c_k - sum_{0<i<k} c_i p_(k-i),
+    taking c_k = 0 past n."""
+    c = list(coeffs) + [0] * k_max
+    p = [0]
+    for k in range(1, k_max + 1):
+        p.append(-k * c[k] - sum(c[i] * p[k - i] for i in range(1, k)))
+    return tuple(p[1:])
+
+
+def test_moment_key_is_a_function_of_the_charpoly():
+    rng = random.Random(11)
+    matrices = [build(g, kind) for n in range(1, 7) for g in generate_connected_graphs(n)
+                for kind in ALL_KINDS]
+    assert len(matrices) == 10 * (1 + 1 + 2 + 6 + 21 + 112)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-50, 50)
+        matrices.append(m)
+    for m in matrices:
+        key = _moment_key(m)
+        assert key == _power_sums(charpoly(m).coeffs, 4)
+        powers = [m]
+        for _ in range(3):
+            powers.append(mat_mul(powers[-1], m))
+        assert key == tuple(trace(p) for p in powers)
+
+
+def _census_from_buckets(graphs, kinds):
+    n, total, buckets = bucket_counts(graphs, kinds)
+    return CensusReport(n, total, tuple(
+        CensusEntry(kind, mode, sum(c for c in buckets[(kind, mode)].values() if c >= 2), total)
+        for kind in MatrixKind for mode in MODES if kind in kinds))
+
+
+def test_filtered_census_matches_bucket_counts():
+    # run_census computes a charpoly only for graphs whose moment key
+    # collides; its report must equal the one from every graph's charpoly
+    corpora = [list(generate_connected_graphs(n)) for n in range(1, 8)]
+    corpora += [list(generate_trees(n)) for n in range(2, 13)]
+    for graphs in corpora:
+        assert run_census(graphs, ALL_KINDS) == _census_from_buckets(graphs, ALL_KINDS)
 
 
 def test_census_parallel_matches_serial():
@@ -163,6 +218,9 @@ def test_census_parallel_matches_serial():
     serial = run_census(graphs, NEW_KINDS, jobs=1)
     parallel = run_census(graphs, NEW_KINDS, jobs=2)
     assert serial == parallel
+    # connected n = 7 meets moment-key collisions in every kind
+    graphs = list(generate_connected_graphs(7))
+    assert run_census(graphs, ALL_KINDS, jobs=2) == run_census(graphs, ALL_KINDS, jobs=1)
 
 
 def test_tree_census_range():

@@ -134,6 +134,29 @@ def test_census_input_rejects_duplicate_record(tmp_path, capsys):
     assert err == f"error: {path}:2: duplicate of line 1\n"
 
 
+def test_census_input_rejects_isomorphic_record(tmp_path, capsys):
+    # P4 and P4 with vertices 0 and 1 swapped once counted as mates:
+    # mate_count 2, total 2, exit 0
+    path = _g6_file(tmp_path, "Ch", "C~", "Cp")
+    assert main(["census", "--input", path, "--matrices", "A",
+                 "--modes", "spectral", "--jobs", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}:3: isomorphic to line 1\n"
+
+
+def test_census_input_accepts_non_isomorphic_records_sharing_invariants(tmp_path, capsys):
+    # 34 of the 112 connected graphs on 6 vertices share their sorted
+    # degrees and transmissions with another one
+    argv = ["--matrices", "A", "--modes", "invariant", "--jobs", "1"]
+    assert main(["gen", "--n", "6"]) == 0
+    path = _g6_file(tmp_path, *capsys.readouterr().out.split())
+    assert main(["census", "--input", path, *argv]) == 0
+    from_file = capsys.readouterr()
+    assert main(["census", "--n", "6", *argv]) == 0
+    assert from_file == capsys.readouterr()
+
+
 def test_census_input_names_empty_file(tmp_path, capsys):
     # the error once named no file: "error: census stream is empty"
     for records in ((), (">>graph6<<",)):
