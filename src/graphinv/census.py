@@ -14,13 +14,22 @@ generator's or ingester's contract, never re-tested here.
 ``run_census`` computes a characteristic polynomial only where it can
 matter.  Each matrix first gets the moment key ``(t1, t2, t3, t4)`` with
 ``t_k = trace(M^k)``, all four read off one ``M²``.  By Newton's identities
-the power sums ``t_1..t_4`` are polynomials in the first four charpoly
-coefficients, so cospectral matrices share their key, and a graph alone in
-its key bucket has no cospectral mate.  The census holds the first graph of
-each key and computes charpolys only once a second graph brings the same
-key, so the report stays exact and the stream is read once.  Its tables
-hold the key's hash, which is just as much a function of the charpoly.
-``bucket_counts`` still fingerprints every graph in full.
+the power sums are polynomials in the first four charpoly coefficients, so
+cospectral matrices share their key, and a graph alone in its key bucket
+has no cospectral mate.  The tables hold the key's hash, which is just as
+much a function of the charpoly.  The census holds the first graph of each
+key; once a second graph brings the same key, both need their charpolys,
+so the report stays exact and the stream is read once.  Serially, a graph
+whose key is already in the table computes its charpoly from the matrix in
+hand, and only the held first graph is built again, after the stream.
+Workers cannot read the table, so every colliding graph is built again
+after the stream, on the same workers.  ``bucket_counts`` still
+fingerprints every graph in full.
+
+The adjacency matrix skips the key.  Its key is only (0, 2·edges,
+6·triangles, closed 4-walks), shared by 64 % of the connected graphs at
+n = 7 and 93 % at n = 8, where computing it costs more than the charpolys
+it saves.
 """
 
 from __future__ import annotations
@@ -31,12 +40,15 @@ from fractions import Fraction
 from functools import partial
 from multiprocessing import Pool
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .exact import charpoly, snf
 from .generators import generate_connected_graphs, generate_trees
 from .graphs import DistanceProfile, Graph, complete_graph, distance_profile
 from .matrices import IntMatrix, MatrixKind, build
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import Pool as WorkerPool
 
 MODES = ("spectral", "invariant")
 
@@ -81,10 +93,17 @@ def _moment_key(m: IntMatrix) -> tuple[int, int, int, int]:
     return t1, t2, t3, t4
 
 
-def _moment_hash(m: IntMatrix) -> int:
-    """``hash(_moment_key(m))``, smaller to hold than the tuple.  A hash
-    collision only costs charpolys, which then tell the graphs apart."""
-    return hash(_moment_key(m))
+def _spectral_value(hint: dict | None, m: IntMatrix) -> tuple[int, bytes | None]:
+    """``(hash of M's moment key, M's charpoly payload or None)``.
+
+    The hash is smaller to hold than the key tuple, and a hash collision
+    only costs charpolys, which then tell the graphs apart.  The payload
+    comes along when ``hint`` already holds the hash: the serial census
+    passes its key table, so a graph whose key collides brings its charpoly
+    with it instead of being built again.
+    """
+    h = hash(_moment_key(m))
+    return h, (_charpoly_payload(m) if hint is not None and h in hint else None)
 
 
 @dataclass(frozen=True)
@@ -99,7 +118,7 @@ def fingerprint(g: Graph, kind: MatrixKind, mode: str) -> Fingerprint:
     (matrix kind, mode) pair."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    [payload] = _values(g, (kind,), None, (_PAYLOADS[mode],))
+    [payload] = _values(g, (kind,), None, ((_PAYLOADS[mode],),))
     return Fingerprint(kind, mode, payload)
 
 
@@ -156,22 +175,23 @@ def _bipartite_steps(kinds: tuple[MatrixKind, ...]) -> tuple | None:
 
 
 def _values(g: Graph, kinds: tuple[MatrixKind, ...], shared: tuple | None,
-            fns: tuple[Callable[[IntMatrix], object], ...]) -> list:
-    """``fn(build(g, kind))`` for each requested kind, then each fn.
+            fns: tuple[tuple[Callable[[IntMatrix], object], ...], ...]) -> list:
+    """``fn(build(g, kind))`` for each requested kind, then each fn of
+    ``fns``' entry for that kind; every entry has the same length.
 
     ``shared`` is ``_bipartite_steps(kinds)``: on a bipartite graph a kind
     in ``BIPARTITE_TWINS`` takes the values of its requested twin.
     """
     profile = distance_profile(g)  # also rejects disconnected input
     steps = shared if shared and _is_bipartite(g, profile) else kinds
-    width = len(fns)
+    width = len(fns[0])
     out: list = []
-    for step in steps:
+    for step, kind_fns in zip(steps, fns):
         if isinstance(step, int):
             out += out[step * width:(step + 1) * width]
         else:
             m = build(g, step, profile)
-            for fn in fns:
+            for fn in kind_fns:
                 out.append(fn(m))
     return out
 
@@ -180,16 +200,15 @@ def _rows(job, g: Graph) -> tuple[Graph, list]:
     return g, _values(g, *job)
 
 
-def _fingerprint_stream(
-    graphs: Iterable[Graph],
-    kinds: Sequence[MatrixKind],
-    modes: Sequence[str],
-    jobs: int,
-    spectral: Callable[[IntMatrix], object],
-) -> Iterator[tuple[Graph, list]]:
-    """Yield ``(g, values)`` per graph: ``spectral(M)`` or the SNF payload
-    of M for each (kind, mode), kind-major.  Raises on a worker count below
-    1, a repeated kind or mode, an empty stream or mixed orders."""
+def _charpolys(item: tuple[Graph, tuple[MatrixKind, ...]]) -> list[bytes]:
+    g, kinds = item
+    return _values(g, kinds, _bipartite_steps(kinds), ((_charpoly_payload,),) * len(kinds))
+
+
+def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
+    """A pool of ``jobs`` processes, or a null context for ``jobs == 1``,
+    once the arguments pass the checks that every census shares: a worker
+    count of at least 1, known modes and no repeated kind or mode."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for mode in modes:
@@ -199,18 +218,27 @@ def _fingerprint_stream(
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ValueError(f"{what} {name} given twice")
+    return Pool(jobs) if jobs > 1 else nullcontext()
+
+
+def _fingerprint_stream(
+    graphs: Iterable[Graph],
+    kinds: Sequence[MatrixKind],
+    fns: tuple[tuple[Callable[[IntMatrix], object], ...], ...],
+    pool: WorkerPool | None,
+) -> Iterator[tuple[Graph, list]]:
+    """Yield ``(g, _values(g, kinds, ..., fns))`` per graph.  Raises on an
+    empty stream or mixed orders."""
     kinds = tuple(kinds)
-    fns = tuple(spectral if mode == "spectral" else _snf_payload for mode in modes)
     task = partial(_rows, (kinds, _bipartite_steps(kinds), fns))
+    rows = map(task, graphs) if pool is None else pool.imap_unordered(task, graphs, chunksize=64)
     n = 0
-    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        rows = map(task, graphs) if pool is None else pool.imap_unordered(task, graphs, chunksize=64)
-        for g, values in rows:
-            if not n:
-                n = g.n
-            elif g.n != n:
-                raise ValueError("census stream mixes vertex counts")
-            yield g, values
+    for g, values in rows:
+        if not n:
+            n = g.n
+        elif g.n != n:
+            raise ValueError("census stream mixes vertex counts")
+        yield g, values
     if not n:
         raise ValueError("census stream is empty")
 
@@ -233,14 +261,21 @@ def bucket_counts(
     """
     tables: list[dict[bytes, int]] = [{} for _ in kinds for _ in modes]
     total = 0
-    for g, payloads in _fingerprint_stream(graphs, kinds, modes, jobs, _charpoly_payload):
-        total += 1
-        for table, payload in zip(tables, payloads):
-            _count(table, payload)
+    with _workers(kinds, modes, jobs) as pool:
+        fns = (tuple(_PAYLOADS[mode] for mode in modes),) * len(kinds)
+        for g, payloads in _fingerprint_stream(graphs, kinds, fns, pool):
+            total += 1
+            for table, payload in zip(tables, payloads):
+                _count(table, payload)
     return g.n, total, dict(zip(((kind, mode) for kind in kinds for mode in modes), tables))
 
 
 _NEW = object()
+
+_UNKEYED = frozenset({MatrixKind.A})
+"""Kinds whose spectral slot skips the moment key (module docstring).
+Neither kind of a ``BIPARTITE_TWINS`` pair may be here without the other,
+since a twin copies its partner's values."""
 
 
 def run_census(
@@ -256,29 +291,44 @@ def run_census(
     """
     slots = [(kind, mode) for kind in kinds for mode in modes]
     tables: list[dict[bytes, int]] = [{} for _ in slots]
-    # Spectral slots: moment key -> its first graph, or None once that
-    # graph's charpoly has been tallied.
-    firsts: list[dict | None] = [{} if mode == "spectral" else None for _, mode in slots]
+    # Spectral slots: moment key hash -> its first graph, or None once a
+    # second graph has brought the same key.
+    firsts: list[dict | None] = [{} if mode == "spectral" and kind not in _UNKEYED else None
+                                 for kind, mode in slots]
+    # (graph, the spectral slots it still needs a charpoly for)
+    pending: list[tuple[Graph, list[int]]] = []
     total = 0
-    for g, values in _fingerprint_stream(graphs, kinds, modes, jobs, _moment_hash):
-        total += 1
-        wanted: dict[Graph, list[int]] = {}
-        for i, value in enumerate(values):
-            keys = firsts[i]
-            if keys is None:
-                _count(tables[i], value)
-                continue
-            first = keys.get(value, _NEW)
-            if first is _NEW:
-                keys[value] = g
-                continue
-            if first is not None:
-                keys[value] = None
-                wanted.setdefault(first, []).append(i)
-            wanted.setdefault(g, []).append(i)
-        for h, where in wanted.items():
-            ks = tuple(slots[i][0] for i in where)
-            for i, payload in zip(where, _values(h, ks, _bipartite_steps(ks), (_charpoly_payload,))):
+    with _workers(kinds, modes, jobs) as pool:
+        # Workers cannot read the key tables, so they send bare keys.
+        fns = tuple(
+            tuple(_PAYLOADS[mode] if keys is None else partial(_spectral_value, None if pool else keys)
+                  for mode, keys in zip(modes, firsts[k * len(modes):(k + 1) * len(modes)]))
+            for k in range(len(kinds)))
+        for g, values in _fingerprint_stream(graphs, kinds, fns, pool):
+            total += 1
+            wanted: dict[Graph, list[int]] = {}
+            for i, value in enumerate(values):
+                keys = firsts[i]
+                if keys is None:
+                    _count(tables[i], value)
+                    continue
+                h, payload = value
+                first = keys.get(h, _NEW)
+                if first is _NEW and payload is None:
+                    keys[h] = g
+                    continue
+                keys[h] = None
+                if isinstance(first, Graph):
+                    wanted.setdefault(first, []).append(i)
+                if payload is None:
+                    wanted.setdefault(g, []).append(i)
+                else:
+                    _count(tables[i], payload)
+            pending += wanted.items()
+        items = ((h, tuple(slots[i][0] for i in where)) for h, where in pending)
+        rows = map(_charpolys, items) if pool is None else pool.imap(_charpolys, items, chunksize=16)
+        for (_, where), payloads in zip(pending, rows):
+            for i, payload in zip(where, payloads):
                 _count(tables[i], payload)
     mates = {slot: sum(c for c in table.values() if c >= 2) for slot, table in zip(slots, tables)}
     entries = tuple(CensusEntry(kind, mode, mates[(kind, mode)], total)

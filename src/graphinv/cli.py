@@ -26,7 +26,7 @@ from . import verify
 from .census import MODES, report_tsv, run_census, tree_census
 from .exact import charpoly, snf
 from .generators import canonical_key, generate_connected_graphs, generate_trees
-from .graphs import Graph, distance_profile, iter_graph6, write_graph6
+from .graphs import Graph, iter_graph6, write_graph6
 from .matrices import MatrixKind, build
 from .sandpile import sandpile_group
 from .spectra import eigenvalues_symmetric
@@ -80,7 +80,7 @@ def _census_input(path: str, n: int | None) -> list[Graph]:
     connected, and no record repeated exactly or up to isomorphism."""
     graphs = []
     first_line: dict[Graph, int] = {}
-    classes: dict[int, tuple[int, Graph] | dict[tuple[int, int], int]] = {}
+    iso_line: dict[tuple[int, int], int] = {}
     for lineno, g in _read_graphs(path):
         with _naming(path, lineno):
             n = n or g.n
@@ -91,32 +91,13 @@ def _census_input(path: str, n: int | None) -> list[Graph]:
             first = first_line.setdefault(g, lineno)
             if first != lineno:
                 raise ValueError(f"duplicate of line {first}")
-            first = _first_isomorph(classes, g, lineno)
+            first = iso_line.setdefault(canonical_key(g), lineno)
             if first != lineno:
                 raise ValueError(f"isomorphic to line {first}")
         graphs.append(g)
     if not graphs:
         raise ValueError(f"{path}: no graph6 records")
     return graphs
-
-
-def _first_isomorph(classes: dict, g: Graph, lineno: int) -> int:
-    """The line of the first record isomorphic to ``g``, recording ``g`` at
-    ``lineno`` if there is none.
-
-    ``classes`` maps the hash of a relabelling invariant (sorted degrees and
-    sorted transmissions) to its first record, and then, once a second record
-    shares that hash, to a canonical key -> line table: the canonical search,
-    which has no automorphism pruning, runs only on records that collide.
-    """
-    invariant = hash((tuple(sorted(g.degree_sequence())), tuple(sorted(distance_profile(g).tr))))
-    prior = classes.get(invariant)
-    if prior is None:
-        classes[invariant] = (lineno, g)
-        return lineno
-    if isinstance(prior, tuple):
-        prior = classes[invariant] = {canonical_key(prior[1]): prior[0]}
-    return prior.setdefault(canonical_key(g), lineno)
 
 
 def _print_per_record(path: str, line_of: Callable[[Graph], str]) -> None:

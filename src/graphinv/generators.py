@@ -21,8 +21,9 @@ candidate is built as a ``Graph``.
 
 Certificates: trees use the classic rooted-at-centroid encoding; general
 graphs use an individualisation-refinement search for the minimum
-upper-triangle bitmask over all relabellings, with twin pruning so that
-highly symmetric graphs (stars, complete multipartite) stay cheap.
+upper-triangle bitmask over all relabellings, with twin and automorphism
+pruning so that highly symmetric graphs (stars, complete multipartite,
+strongly regular) stay cheap.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ CONNECTED_MAX_VERTICES = 8
 
 
 # ---------------------------------------------------------------------------
-# Canonical certificate for arbitrary graphs (used up to ~10 vertices).
+# Canonical certificate for arbitrary graphs.
 
 def _refine(n: int, nbrs: list[list[int]], colors: list[int]) -> list[int]:
     """Stable colour refinement: split classes by neighbour-colour multisets.
@@ -76,10 +77,20 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> int:
     """The minimum upper-triangle bitmask over the leaves of the
     individualisation-refinement search; ``nbrs[u]`` lists the neighbours
-    of u, in any order."""
-    best: int | None = None
+    of u, in any order.
+
+    Two leaves with the same mask relabel the graph identically, so they
+    give an automorphism.  A branch vertex that an automorphism fixing the
+    node's path maps onto an already tried sibling roots a subtree with the
+    same leaf masks, so it is skipped, and a new automorphism abandons the
+    subtree of the shallowest branch it makes redundant in this way.
+    """
     # Bit offset of row i's entries (i, i+1..n-1) in the upper triangle.
     offsets = [i * (2 * n - i - 1) // 2 for i in range(n)]
+    leaves: list[tuple[int, list[int]]] = []  # the first leaf, then the best
+    autos: list[list[int]] = []
+    path: list[int] = []  # branch vertex per level
+    tried: list[list[int]] = []  # branch vertices explored per level
 
     def leaf_mask(colors: list[int]) -> int:
         # Discrete colouring: colour rank is the new position.
@@ -92,29 +103,64 @@ def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> int:
             mask |= (row >> (i + 1)) << offsets[i]
         return mask
 
-    def dfs(colors: list[int]) -> None:
-        nonlocal best
+    def redundant(depth: int, v: int) -> bool:
+        # Whether the automorphisms fixing path[:depth] map v onto another
+        # vertex tried at that depth.
+        fixed = path[:depth]
+        gens = [a for a in autos if all(a[u] == u for u in fixed)]
+        orbit = {v}
+        stack = [v]
+        while stack and gens:
+            x = stack.pop()
+            for a in gens:
+                if a[x] not in orbit:
+                    orbit.add(a[x])
+                    stack.append(a[x])
+        return any(u in orbit for u in tried[depth] if u != v)
+
+    def dfs(colors: list[int]) -> int:
+        # Returns the depth at which the search resumes.
+        depth = len(path)
         if len(set(colors)) == n:
             mask = leaf_mask(colors)
-            if best is None or mask < best:
-                best = mask
-            return
+            if not leaves:
+                leaves[:] = [(mask, colors)] * 2
+                return depth
+            for seen, seen_colors in leaves:
+                if mask == seen:
+                    at = [0] * n
+                    for v, i in enumerate(colors):
+                        at[i] = v
+                    autos.append([at[i] for i in seen_colors])
+                    return next((d for d in range(depth) if redundant(d, path[d])), depth)
+            if mask < leaves[1][0]:
+                leaves[1] = (mask, colors)
+            return depth
         counts = [0] * n
         for c in colors:
             counts[c] += 1
         target = next(c for c, k in enumerate(counts) if k > 1)
-        tried: list[int] = []
+        tried.append([])
         for v in range(n):
-            if colors[v] != target or any(_twins(adj, u, v) for u in tried):
+            if colors[v] != target or any(_twins(adj, u, v) for u in tried[depth]):
                 continue
-            tried.append(v)
+            if autos and redundant(depth, v):
+                continue
+            tried[depth].append(v)
+            path.append(v)
             branched = [2 * c for c in colors]
             branched[v] -= 1
-            dfs(_refine(n, nbrs, branched))
+            back = dfs(_refine(n, nbrs, branched))
+            path.pop()
+            if back < depth:
+                break
+        else:
+            back = depth
+        tried.pop()
+        return back
 
     dfs(_refine(n, nbrs, [a.bit_count() for a in adj]))
-    assert best is not None
-    return best
+    return leaves[1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import gcd
 
 from graphinv.exact import SnfResult, _check_square
 from graphinv.generators import tree_certificate
-from graphinv.graphs import Graph, distance_profile
+from graphinv.graphs import Graph, distance_profile, graph_from_edges
 from graphinv.matrices import MatrixKind
 
 
@@ -234,6 +234,40 @@ def permuted(g, perm) -> Graph:
             v += 1
         rows[perm[u]] = row
     return Graph(g.n, tuple(rows))
+
+
+def triangular_and_chang_graphs() -> list[Graph]:
+    """T(8), the line graph of K8, then the three Chang graphs: all four are
+    strongly regular with parameters (28, 12, 6, 4) and pairwise
+    non-isomorphic.  Each Chang graph is T(8) Seidel-switched on the K8 edges
+    of a perfect matching, an 8-cycle or a 3-cycle plus a 5-cycle."""
+    pairs = list(combinations(range(8), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    t8 = {(i, j) for i, j in combinations(range(28), 2) if set(pairs[i]) & set(pairs[j])}
+    switch_sets = (
+        [(0, 1), (2, 3), (4, 5), (6, 7)],
+        [(i, i + 1) for i in range(7)] + [(0, 7)],
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)],
+    )
+    graphs = [graph_from_edges(28, t8)]
+    for switched in switch_sets:
+        inside = {index[e] for e in switched}
+        flips = {(i, j) for i, j in combinations(range(28), 2) if (i in inside) != (j in inside)}
+        graphs.append(graph_from_edges(28, t8 ^ flips))
+    return graphs
+
+
+def rook_and_shrikhande_graphs() -> list[Graph]:
+    """The 4x4 rook graph and the Shrikhande graph, both strongly regular
+    with parameters (16, 6, 2, 2) and not isomorphic."""
+    rook = [(i, j) for i, j in combinations(range(16), 2) if i // 4 == j // 4 or i % 4 == j % 4]
+    shrikhande = set()
+    for x in range(16):
+        a, b = divmod(x, 4)
+        for da, db in ((0, 1), (1, 0), (1, 1)):
+            y = (a + da) % 4 * 4 + (b + db) % 4
+            shrikhande.add((min(x, y), max(x, y)))
+    return [graph_from_edges(16, rook), graph_from_edges(16, shrikhande)]
 
 
 def distances_floyd_warshall(g):

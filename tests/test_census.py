@@ -162,7 +162,7 @@ def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     for g in graphs:
         profile = distance_profile(g)
         direct = [fn(build(g, kind, profile)) for kind in ALL_KINDS for fn in fns]
-        assert _values(g, ALL_KINDS, shared, fns) == direct
+        assert _values(g, ALL_KINDS, shared, (fns,) * len(ALL_KINDS)) == direct
 
 
 def _power_sums(coeffs, k_max):

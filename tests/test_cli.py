@@ -7,6 +7,7 @@ from graphinv.census import bucket_counts
 from graphinv.cli import main
 from graphinv.graphs import cricket_graph, parse_graph6, write_graph6
 from graphinv.matrices import MatrixKind
+from oracles import permuted, triangular_and_chang_graphs
 
 
 @pytest.fixture
@@ -145,9 +146,9 @@ def test_census_input_rejects_isomorphic_record(tmp_path, capsys):
     assert err == f"error: {path}:3: isomorphic to line 1\n"
 
 
-def test_census_input_accepts_non_isomorphic_records_sharing_invariants(tmp_path, capsys):
-    # 34 of the 112 connected graphs on 6 vertices share their sorted
-    # degrees and transmissions with another one
+def test_census_input_accepts_every_connected_graph(tmp_path, capsys):
+    # the 112 connected graphs on 6 vertices are pairwise non-isomorphic,
+    # though 34 share their sorted degrees and transmissions with another
     argv = ["--matrices", "A", "--modes", "invariant", "--jobs", "1"]
     assert main(["gen", "--n", "6"]) == 0
     path = _g6_file(tmp_path, *capsys.readouterr().out.split())
@@ -155,6 +156,21 @@ def test_census_input_accepts_non_isomorphic_records_sharing_invariants(tmp_path
     from_file = capsys.readouterr()
     assert main(["census", "--n", "6", *argv]) == 0
     assert from_file == capsys.readouterr()
+
+
+def test_census_input_on_cospectral_strongly_regular_graphs(tmp_path, capsys):
+    # T(8) and the three Chang graphs share their adjacency spectrum but are
+    # not isomorphic; T(8) has 40320 automorphisms, which the canonical
+    # search prunes.  A relabelled copy of T(8) is still rejected.
+    graphs = triangular_and_chang_graphs()
+    records = [write_graph6(g) for g in graphs]
+    argv = ["--matrices", "A", "--modes", "spectral", "--jobs", "1"]
+    assert main(["census", "--input", _g6_file(tmp_path, *records), *argv]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split("\t")[3:5] == ["4", "4"]
+    relabelled = write_graph6(permuted(graphs[0], [(5 * v + 3) % 28 for v in range(28)]))
+    path = _g6_file(tmp_path, *records, relabelled)
+    assert main(["census", "--input", path, *argv]) == 1
+    assert capsys.readouterr().err == f"error: {path}:5: isomorphic to line 1\n"
 
 
 def test_census_input_names_empty_file(tmp_path, capsys):

@@ -20,7 +20,9 @@ from oracles import (
     connected_candidates,
     connected_level_reference,
     permuted,
+    rook_and_shrikhande_graphs,
     tree_level_reference,
+    triangular_and_chang_graphs,
 )
 
 # Free trees by vertex count (OEIS A000055 tail).
@@ -131,4 +133,20 @@ def test_canonical_key_matches_reference_beyond_generator_orders():
             edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < p]
             samples.append(graph_from_edges(n, edges))
     for g in samples:
+        assert canonical_key(g) == canonical_key_reference(g)
+
+
+def test_canonical_key_on_strongly_regular_families():
+    # Refinement cannot split a strongly regular graph, so the search
+    # relies on its automorphism pruning (T(8) has 40320 automorphisms).
+    rng = random.Random(11)
+    for family in (triangular_and_chang_graphs(), rook_and_shrikhande_graphs()):
+        keys = [canonical_key(g) for g in family]
+        assert len(set(keys)) == len(family)
+        for g, key in zip(family, keys):
+            for _ in range(25):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert canonical_key(permuted(g, perm)) == key
+    for g in rook_and_shrikhande_graphs():
         assert canonical_key(g) == canonical_key_reference(g)
