@@ -12,24 +12,42 @@ the graphs that have at least one mate.  Isomorphism dedup is the
 generator's or ingester's contract, never re-tested here.
 
 ``run_census`` computes a characteristic polynomial only where it can
-matter.  Each matrix first gets the moment key ``(t1, t2, t3, t4)`` with
-``t_k = trace(M^k)``, all four read off one ``M²``.  By Newton's identities
-the power sums are polynomials in the first four charpoly coefficients, so
-cospectral matrices share their key, and a graph alone in its key bucket
-has no cospectral mate.  The tables hold the key's hash, which is just as
-much a function of the charpoly.  The census holds the first graph of each
-key; once a second graph brings the same key, both need their charpolys,
-so the report stays exact and the stream is read once.  Serially, a graph
-whose key is already in the table computes its charpoly from the matrix in
-hand, and only the held first graph is built again, after the stream.
-Workers cannot read the table, so every colliding graph is built again
-after the stream, on the same workers.  ``bucket_counts`` still
-fingerprints every graph in full.
+matter, behind a chain of two cheaper exact keys of each matrix M:
 
-The adjacency matrix skips the key.  Its key is only (0, 2·edges,
-6·triangles, closed 4-walks), shared by 64 % of the connected graphs at
-n = 7 and 93 % at n = 8, where computing it costs more than the charpolys
-it saves.
+- K1 is ``(trace M, Σ M_ij², |det M|)``, read in O(n²).  |det M| comes
+  from the Smith form that the same kind's invariant slot computes anyway
+  (the product of the factors, or 0 when a factor is zero).  A census
+  without that slot skips K1: ``(trace M, Σ M_ij²)`` alone leaves 6880 of
+  the 7677 keyed matrices of the connected graphs at n = 7 colliding, and
+  costs more than the moment keys it saves.
+- The moment key ``(t1, t2, t3, t4)`` with ``t_k = trace(M^k)``, all four
+  read off one ``M²`` in O(n³), is computed only for graphs whose K1
+  another graph shares.
+- The charpoly is computed only for graphs whose (K1, moment key) another
+  graph shares too.
+
+For a symmetric M, ``t1 = -c1``, ``Σ M_ij² = t2 = c1² - 2·c2`` and
+``|det M| = |c_n|``, and by Newton's identities the moment key is a
+polynomial in ``c1..c4``; so cospectral matrices share both keys, and a
+graph alone at some level of the chain has no cospectral mate.  The tables
+hold the keys' hashes, which are just as much functions of the charpoly:
+a hash collision only costs work.  The hashed tuples hold ints only, since
+``hash(None)`` differs between processes before Python 3.12.
+
+Each level holds the first graph of each key; once a second graph brings
+the same key, both need the next level, so the report stays exact and the
+stream is read once.  Serially, a graph whose key is already in the table
+computes the next level from the matrix in hand, and only held first graphs
+are built again after the stream, once per graph for all the slots that
+want it.  Workers cannot read the tables, so they send K1 alone, and every
+graph whose K1 collides is built again after the stream, on the same
+workers: first for its moment key, then, where that collides too, for its
+charpoly.  ``bucket_counts`` still fingerprints every graph in full.
+
+The adjacency matrix skips the chain.  Its moment key is only (0,
+2·edges, 6·triangles, closed 4-walks), shared by 64 % of the connected
+graphs at n = 7 and 93 % at n = 8, where computing it costs more than the
+charpolys it saves.
 """
 
 from __future__ import annotations
@@ -38,11 +56,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from multiprocessing import Pool
+from itertools import chain
+from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .exact import charpoly, snf
+from .exact import SnfResult, charpoly, snf
 from .generators import generate_connected_graphs, generate_trees
 from .graphs import DistanceProfile, Graph, complete_graph, distance_profile
 from .matrices import IntMatrix, MatrixKind, build
@@ -66,13 +85,12 @@ def _charpoly_payload(m: IntMatrix) -> bytes:
     return _encode_ints(charpoly(m).coeffs)
 
 
-def _snf_payload(m: IntMatrix) -> bytes:
-    result = snf(m)
-    return _encode_ints(result.factors + (result.zeros,))
-
-
-_PAYLOADS = {"spectral": _charpoly_payload, "invariant": _snf_payload}
-"""Mode -> fingerprint bytes of one built matrix."""
+def _first_key(m: IntMatrix, invariants: SnfResult) -> tuple[int, int, int]:
+    """K1 of a symmetric matrix: ``(trace M, Σ M_ij², |det M|)``, with
+    |det M| read off M's Smith form ``invariants``."""
+    flat = list(chain.from_iterable(m))
+    det = 0 if invariants.zeros else prod(invariants.factors)
+    return sum(flat[::len(m) + 1]), sum(map(mul, flat, flat)), det
 
 
 def _moment_key(m: IntMatrix) -> tuple[int, int, int, int]:
@@ -93,17 +111,40 @@ def _moment_key(m: IntMatrix) -> tuple[int, int, int, int]:
     return t1, t2, t3, t4
 
 
-def _spectral_value(hint: dict | None, m: IntMatrix) -> tuple[int, bytes | None]:
-    """``(hash of M's moment key, M's charpoly payload or None)``.
+def _moment_hash(m: IntMatrix) -> int:
+    return hash(_moment_key(m))
 
-    The hash is smaller to hold than the key tuple, and a hash collision
-    only costs charpolys, which then tell the graphs apart.  The payload
-    comes along when ``hint`` already holds the hash: the serial census
-    passes its key table, so a graph whose key collides brings its charpoly
-    with it instead of being built again.
+
+def _matrix_values(modes: tuple[str, ...], keyed: bool, hint: tuple[dict, dict] | None,
+                   m: IntMatrix) -> tuple:
+    """One built matrix's census values, one per mode.
+
+    The invariant value is the SNF payload, and an unkeyed spectral value
+    the charpoly payload.  A keyed spectral value is the tuple of the
+    chain's keys (module docstring) as far as ``hint``, the serial census's
+    tables for this slot, already holds them: K1's hash, then the hash of
+    that with the moment key's hash, then the charpoly payload.  Without a
+    hint it is K1's hash alone.  The Smith form is computed once and serves
+    both the invariant payload and K1's |det M|.  Without the invariant mode
+    K1 is the constant 0, so every matrix takes its moment key at once.
     """
-    h = hash(_moment_key(m))
-    return h, (_charpoly_payload(m) if hint is not None and h in hint else None)
+    invariants = snf(m) if "invariant" in modes else None
+    out = []
+    for mode in modes:
+        if mode == "invariant":
+            out.append(_encode_ints(invariants.factors + (invariants.zeros,)))
+        elif not keyed:
+            out.append(_charpoly_payload(m))
+        else:
+            h = 0 if invariants is None else hash(_first_key(m, invariants))
+            keys: tuple = (h,)
+            if invariants is None or hint is not None and h in hint[0]:
+                h = hash((h, _moment_hash(m)))
+                keys += (h,)
+                if hint is not None and h in hint[1]:
+                    keys += (_charpoly_payload(m),)
+            out.append(keys)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -118,7 +159,7 @@ def fingerprint(g: Graph, kind: MatrixKind, mode: str) -> Fingerprint:
     (matrix kind, mode) pair."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    [payload] = _values(g, (kind,), None, ((_PAYLOADS[mode],),))
+    [(payload,)] = _values(g, (kind,), None, (partial(_matrix_values, (mode,), False, None),))
     return Fingerprint(kind, mode, payload)
 
 
@@ -175,24 +216,17 @@ def _bipartite_steps(kinds: tuple[MatrixKind, ...]) -> tuple | None:
 
 
 def _values(g: Graph, kinds: tuple[MatrixKind, ...], shared: tuple | None,
-            fns: tuple[tuple[Callable[[IntMatrix], object], ...], ...]) -> list:
-    """``fn(build(g, kind))`` for each requested kind, then each fn of
-    ``fns``' entry for that kind; every entry has the same length.
+            fns: tuple[Callable[[IntMatrix], object], ...]) -> list:
+    """``fn(build(g, kind))`` for each requested kind and its entry of ``fns``.
 
     ``shared`` is ``_bipartite_steps(kinds)``: on a bipartite graph a kind
-    in ``BIPARTITE_TWINS`` takes the values of its requested twin.
+    in ``BIPARTITE_TWINS`` takes the value of its requested twin.
     """
     profile = distance_profile(g)  # also rejects disconnected input
     steps = shared if shared and _is_bipartite(g, profile) else kinds
-    width = len(fns[0])
     out: list = []
-    for step, kind_fns in zip(steps, fns):
-        if isinstance(step, int):
-            out += out[step * width:(step + 1) * width]
-        else:
-            m = build(g, step, profile)
-            for fn in kind_fns:
-                out.append(fn(m))
+    for step, fn in zip(steps, fns):
+        out.append(out[step] if isinstance(step, int) else fn(build(g, step, profile)))
     return out
 
 
@@ -200,9 +234,10 @@ def _rows(job, g: Graph) -> tuple[Graph, list]:
     return g, _values(g, *job)
 
 
-def _charpolys(item: tuple[Graph, tuple[MatrixKind, ...]]) -> list[bytes]:
-    g, kinds = item
-    return _values(g, kinds, _bipartite_steps(kinds), ((_charpoly_payload,),) * len(kinds))
+def _rebuilt(item: tuple[Graph, tuple[MatrixKind, ...], Callable[[IntMatrix], object]]) -> list:
+    """``fn`` of each of the kinds' matrices of g, built again."""
+    g, kinds, fn = item
+    return _values(g, kinds, _bipartite_steps(kinds), (fn,) * len(kinds))
 
 
 def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
@@ -218,13 +253,16 @@ def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ValueError(f"{what} {name} given twice")
-    return Pool(jobs) if jobs > 1 else nullcontext()
+    if jobs == 1:
+        return nullcontext()
+    from multiprocessing import Pool  # costs a serial run's import time for nothing
+    return Pool(jobs)
 
 
 def _fingerprint_stream(
     graphs: Iterable[Graph],
     kinds: Sequence[MatrixKind],
-    fns: tuple[tuple[Callable[[IntMatrix], object], ...], ...],
+    fns: tuple[Callable[[IntMatrix], object], ...],
     pool: WorkerPool | None,
 ) -> Iterator[tuple[Graph, list]]:
     """Yield ``(g, _values(g, kinds, ..., fns))`` per graph.  Raises on an
@@ -262,10 +300,10 @@ def bucket_counts(
     tables: list[dict[bytes, int]] = [{} for _ in kinds for _ in modes]
     total = 0
     with _workers(kinds, modes, jobs) as pool:
-        fns = (tuple(_PAYLOADS[mode] for mode in modes),) * len(kinds)
+        fns = (partial(_matrix_values, tuple(modes), False, None),) * len(kinds)
         for g, payloads in _fingerprint_stream(graphs, kinds, fns, pool):
             total += 1
-            for table, payload in zip(tables, payloads):
+            for table, payload in zip(tables, chain.from_iterable(payloads)):
                 _count(table, payload)
     return g.n, total, dict(zip(((kind, mode) for kind in kinds for mode in modes), tables))
 
@@ -273,9 +311,13 @@ def bucket_counts(
 _NEW = object()
 
 _UNKEYED = frozenset({MatrixKind.A})
-"""Kinds whose spectral slot skips the moment key (module docstring).
+"""Kinds whose spectral slot skips the key chain (module docstring).
 Neither kind of a ``BIPARTITE_TWINS`` pair may be here without the other,
 since a twin copies its partner's values."""
+
+_LEVELS = (_moment_hash, _charpoly_payload)
+"""What the chain computes for a graph whose key collides at K1, and at
+(K1, moment key)."""
 
 
 def run_census(
@@ -287,49 +329,56 @@ def run_census(
     """Count graphs with a cospectral/coinvariant mate, per kind and mode.
 
     Raises as ``bucket_counts`` does.  Spectral buckets are tallied only
-    among graphs whose moment key another graph shares (module docstring).
+    among graphs whose keys another graph shares (module docstring).
     """
+    modes = tuple(modes)
     slots = [(kind, mode) for kind in kinds for mode in modes]
     tables: list[dict[bytes, int]] = [{} for _ in slots]
-    # Spectral slots: moment key hash -> its first graph, or None once a
-    # second graph has brought the same key.
-    firsts: list[dict | None] = [{} if mode == "spectral" and kind not in _UNKEYED else None
-                                 for kind, mode in slots]
-    # (graph, the spectral slots it still needs a charpoly for)
-    pending: list[tuple[Graph, list[int]]] = []
+    # Keyed spectral slots, per level of the chain: key hash -> its first
+    # graph, or None once a second graph has brought the same key.
+    levels: list[tuple[dict, dict] | None] = [
+        ({}, {}) if mode == "spectral" and kind not in _UNKEYED else None for kind, mode in slots]
+    # Per level: graph -> [(slot, its key at the level)], for the graphs
+    # whose key there collides and that must be built again for the next.
+    wanted: tuple[dict[Graph, list], ...] = tuple({} for _ in _LEVELS)
+
+    def offer(i: int, g: Graph, keys: tuple, start: int) -> None:
+        """Enter g's keys for slot i from level ``start`` on; a key past the
+        last level is the charpoly payload."""
+        for level, key in enumerate(keys, start):
+            if level == len(_LEVELS):
+                _count(tables[i], key)
+                return
+            held = levels[i][level]
+            first = held.get(key, _NEW)
+            if first is _NEW and level - start == len(keys) - 1:
+                held[key] = g
+                return
+            held[key] = None
+            if isinstance(first, Graph):
+                wanted[level].setdefault(first, []).append((i, key))
+        wanted[level].setdefault(g, []).append((i, key))
+
     total = 0
     with _workers(kinds, modes, jobs) as pool:
-        # Workers cannot read the key tables, so they send bare keys.
-        fns = tuple(
-            tuple(_PAYLOADS[mode] if keys is None else partial(_spectral_value, None if pool else keys)
-                  for mode, keys in zip(modes, firsts[k * len(modes):(k + 1) * len(modes)]))
-            for k in range(len(kinds)))
+        spectral = modes.index("spectral") if "spectral" in modes else None
+        fns = tuple(partial(_matrix_values, modes, kind not in _UNKEYED,
+                            None if pool or spectral is None else levels[k * len(modes) + spectral])
+                    for k, kind in enumerate(kinds))
         for g, values in _fingerprint_stream(graphs, kinds, fns, pool):
             total += 1
-            wanted: dict[Graph, list[int]] = {}
-            for i, value in enumerate(values):
-                keys = firsts[i]
-                if keys is None:
+            for i, value in enumerate(chain.from_iterable(values)):
+                if levels[i] is None:
                     _count(tables[i], value)
-                    continue
-                h, payload = value
-                first = keys.get(h, _NEW)
-                if first is _NEW and payload is None:
-                    keys[h] = g
-                    continue
-                keys[h] = None
-                if isinstance(first, Graph):
-                    wanted.setdefault(first, []).append(i)
-                if payload is None:
-                    wanted.setdefault(g, []).append(i)
                 else:
-                    _count(tables[i], payload)
-            pending += wanted.items()
-        items = ((h, tuple(slots[i][0] for i in where)) for h, where in pending)
-        rows = map(_charpolys, items) if pool is None else pool.imap(_charpolys, items, chunksize=16)
-        for (_, where), payloads in zip(pending, rows):
-            for i, payload in zip(where, payloads):
-                _count(tables[i], payload)
+                    offer(i, g, value, 0)
+        for level, fn in enumerate(_LEVELS):
+            requests = wanted[level]
+            items = ((h, tuple(slots[i][0] for i, _ in where), fn) for h, where in requests.items())
+            rows = map(_rebuilt, items) if pool is None else pool.imap(_rebuilt, items, chunksize=16)
+            for (h, where), values in zip(requests.items(), rows):
+                for (i, key), value in zip(where, values):
+                    offer(i, h, (hash((key, value)) if level == 0 else value,), level + 1)
     mates = {slot: sum(c for c in table.values() if c >= 2) for slot, table in zip(slots, tables)}
     entries = tuple(CensusEntry(kind, mode, mates[(kind, mode)], total)
                     for kind in MatrixKind for mode in MODES if (kind, mode) in mates)

@@ -332,12 +332,16 @@ def conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     """
     if g.n > CONDUCTANCE_MAX_VERTICES:
         raise ValueError(f"conductance requires n <= {CONDUCTANCE_MAX_VERTICES}")
+    if g.n < 2:
+        raise ValueError("conductance needs at least two vertices")
     if not g.is_connected():
         raise ValueError("graph not connected")
     n = g.n
     adj = g.adj
     limit = n // 2
-    best: Fraction | None = None
+    # The best ratio so far is best_boundary / best_size, compared by cross
+    # multiplication; a single vertex's boundary is at most n - 1 < n.
+    best_boundary, best_size = n, 1
     best_set = 0
     for mask in range(1, 1 << n):
         size = mask.bit_count()
@@ -349,9 +353,7 @@ def conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
             low = m & -m
             m ^= low
             boundary += (adj[low.bit_length() - 1] & ~mask).bit_count()
-        ratio = Fraction(boundary, size)
-        if best is None or ratio < best:
-            best = ratio
+        if boundary * best_size < best_boundary * size:
+            best_boundary, best_size = boundary, size
             best_set = mask
-    assert best is not None
-    return best, tuple(_bits(best_set))
+    return Fraction(best_boundary, best_size), tuple(_bits(best_set))

@@ -24,7 +24,7 @@ Smith normal form or characteristic polynomial computations.
 from __future__ import annotations
 
 from enum import Enum
-from operator import neg, sub
+from operator import mul, neg, sub
 
 from .graphs import DistanceProfile, Graph, distance_profile
 
@@ -97,20 +97,8 @@ def build(g: Graph, kind: MatrixKind, profile: DistanceProfile | None = None) ->
 # Generic helpers on dense integer matrices.
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    k = len(b)
-    m = len(b[0]) if k else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        row_a = a[i]
-        row_o = out[i]
-        for t in range(k):
-            x = row_a[t]
-            if x:
-                row_b = b[t]
-                for j in range(m):
-                    row_o[j] += x * row_b[j]
-    return out
+    cols = list(zip(*b))  # a b with no rows has no columns
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def trace(m: IntMatrix) -> int:

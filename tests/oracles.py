@@ -1,9 +1,10 @@
 """Independent brute-force oracles for the test suite.
 
 Deliberately naive implementations (Laplace cofactor expansion, explicit
-minor enumeration, Floyd-Warshall, subset sweeps, the plain-loop Berkowitz
-recurrence, the full-column Smith normal form loop, the per-kind matrix
-builder, the unpruned graph generators and their canonical search) that
+minor enumeration, Floyd-Warshall, subset sweeps, the triple-loop matrix
+product, the plain-loop Berkowitz recurrence, the full-column Smith normal
+form loop, the per-kind matrix builder, the unpruned graph generators and
+their canonical search) that
 share no code with the library paths they check, beyond the distance
 profile the builder reads, the Smith form's square check and result type,
 and the ``Graph`` type and tree certificate the generators use.  The
@@ -303,6 +304,28 @@ def conductance_bruteforce(g):
     return best
 
 
+def conductance_fraction_loop(g):
+    """The mask sweep of ``graphs.conductance`` with one ``Fraction`` per
+    subset: the minimum ratio and the first subset, in mask order, that
+    attains it."""
+    n = g.n
+    best = None
+    best_set = 0
+    for mask in range(1, 1 << n):
+        size = mask.bit_count()
+        if size > n // 2:
+            continue
+        boundary = 0
+        for u in range(n):
+            if (mask >> u) & 1:
+                boundary += (g.adj[u] & ~mask).bit_count()
+        ratio = Fraction(boundary, size)
+        if best is None or ratio < best:
+            best = ratio
+            best_set = mask
+    return best, tuple(u for u in range(n) if (best_set >> u) & 1)
+
+
 # Kinds whose definition involves distances or transmissions; these require
 # a connected graph (distance_profile raises otherwise).
 DISTANCE_KINDS = frozenset({
@@ -381,6 +404,21 @@ def build_reference(g, kind, profile=None):
 
 def identity_matrix(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul_reference(a, b):
+    """The row-by-row triple loop for ``matrices.mat_mul``."""
+    n = len(a)
+    k = len(b)
+    m = len(b[0]) if k else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            x = a[i][t]
+            if x:
+                for j in range(m):
+                    out[i][j] += x * b[t][j]
+    return out
 
 
 def mat_add(a, b):

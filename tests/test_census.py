@@ -1,14 +1,16 @@
 import random
+from functools import partial
 
 import pytest
 
 from graphinv.census import (
-    _PAYLOADS,
     MODES,
     CensusEntry,
     CensusReport,
     _bipartite_steps,
+    _first_key,
     _is_bipartite,
+    _matrix_values,
     _moment_key,
     _values,
     bucket_counts,
@@ -27,7 +29,7 @@ from graphinv.graphs import (
     graph_from_edges,
     path_graph,
 )
-from graphinv.exact import charpoly
+from graphinv.exact import charpoly, snf
 from graphinv.matrices import MatrixKind, build, mat_mul, trace
 from oracles import permuted
 
@@ -151,7 +153,7 @@ def test_is_bipartite_from_distance_parity():
 def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     # AtrPlus and Q are fingerprinted as Atr and L on bipartite graphs;
     # every payload must equal the one computed from the kind's own matrix
-    fns = tuple(_PAYLOADS[mode] for mode in MODES)
+    payloads = partial(_matrix_values, MODES, False, None)
     shared = _bipartite_steps(ALL_KINDS)
     # the bipartite graphs with n <= 8 include the trees with n <= 8
     graphs = [g for n in range(1, 9) for g in generate_connected_graphs(n)
@@ -161,8 +163,8 @@ def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     assert len(graphs) == 254 + 47 + 106 + 235 + 551
     for g in graphs:
         profile = distance_profile(g)
-        direct = [fn(build(g, kind, profile)) for kind in ALL_KINDS for fn in fns]
-        assert _values(g, ALL_KINDS, shared, (fns,) * len(ALL_KINDS)) == direct
+        direct = [payloads(build(g, kind, profile)) for kind in ALL_KINDS]
+        assert _values(g, ALL_KINDS, shared, (payloads,) * len(ALL_KINDS)) == direct
 
 
 def _power_sums(coeffs, k_max):
@@ -189,28 +191,39 @@ def test_moment_key_is_a_function_of_the_charpoly():
                 m[i][j] = m[j][i] = rng.randint(-50, 50)
         matrices.append(m)
     for m in matrices:
+        coeffs = charpoly(m).coeffs
+        # K1: trace M = -c1, Σ M_ij² = trace M² = c1² - 2 c2 and |det M| = |c_n|
+        c1, c2 = (list(coeffs[1:]) + [0])[:2]
+        assert _first_key(m, snf(m)) == (-c1, c1 * c1 - 2 * c2, abs(coeffs[-1]))
         key = _moment_key(m)
-        assert key == _power_sums(charpoly(m).coeffs, 4)
+        assert key == _power_sums(coeffs, 4)
         powers = [m]
         for _ in range(3):
             powers.append(mat_mul(powers[-1], m))
         assert key == tuple(trace(p) for p in powers)
 
 
-def _census_from_buckets(graphs, kinds):
-    n, total, buckets = bucket_counts(graphs, kinds)
+def _census_from_buckets(counts, kinds, modes):
+    n, total, buckets = counts
     return CensusReport(n, total, tuple(
         CensusEntry(kind, mode, sum(c for c in buckets[(kind, mode)].values() if c >= 2), total)
-        for kind in MatrixKind for mode in MODES if kind in kinds))
+        for kind in MatrixKind for mode in MODES if kind in kinds and mode in modes))
 
 
 def test_filtered_census_matches_bucket_counts():
-    # run_census computes a charpoly only for graphs whose moment key
-    # collides; its report must equal the one from every graph's charpoly
+    # run_census computes a moment key only for graphs whose K1 collides,
+    # and a charpoly only where the moment key collides too; its report
+    # must equal the one from every graph's charpoly.  Spectral-only runs
+    # have no |det M| and skip K1; in (AtrPlus, Q) neither twin's partner is
+    # requested, so bipartite graphs build both kinds themselves.
     corpora = [list(generate_connected_graphs(n)) for n in range(1, 8)]
     corpora += [list(generate_trees(n)) for n in range(2, 13)]
+    twins = (MatrixKind.AtrPlus, MatrixKind.Q)
     for graphs in corpora:
-        assert run_census(graphs, ALL_KINDS) == _census_from_buckets(graphs, ALL_KINDS)
+        counts = bucket_counts(graphs, ALL_KINDS)
+        for kinds, modes in ((ALL_KINDS, MODES), (ALL_KINDS, ("spectral",)), (twins, MODES)):
+            expected = _census_from_buckets(counts, kinds, modes)
+            assert run_census(graphs, kinds, modes) == expected
 
 
 def test_census_parallel_matches_serial():
@@ -218,9 +231,11 @@ def test_census_parallel_matches_serial():
     serial = run_census(graphs, NEW_KINDS, jobs=1)
     parallel = run_census(graphs, NEW_KINDS, jobs=2)
     assert serial == parallel
-    # connected n = 7 meets moment-key collisions in every kind
+    # connected n = 7 meets K1 and moment-key collisions in every keyed kind
     graphs = list(generate_connected_graphs(7))
     assert run_census(graphs, ALL_KINDS, jobs=2) == run_census(graphs, ALL_KINDS, jobs=1)
+    spectral = ("spectral",)
+    assert run_census(graphs, ALL_KINDS, spectral, jobs=2) == run_census(graphs, ALL_KINDS, spectral, jobs=1)
 
 
 def test_tree_census_range():

@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphinv
 from graphinv import verify
 from graphinv.census import bucket_counts
 from graphinv.cli import main
@@ -310,3 +315,13 @@ def test_input_errors_name_path_and_line(tmp_path, capsys):
     assert f"{path}:2: " in err
     assert "byte 195 " in err
     assert "byte offset 1" in err
+
+
+def test_import_does_not_load_multiprocessing():
+    # only a census with --jobs above 1 needs a worker pool, and importing
+    # multiprocessing costs every CLI start about 9 ms
+    src = Path(graphinv.__file__).resolve().parent.parent
+    code = "import sys, graphinv.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

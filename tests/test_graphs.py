@@ -22,7 +22,13 @@ from graphinv.graphs import (
 )
 from graphinv.generators import generate_connected_graphs
 
-from oracles import conductance_bruteforce, distances_floyd_warshall, has_edge, permuted
+from oracles import (
+    conductance_bruteforce,
+    conductance_fraction_loop,
+    distances_floyd_warshall,
+    has_edge,
+    permuted,
+)
 
 
 def test_graph_validation():
@@ -206,8 +212,22 @@ def test_conductance_against_bruteforce():
             assert phi == Fraction(boundary, len(s))
 
 
+def test_conductance_matches_fraction_loop():
+    # the cross-multiplied comparison keeps the ratio and the first
+    # minimising subset of the loop that built a Fraction per subset
+    checked = 0
+    for n in range(2, 8):
+        for g in generate_connected_graphs(n):
+            assert conductance(g) == conductance_fraction_loop(g)
+            checked += 1
+    assert checked == 1 + 2 + 6 + 21 + 112 + 853
+
+
 def test_conductance_limits():
     with pytest.raises(ValueError, match="n <= 20"):
         conductance(path_graph(21))
+    # a single vertex has no admissible subset: once an AssertionError
+    with pytest.raises(ValueError, match="at least two vertices"):
+        conductance(complete_graph(1))
     with pytest.raises(ValueError, match="not connected"):
         conductance(graph_from_edges(4, [(0, 1), (2, 3)]))

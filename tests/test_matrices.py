@@ -10,8 +10,8 @@ from graphinv.graphs import (
     graph_from_edges,
 )
 from graphinv.generators import generate_connected_graphs, generate_trees
-from graphinv.matrices import MatrixKind, build
-from oracles import build_reference, is_symmetric, mat_add, permuted, row_sums
+from graphinv.matrices import MatrixKind, build, mat_mul
+from oracles import build_reference, is_symmetric, mat_add, mat_mul_reference, permuted, row_sums
 
 ALL_KINDS = list(MatrixKind)
 
@@ -112,3 +112,13 @@ def test_build_matches_reference_on_disconnected_graph():
     g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
     for kind in (MatrixKind.A, MatrixKind.L, MatrixKind.Q):
         assert build(g, kind) == build_reference(g, kind)
+
+
+def test_mat_mul_matches_triple_loop():
+    rng = random.Random(5)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)) for _ in range(200)]
+    for rows, inner, cols in shapes:
+        a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
+        assert mat_mul(a, b) == mat_mul_reference(a, b)
