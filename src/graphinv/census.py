@@ -17,9 +17,10 @@ matter, behind a chain of two cheaper exact keys of each matrix M:
 - K1 is ``(trace M, Σ M_ij², |det M|)``, read in O(n²).  |det M| comes
   from the Smith form that the same kind's invariant slot computes anyway
   (the product of the factors, or 0 when a factor is zero).  A census
-  without that slot skips K1: ``(trace M, Σ M_ij²)`` alone leaves 6880 of
-  the 7677 keyed matrices of the connected graphs at n = 7 colliding, and
-  costs more than the moment keys it saves.
+  without that slot skips K1 (a constant stands in for it):
+  ``(trace M, Σ M_ij²)`` alone leaves 6880 of the 7677 keyed matrices of
+  the connected graphs at n = 7 colliding, and costs more than the moment
+  keys it saves.
 - The moment key ``(t1, t2, t3, t4)`` with ``t_k = trace(M^k)``, all four
   read off one ``M²`` in O(n³), is computed only for graphs whose K1
   another graph shares.
@@ -31,18 +32,20 @@ For a symmetric M, ``t1 = -c1``, ``Σ M_ij² = t2 = c1² - 2·c2`` and
 polynomial in ``c1..c4``; so cospectral matrices share both keys, and a
 graph alone at some level of the chain has no cospectral mate.  The tables
 hold the keys' hashes, which are just as much functions of the charpoly:
-a hash collision only costs work.  The hashed tuples hold ints only, since
-``hash(None)`` differs between processes before Python 3.12.
+a hash collision only costs work.  The hashed tuples hold ints only: the
+hash of None, str or bytes can differ between processes, and workers hash
+keys that the parent compares.
 
 Each level holds the first graph of each key; once a second graph brings
 the same key, both need the next level, so the report stays exact and the
 stream is read once.  Serially, a graph whose key is already in the table
 computes the next level from the matrix in hand, and only held first graphs
 are built again after the stream, once per graph for all the slots that
-want it.  Workers cannot read the tables, so they send K1 alone, and every
-graph whose K1 collides is built again after the stream, on the same
-workers: first for its moment key, then, where that collides too, for its
-charpoly.  ``bucket_counts`` still fingerprints every graph in full.
+want it.  Workers cannot read the tables, so they send K1 alone (with the
+moment key where K1 is skipped), and every graph whose key collides is
+built again after the stream, on the same workers: first for its moment
+key, then, where that collides too, for its charpoly.  ``bucket_counts``
+still fingerprints every graph in full.
 
 The adjacency matrix skips the chain.  Its moment key is only (0,
 2·edges, 6·triangles, closed 4-walks), shared by 64 % of the connected
@@ -255,7 +258,7 @@ def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
                 raise ValueError(f"{what} {name} given twice")
     if jobs == 1:
         return nullcontext()
-    from multiprocessing import Pool  # costs a serial run's import time for nothing
+    from multiprocessing import Pool  # here, so that a serial run does not import it
     return Pool(jobs)
 
 

@@ -321,7 +321,8 @@ def test_import_does_not_load_multiprocessing():
     # only a census with --jobs above 1 needs a worker pool, and importing
     # multiprocessing costs every CLI start about 9 ms
     src = Path(graphinv.__file__).resolve().parent.parent
-    code = "import sys, graphinv.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    code = ("import sys, graphinv.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
