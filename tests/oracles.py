@@ -3,21 +3,24 @@
 Deliberately naive implementations (Laplace cofactor expansion, explicit
 minor enumeration, Floyd-Warshall, subset sweeps, the triple-loop matrix
 product, the plain-loop Berkowitz recurrence, the full-column Smith normal
-form loop, the per-kind matrix builder, the unpruned graph generators and
-their canonical search) that
+form loop, the plain Jacobi rotation loop, the per-kind matrix builder, the
+unpruned graph generators and their canonical search) that
 share no code with the library paths they check, beyond the distance
 profile the builder reads, the Smith form's square check and result type,
-and the ``Graph`` type and tree certificate the generators use.  The
+the Jacobi tolerance, sweep cap and result type, and the ``Graph`` type and
+tree certificate the generators use.  The
 edge test and the relabelling that tests apply to graphs live here too.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
+from graphinv import spectra
 from graphinv.exact import SnfResult, _check_square
 from graphinv.generators import tree_certificate
 from graphinv.graphs import Graph, distance_profile, graph_from_edges
@@ -432,6 +435,56 @@ def row_sums(m) -> list[int]:
 def is_symmetric(m) -> bool:
     n = len(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+# The cyclic Jacobi loop with its per-k index test and repeated row lookups.
+
+def eigenvalues_symmetric_reference(m) -> spectra.Spectrum:
+    """The plain rotation loop for ``spectra.eigenvalues_symmetric``; it
+    reads ``spectra.JACOBI_MAX_SWEEPS`` at call time, as the library does."""
+    n = len(m)
+    for i, row in enumerate(m):
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        for j in range(i + 1, n):
+            if m[i][j] != m[j][i]:
+                raise ValueError("matrix not symmetric")
+    tol = spectra.default_tol(m)
+    threshold = tol * tol
+    a = [[float(x) for x in row] for row in m]
+    if n == 1:
+        return spectra.Spectrum((a[0][0],), tol)
+    for sweep in range(spectra.JACOBI_MAX_SWEEPS + 1):
+        off = 0.0
+        for p in range(n - 1):
+            row_p = a[p]
+            for q in range(p + 1, n):
+                off += 2.0 * row_p[q] * row_p[q]
+        if off < threshold:
+            break
+        if sweep == spectra.JACOBI_MAX_SWEEPS:
+            raise ValueError(f"Jacobi iteration did not converge within {spectra.JACOBI_MAX_SWEEPS} sweeps")
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = a[p][p], a[q][q]
+                a[p][p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
+                a[q][q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
+                a[p][q] = a[q][p] = 0.0
+                for k in range(n):
+                    if k != p and k != q:
+                        akp, akq = a[k][p], a[k][q]
+                        a[k][p] = a[p][k] = c * akp - s * akq
+                        a[k][q] = a[q][k] = s * akp + c * akq
+    return spectra.Spectrum(tuple(sorted(a[i][i] for i in range(n))), tol)
 
 
 # Isomorph-free generation without twin pruning, and the canonical search

@@ -70,6 +70,21 @@ def test_cross_check_builds_one_profile(monkeypatch):
         assert cone_graph(g, distance_profile(g)) == cone_graph(g)
 
 
+def test_cross_check_builds_one_laplacian(monkeypatch):
+    calls = []
+    laplacian = sandpile.Multigraph.laplacian
+
+    def counting(h):
+        calls.append(h)
+        return laplacian(h)
+
+    monkeypatch.setattr(sandpile.Multigraph, "laplacian", counting)
+    for g in (cricket_graph(), cycle_graph(5), path_graph(3)):
+        calls.clear()
+        assert cross_check(g)
+        assert calls == [cone_graph(g)]
+
+
 def test_cross_check_sweep():
     for n in range(2, 7):
         for g in generate_connected_graphs(n):

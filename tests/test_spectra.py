@@ -29,7 +29,7 @@ from graphinv.spectra import (
     eigenvalues_symmetric,
 )
 
-from oracles import poly_eval
+from oracles import eigenvalues_symmetric_reference, poly_eval
 
 
 def _close(xs, ys, tol=1e-8):
@@ -64,6 +64,63 @@ def test_eigenvalues_reject_bad_input(monkeypatch):
         eigenvalues_symmetric(m)
     monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 6)
     assert eigenvalues_symmetric(m).eigenvalues[0] > 0
+
+
+BOUNDS_KINDS = (MatrixKind.A, MatrixKind.D, MatrixKind.L, MatrixKind.Atr, MatrixKind.Ddeg)
+
+
+def test_eigenvalues_bit_identical_to_reference_on_graphs():
+    # every kind up to n = 6, and the five kinds the bounds read at n = 7
+    for n in range(1, 8):
+        kinds = list(MatrixKind) if n <= 6 else BOUNDS_KINDS
+        for g in generate_connected_graphs(n):
+            for kind in kinds:
+                m = build(g, kind)
+                assert eigenvalues_symmetric(m) == eigenvalues_symmetric_reference(m), (g, kind)
+
+
+def _random_symmetric(rng, n, zero_rows=0, diagonal=False):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if diagonal else 0, i + 1):
+            m[i][j] = m[j][i] = rng.randint(-50, 50)
+    for i in rng.sample(range(n), zero_rows):
+        for j in range(n):
+            m[i][j] = m[j][i] = 0
+    return m
+
+
+def test_eigenvalues_bit_identical_to_reference_on_random_matrices():
+    rng = random.Random(13)
+    cases = [[[7]], [[-3]], [[0]]]
+    for n in range(21):
+        cases.append(_random_symmetric(rng, n, diagonal=True))
+        for _ in range(3):
+            cases.append(_random_symmetric(rng, n))
+            if n >= 2:
+                # zero rows stay zero, so their rotations take the apq == 0.0 skip
+                cases.append(_random_symmetric(rng, n, zero_rows=rng.randint(1, n - 1)))
+    for m in cases:
+        assert eigenvalues_symmetric(m) == eigenvalues_symmetric_reference(m), m
+
+
+def test_sweep_cap_stops_like_reference(monkeypatch):
+    outcomes = set()
+    for cap in range(8):
+        monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", cap)
+        for g in (petersen_graph(), cricket_graph()):
+            for kind in BOUNDS_KINDS:
+                m = build(g, kind)
+                results = []
+                for solve in (eigenvalues_symmetric, eigenvalues_symmetric_reference):
+                    try:
+                        results.append(solve(m))
+                    except ValueError as exc:
+                        assert f"within {cap} sweeps" in str(exc)
+                        results.append("raised")
+                assert results[0] == results[1], (cap, g, kind)
+                outcomes.add(results[0] == "raised")
+    assert outcomes == {True, False}
 
 
 def test_eigenvalue_sums_match_traces():
@@ -144,6 +201,10 @@ def test_conductance_bracket():
 def test_shift_lemmas_petersen():
     report = check_shift_lemmas(GraphSpectra(petersen_graph()))
     assert all(c.applicable for c in report.checks)
+    assert [c.name for c in report.checks] == [
+        "spectrum(Ddeg) == deg - spectrum(D)",
+        "spectrum(Atr) == tr - spectrum(A)",
+    ]
     assert report.all_hold()
     # transmission 15 against adjacency spectrum {3, 1^5, (-2)^4}
     spec = eigenvalues_symmetric(build(petersen_graph(), MatrixKind.Atr))
@@ -157,6 +218,10 @@ def test_shift_lemmas_cycle_and_cricket():
     assert report.all_hold()
     report = check_shift_lemmas(GraphSpectra(cricket_graph()))
     assert not any(c.applicable for c in report.checks)
+    assert [c.name for c in report.checks] == [
+        "spectrum(Ddeg) == deg - spectrum(D) (not applicable)",
+        "spectrum(Atr) == tr - spectrum(A) (not applicable)",
+    ]
     assert report.all_hold()  # inapplicable reports as holding trivially
 
 
@@ -183,6 +248,16 @@ def test_moments_exact_sweep():
     assert saw_disagreement
     k3 = check_moments(complete_graph(3))
     assert not k3.by_name(THIRD_MOMENT_UNIT_MIXED).holds
+
+
+def test_third_moment_reads_trace_of_cube():
+    for n in range(1, 7):
+        for g in generate_connected_graphs(n):
+            atr = build(g, MatrixKind.Atr)
+            cube = trace(mat_mul(mat_mul(atr, atr), atr))
+            report = check_moments(g)
+            assert report.by_name(THIRD_MOMENT_EXPANSION).left == cube
+            assert report.by_name(THIRD_MOMENT_UNIT_MIXED).left == cube
 
 
 def test_lambda1_simple_for_connected():
