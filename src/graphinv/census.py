@@ -39,13 +39,13 @@ keys that the parent compares.
 Each level holds the first graph of each key; once a second graph brings
 the same key, both need the next level, so the report stays exact and the
 stream is read once.  Serially, a graph whose key is already in the table
-computes the next level from the matrix in hand, and only held first graphs
-are built again after the stream, once per graph for all the slots that
-want it.  Workers cannot read the tables, so they send K1 alone (with the
-moment key where K1 is skipped), and every graph whose key collides is
-built again after the stream, on the same workers: first for its moment
-key, then, where that collides too, for its charpoly.  ``bucket_counts``
-still fingerprints every graph in full.
+computes the next level from the matrix in hand, and so does a held first
+graph built again after the stream; it is built a third time only if its
+moment key is held after it.  Workers cannot read the tables, so they send
+K1 alone (with the moment key where K1 is skipped), and every graph whose
+key collides is built again after the stream, on the same workers: first
+for its moment key, then, where that collides too, for its charpoly.
+``bucket_counts`` still fingerprints every graph in full.
 
 The adjacency matrix skips the chain.  Its moment key is only (0,
 2·edges, 6·triangles, closed 4-walks), shared by 64 % of the connected
@@ -114,8 +114,12 @@ def _moment_key(m: IntMatrix) -> tuple[int, int, int, int]:
     return t1, t2, t3, t4
 
 
-def _moment_hash(m: IntMatrix) -> int:
-    return hash(_moment_key(m))
+def _moment_keys(key: int, held: dict, m: IntMatrix) -> tuple:
+    """The chain's keys of M past its K1 hash ``key``: the hash of ``key``
+    with the moment key's hash, then the charpoly payload if ``held``, the
+    slot's table at that level, already holds the hash."""
+    h = hash((key, hash(_moment_key(m))))
+    return (h, _charpoly_payload(m)) if h in held else (h,)
 
 
 def _matrix_values(modes: tuple[str, ...], keyed: bool, hint: tuple[dict, dict] | None,
@@ -140,13 +144,8 @@ def _matrix_values(modes: tuple[str, ...], keyed: bool, hint: tuple[dict, dict] 
             out.append(_charpoly_payload(m))
         else:
             h = 0 if invariants is None else hash(_first_key(m, invariants))
-            keys: tuple = (h,)
-            if invariants is None or hint is not None and h in hint[0]:
-                h = hash((h, _moment_hash(m)))
-                keys += (h,)
-                if hint is not None and h in hint[1]:
-                    keys += (_charpoly_payload(m),)
-            out.append(keys)
+            more = invariants is None or hint is not None and h in hint[0]
+            out.append((h,) + _moment_keys(h, hint[1] if hint else {}, m) if more else (h,))
     return tuple(out)
 
 
@@ -237,10 +236,10 @@ def _rows(job, g: Graph) -> tuple[Graph, list]:
     return g, _values(g, *job)
 
 
-def _rebuilt(item: tuple[Graph, tuple[MatrixKind, ...], Callable[[IntMatrix], object]]) -> list:
-    """``fn`` of each of the kinds' matrices of g, built again."""
-    g, kinds, fn = item
-    return _values(g, kinds, _bipartite_steps(kinds), (fn,) * len(kinds))
+def _rebuilt(item: tuple[Graph, tuple[MatrixKind, ...], tuple[Callable, ...]]) -> list:
+    """Each kind's entry of ``fns`` of its matrix of g, built again."""
+    g, kinds, fns = item
+    return _values(g, kinds, _bipartite_steps(kinds), fns)
 
 
 def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
@@ -318,9 +317,9 @@ _UNKEYED = frozenset({MatrixKind.A})
 Neither kind of a ``BIPARTITE_TWINS`` pair may be here without the other,
 since a twin copies its partner's values."""
 
-_LEVELS = (_moment_hash, _charpoly_payload)
-"""What the chain computes for a graph whose key collides at K1, and at
-(K1, moment key)."""
+_LEVELS = (_moment_keys, _charpoly_payload)
+"""What the chain computes for a held first graph whose key collides at K1
+(given that key and the next level's table), and at (K1, moment key)."""
 
 
 def run_census(
@@ -377,11 +376,13 @@ def run_census(
                     offer(i, g, value, 0)
         for level, fn in enumerate(_LEVELS):
             requests = wanted[level]
-            items = ((h, tuple(slots[i][0] for i, _ in where), fn) for h, where in requests.items())
+            items = ((h, tuple(slots[i][0] for i, _ in where),
+                      tuple(fn if level else partial(fn, key, {} if pool else levels[i][1])
+                            for i, key in where)) for h, where in requests.items())
             rows = map(_rebuilt, items) if pool is None else pool.imap(_rebuilt, items, chunksize=16)
             for (h, where), values in zip(requests.items(), rows):
-                for (i, key), value in zip(where, values):
-                    offer(i, h, (hash((key, value)) if level == 0 else value,), level + 1)
+                for (i, _), value in zip(where, values):
+                    offer(i, h, (value,) if level else value, level + 1)
     mates = {slot: sum(c for c in table.values() if c >= 2) for slot, table in zip(slots, tables)}
     entries = tuple(CensusEntry(kind, mode, mates[(kind, mode)], total)
                     for kind in MatrixKind for mode in MODES if (kind, mode) in mates)

@@ -9,15 +9,16 @@ the previous level.
 Each level keeps, for every class, the first candidate seen (parents in
 level order, then neighbourhoods or attachment vertices in increasing
 order), and lists the classes by certificate.  Candidates are visited in
-that order, but some are skipped by the twin rule: if u < v are twins of
-the parent (swapping them is an automorphism), a neighbourhood that
-contains v but not u is skipped, and so is attaching a leaf to v.  The swap
-maps the skipped candidate onto an isomorphic one from the same parent with
-a smaller neighbourhood (or a smaller attachment vertex), so by induction
-an isomorphic candidate was visited before it, and the skip changes neither
-the first-seen representatives nor their order.  Each candidate's neighbour
-lists are the parent's with the new vertex appended, and only a first-seen
-candidate is built as a ``Graph``.
+that order, but a parent skips each neighbourhood (or attachment vertex)
+that is not the least of its orbit under a group of its automorphisms.  One
+taking S to S' maps the candidate joined to S onto the one joined to S', so
+the orbit's least member, never skipped, is an earlier isomorphic candidate:
+for any group the first-seen representatives and their order are the same.
+Connected graphs use the automorphisms that the parent's canonical search
+finds and the swaps of twins (vertices that agree off both), which it never
+tries; trees use the twin swaps alone, skipping v if it has a twin u < v.
+Each candidate's neighbour lists are the parent's with the new vertex
+appended, and only a first-seen candidate is built as a ``Graph``.
 
 Certificates: trees use the classic rooted-at-centroid encoding; general
 graphs use an individualisation-refinement search for the minimum
@@ -45,12 +46,14 @@ def _refine(n: int, nbrs: list[list[int]], colors: list[int]) -> list[int]:
 
     Returned colours are dense ranks ordered by (old colour, multiset), so
     the class order is isomorphism-invariant.  A discrete colouring is
-    returned at once: refining it again cannot split anything.
+    returned at once: refining it again cannot split anything.  A lone
+    vertex of colour c keys as ``(c, ())``: no other key starts with c.
     """
     ncolors = len(set(colors))
     while True:
-        get = colors.__getitem__
-        keys = [(c, tuple(sorted(map(get, nb)))) for c, nb in zip(colors, nbrs)]
+        get, count = colors.__getitem__, colors.count
+        keys = [(c, ()) if count(c) == 1 else (c, tuple(sorted(map(get, nb))))
+                for c, nb in zip(colors, nbrs)]
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
         colors = [rank[k] for k in keys]
         if len(rank) == ncolors or len(rank) == n:
@@ -71,16 +74,16 @@ def _lower_twins(adj: tuple[int, ...]) -> list[int]:
 
 def canonical_key(g: Graph) -> tuple[int, int]:
     """(n, canonical upper-triangle bitmask): equal iff graphs isomorphic."""
-    return g.n, _canonical_mask(g.n, g.adj, [g.neighbors(u) for u in range(g.n)])
+    return g.n, _canonical_mask(g.n, g.adj, [g.neighbors(u) for u in range(g.n)])[0]
 
 
-def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> int:
+def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> tuple[int, list[list[int]]]:
     """The minimum upper-triangle bitmask over the leaves of the
-    individualisation-refinement search; ``nbrs[u]`` lists the neighbours
-    of u, in any order.
+    individualisation-refinement search, and the automorphisms it found;
+    ``nbrs[u]`` lists the neighbours of u, in any order.
 
     Two leaves with the same mask relabel the graph identically, so they
-    give an automorphism.  A branch vertex that an automorphism fixing the
+    give an automorphism a, taking each u to ``a[u]``.  A branch vertex that an automorphism fixing the
     node's path maps onto an already tried sibling roots a subtree with the
     same leaf masks, so it is skipped, and a new automorphism abandons the
     subtree of the shallowest branch it makes redundant in this way.
@@ -121,7 +124,7 @@ def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> int:
     def dfs(colors: list[int]) -> int:
         # Returns the depth at which the search resumes.
         depth = len(path)
-        if len(set(colors)) == n:
+        if max(colors) == n - 1:
             mask = leaf_mask(colors)
             if not leaves:
                 leaves[:] = [(mask, colors)] * 2
@@ -136,10 +139,7 @@ def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> int:
             if mask < leaves[1][0]:
                 leaves[1] = (mask, colors)
             return depth
-        counts = [0] * n
-        for c in colors:
-            counts[c] += 1
-        target = next(c for c, k in enumerate(counts) if k > 1)
+        target = next(c for c in range(n) if colors.count(c) > 1)
         tried.append([])
         for v in range(n):
             if colors[v] != target or any(_twins(adj, u, v) for u in tried[depth]):
@@ -160,7 +160,7 @@ def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> int:
         return back
 
     dfs(_refine(n, nbrs, [a.bit_count() for a in adj]))
-    return leaves[1][0]
+    return leaves[1][0], autos
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +242,27 @@ def generate_trees(n: int) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 # Connected graphs on up to 8 vertices.
 
+def _orbit_minima(m: int, adj: tuple[int, ...], nbrs: list[list[int]]) -> Iterator[int]:
+    """The nonempty neighbourhoods (masks over range(m)) that are the least
+    of their orbit under the connected-graph group of the module docstring."""
+    gens = _canonical_mask(m, adj, nbrs)[1] + [
+        [v if w == u else u if w == v else w for w in range(m)]
+        for v, lower in enumerate(_lower_twins(adj)) for u in _bits(lower)]
+    images = [[0] for _ in gens]  # image[S] = a(S), doubled one vertex at a time
+    for a, image in zip(gens, images):
+        for u in range(m):
+            image += [s | 1 << a[u] for s in image]
+    seen = bytearray(1 << m)
+    for nbhd in range(1, 1 << m):
+        if not seen[nbhd]:
+            orbit = [nbhd]
+            for s in orbit:
+                for t in [image[s] for image in images if not seen[image[s]]]:
+                    seen[t] = 1
+                    orbit.append(t)
+            yield nbhd
+
+
 @lru_cache(maxsize=None)
 def _connected_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
@@ -253,15 +274,12 @@ def _connected_level(n: int) -> tuple[Graph, ...]:
     for small in _connected_level(m):
         adj = small.adj
         nbrs = [small.neighbors(u) for u in range(m)]
-        twins = [(1 << v, lower) for v, lower in enumerate(_lower_twins(adj)) if lower]
-        for nbhd in range(1, new):
-            if any(nbhd & vbit and lower & ~nbhd for vbit, lower in twins):
-                continue
+        for nbhd in _orbit_minima(m, adj, nbrs):
             rows = [row | new if (nbhd >> u) & 1 else row for u, row in enumerate(adj)]
             rows.append(nbhd)
             cand = [nb + [m] if (nbhd >> u) & 1 else nb for u, nb in enumerate(nbrs)]
             cand.append(new_nbrs[nbhd])
-            key = _canonical_mask(n, rows, cand)
+            key = _canonical_mask(n, rows, cand)[0]
             if key not in found:
                 found[key] = Graph(n, tuple(rows))
     return tuple(found[k] for k in sorted(found))

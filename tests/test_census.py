@@ -3,6 +3,7 @@ from functools import partial
 
 import pytest
 
+from graphinv import census
 from graphinv.census import (
     MODES,
     CensusEntry,
@@ -210,12 +211,18 @@ def _census_from_buckets(counts, kinds, modes):
         for kind in MatrixKind for mode in MODES if kind in kinds and mode in modes))
 
 
-def test_filtered_census_matches_bucket_counts():
+def test_filtered_census_matches_bucket_counts(monkeypatch):
     # run_census computes a moment key only for graphs whose K1 collides,
     # and a charpoly only where the moment key collides too; its report
     # must equal the one from every graph's charpoly.  Spectral-only runs
     # have no |det M| and skip K1; in (AtrPlus, Q) neither twin's partner is
     # requested, so bipartite graphs build both kinds themselves.
+    calls = {build: 0, distance_profile: 0}
+    for fn in calls:
+        def counted(*args, fn=fn):
+            calls[fn] += 1
+            return fn(*args)
+        monkeypatch.setattr(census, fn.__name__, counted)
     corpora = [list(generate_connected_graphs(n)) for n in range(1, 8)]
     corpora += [list(generate_trees(n)) for n in range(2, 13)]
     twins = (MatrixKind.AtrPlus, MatrixKind.Q)
@@ -223,7 +230,13 @@ def test_filtered_census_matches_bucket_counts():
         counts = bucket_counts(graphs, ALL_KINDS)
         for kinds, modes in ((ALL_KINDS, MODES), (ALL_KINDS, ("spectral",)), (twins, MODES)):
             expected = _census_from_buckets(counts, kinds, modes)
+            calls.update(dict.fromkeys(calls, 0))
             assert run_census(graphs, kinds, modes) == expected
+            if graphs is corpora[6] and modes == MODES and kinds == ALL_KINDS:
+                # Serially, a held first graph's moment-level rebuild also
+                # computes its charpoly where its moment key is held: 9632
+                # builds and 1455 distance profiles without that.
+                assert list(calls.values()) == [9480, 1421]
 
 
 def test_census_parallel_matches_serial():

@@ -1,7 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
 
+from graphinv import generators
 from graphinv.generators import (
     canonical_key,
     generate_connected_graphs,
@@ -150,3 +152,64 @@ def test_canonical_key_on_strongly_regular_families():
                 assert canonical_key(permuted(g, perm)) == key
     for g in rook_and_shrikhande_graphs():
         assert canonical_key(g) == canonical_key_reference(g)
+
+
+def _full_group_minima(g):
+    """By brute force over every relabelling: the nonempty neighbourhoods of
+    g that are the least of their orbit under its whole automorphism group."""
+    autos = [p for p in permutations(range(g.n)) if permuted(g, p) == g]
+    return [s for s in range(1, 1 << g.n)
+            if all(s <= sum(1 << p[u] for u in range(g.n) if s >> u & 1) for p in autos)]
+
+
+def _regenerated(monkeypatch, n):
+    """Level n built again from the cached levels below it, and per parent
+    the neighbourhoods of the candidates searched after its own search."""
+    visited = []
+    search = generators._canonical_mask
+
+    def counted(k, adj, nbrs):
+        if k == n - 1:
+            visited.append([])
+        else:
+            visited[-1].append(adj[-1])
+        return search(k, adj, nbrs)
+
+    monkeypatch.setattr(generators, "_canonical_mask", counted)
+    level = generators._connected_level.__wrapped__(n)
+    monkeypatch.undo()
+    return level, visited
+
+
+def test_orbit_rule_visits_full_group_orbit_minima(monkeypatch):
+    # Each parent is searched once for its automorphisms; on every parent
+    # with n <= 5 they and its twin swaps generate its whole group.
+    for n in range(2, 7):
+        level, visited = _regenerated(monkeypatch, n)
+        assert level == tuple(generate_connected_graphs(n))
+        assert visited == [_full_group_minima(g) for g in generate_connected_graphs(n - 1)]
+
+
+def test_orbit_rule_candidate_searches_at_seven(monkeypatch):
+    # 4818 candidates under the twin rule alone; 3771 is the count under
+    # each parent's whole automorphism group, found by brute force.
+    level, visited = _regenerated(monkeypatch, 7)
+    assert len(level) == 853
+    assert len(visited) == 112
+    assert sum(map(len, visited)) == 3771
+
+
+def test_search_automorphisms_map_adjacency_onto_itself():
+    graphs = [g for n in range(1, 8) for g in generate_connected_graphs(n)]
+    graphs += triangular_and_chang_graphs() + rook_and_shrikhande_graphs()
+    assert len(graphs) == 996 + 6
+    found = []
+    for g in graphs:
+        _, autos = generators._canonical_mask(g.n, g.adj, [g.neighbors(u) for u in range(g.n)])
+        for a in autos:
+            assert sorted(a) == list(range(g.n))
+            assert permuted(g, a) == g
+        found.append(len(autos))
+    # refinement cannot split a strongly regular graph: its search must
+    # find automorphisms to stay cheap
+    assert sum(found[:996]) > 0 and all(found[996:])
