@@ -77,16 +77,28 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     return g.n, _canonical_mask(g.n, g.adj, [g.neighbors(u) for u in range(g.n)])[0]
 
 
+def _orbit(x: int, maps: list[list[int]], seen: bytearray) -> None:
+    """Mark in ``seen`` the orbit of x under the group generated by ``maps``
+    (``a[y]`` is the image of y), short of the members already marked."""
+    orbit = [x]
+    for y in orbit:
+        for z in [a[y] for a in maps if not seen[a[y]]]:
+            seen[z] = 1
+            orbit.append(z)
+
+
 def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> tuple[int, list[list[int]]]:
     """The minimum upper-triangle bitmask over the leaves of the
     individualisation-refinement search, and the automorphisms it found;
     ``nbrs[u]`` lists the neighbours of u, in any order.
 
     Two leaves with the same mask relabel the graph identically, so they
-    give an automorphism a, taking each u to ``a[u]``.  A branch vertex that an automorphism fixing the
-    node's path maps onto an already tried sibling roots a subtree with the
-    same leaf masks, so it is skipped, and a new automorphism abandons the
-    subtree of the shallowest branch it makes redundant in this way.
+    give an automorphism a, taking each u to ``a[u]``.  A branch vertex
+    that an automorphism fixing the node's path maps onto an already tried
+    sibling roots a subtree with the same leaf masks, so it is skipped, and
+    a new automorphism abandons the subtree of the shallowest branch it
+    makes redundant in this way.  A node's colouring is equitable, so
+    individualising v first splits each class into v, its neighbours, the rest.
     """
     # Bit offset of row i's entries (i, i+1..n-1) in the upper triangle.
     offsets = [i * (2 * n - i - 1) // 2 for i in range(n)]
@@ -109,22 +121,15 @@ def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> tuple[
     def redundant(depth: int, v: int) -> bool:
         # Whether the automorphisms fixing path[:depth] map v onto another
         # vertex tried at that depth.
-        fixed = path[:depth]
-        gens = [a for a in autos if all(a[u] == u for u in fixed)]
-        orbit = {v}
-        stack = [v]
-        while stack and gens:
-            x = stack.pop()
-            for a in gens:
-                if a[x] not in orbit:
-                    orbit.add(a[x])
-                    stack.append(a[x])
-        return any(u in orbit for u in tried[depth] if u != v)
+        fixed, seen = path[:depth], bytearray(n)
+        _orbit(v, [a for a in autos if all(a[u] == u for u in fixed)], seen)
+        return any(seen[u] for u in tried[depth] if u != v)
 
     def dfs(colors: list[int]) -> int:
         # Returns the depth at which the search resumes.
         depth = len(path)
-        if max(colors) == n - 1:
+        top = max(colors)
+        if top == n - 1:
             mask = leaf_mask(colors)
             if not leaves:
                 leaves[:] = [(mask, colors)] * 2
@@ -141,16 +146,17 @@ def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> tuple[
             return depth
         target = next(c for c in range(n) if colors.count(c) > 1)
         tried.append([])
-        for v in range(n):
-            if colors[v] != target or any(_twins(adj, u, v) for u in tried[depth]):
-                continue
-            if autos and redundant(depth, v):
+        for v in [v for v, c in enumerate(colors) if c == target]:
+            if any(_twins(adj, u, v) for u in tried[depth]) or autos and redundant(depth, v):
                 continue
             tried[depth].append(v)
             path.append(v)
-            branched = [2 * c for c in colors]
-            branched[v] -= 1
-            back = dfs(_refine(n, nbrs, branched))
+            row = adj[v]
+            split = [3 * c + 2 - (row >> x & 1) for x, c in enumerate(colors)]
+            split[v] -= 2
+            rank = {k: i for i, k in enumerate(sorted(set(split)))}
+            split = [rank[k] for k in split]
+            back = dfs(split if len(rank) in (top + 2, n) else _refine(n, nbrs, split))
             path.pop()
             if back < depth:
                 break
@@ -243,8 +249,7 @@ def generate_trees(n: int) -> Iterator[Graph]:
 # Connected graphs on up to 8 vertices.
 
 def _orbit_minima(m: int, adj: tuple[int, ...], nbrs: list[list[int]]) -> Iterator[int]:
-    """The nonempty neighbourhoods (masks over range(m)) that are the least
-    of their orbit under the connected-graph group of the module docstring."""
+    """Nonempty neighbourhoods least in their orbit under the orbit rule's group."""
     gens = _canonical_mask(m, adj, nbrs)[1] + [
         [v if w == u else u if w == v else w for w in range(m)]
         for v, lower in enumerate(_lower_twins(adj)) for u in _bits(lower)]
@@ -255,11 +260,7 @@ def _orbit_minima(m: int, adj: tuple[int, ...], nbrs: list[list[int]]) -> Iterat
     seen = bytearray(1 << m)
     for nbhd in range(1, 1 << m):
         if not seen[nbhd]:
-            orbit = [nbhd]
-            for s in orbit:
-                for t in [image[s] for image in images if not seen[image[s]]]:
-                    seen[t] = 1
-                    orbit.append(t)
+            _orbit(nbhd, images, seen)
             yield nbhd
 
 
