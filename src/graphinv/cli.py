@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager, nullcontext
-from typing import Callable, Iterable
+from contextlib import nullcontext
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import verify
 from .census import MODES, report_tsv, run_census, tree_census
@@ -33,6 +33,8 @@ from .spectra import eigenvalues_symmetric
 
 # Every kind but the diagonal R, which only the API exposes.
 CLI_KINDS = tuple(k.value for k in MatrixKind if k is not MatrixKind.R)
+
+T = TypeVar("T")
 
 
 def _parse_names(spec: str, allowed: tuple[str, ...], what: str,
@@ -48,72 +50,62 @@ def _parse_names(spec: str, allowed: tuple[str, ...], what: str,
     return names
 
 
-def _read_graphs(path: str) -> list[tuple[int, Graph]]:
-    """Parse a graph6 file ('-' for stdin) into (line number, graph)
-    pairs; a malformed record raises ValueError naming it as ``path:line``."""
+def _records(path: str, fn: Callable[[int, Graph], T]) -> Iterator[T]:
+    """Yield ``fn(line, g)`` for each record of a graph6 file ('-' for
+    stdin) as it is read; a ValueError from parsing or from ``fn`` is
+    raised again naming the record as ``path:line``."""
     if path == "-":
         source = nullcontext(sys.stdin)
     else:
         # surrogateescape lets a non-ASCII byte reach parse_graph6, which
         # rejects it at its offset within the record.
         source = open(path, "r", encoding="ascii", errors="surrogateescape")
-    records = []
     with source as fh:
         for lineno, line in enumerate(fh, 1):
-            with _naming(path, lineno):
-                records.extend((lineno, g) for g in iter_graph6((line,)))
-    return records
+            try:
+                values = [fn(lineno, g) for g in iter_graph6((line,))]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield from values
 
 
-@contextmanager
-def _naming(path: str, lineno: int):
-    """Re-raise a ValueError from the block with ``path:line:`` in front."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+def _census_input(path: str, n: int | None) -> Iterator[Graph]:
+    """The graphs of a census input file, each yielded once it meets the
+    census contract: one vertex count (``n`` if given), connected, and no
+    record repeated exactly or up to isomorphism.  The first fault in file
+    order raises, and so does a file with no record, at its end."""
+    seen: dict[tuple[int, int], tuple[int, Graph]] = {}
 
+    def check(lineno: int, g: Graph) -> Graph:
+        nonlocal n
+        n = n or g.n
+        if g.n != n:
+            raise ValueError(f"graph on {g.n} vertices, expected {n}")
+        if not g.is_connected():
+            raise ValueError("graph not connected")
+        first, earlier = seen.setdefault(canonical_key(g), (lineno, g))
+        if first != lineno:
+            raise ValueError(f"{'duplicate of' if g == earlier else 'isomorphic to'} line {first}")
+        return g
 
-def _census_input(path: str, n: int | None) -> list[Graph]:
-    """The graphs of a census input file, each checked against the census
-    contract: at least one record, one vertex count (``n`` if given),
-    connected, and no record repeated exactly or up to isomorphism."""
-    graphs = []
-    first_line: dict[Graph, int] = {}
-    iso_line: dict[tuple[int, int], int] = {}
-    for lineno, g in _read_graphs(path):
-        with _naming(path, lineno):
-            n = n or g.n
-            if g.n != n:
-                raise ValueError(f"graph on {g.n} vertices, expected {n}")
-            if not g.is_connected():
-                raise ValueError("graph not connected")
-            first = first_line.setdefault(g, lineno)
-            if first != lineno:
-                raise ValueError(f"duplicate of line {first}")
-            first = iso_line.setdefault(canonical_key(g), lineno)
-            if first != lineno:
-                raise ValueError(f"isomorphic to line {first}")
-        graphs.append(g)
-    if not graphs:
+    yield from _records(path, check)
+    if not seen:
         raise ValueError(f"{path}: no graph6 records")
-    return graphs
 
 
 def _print_per_record(path: str, line_of: Callable[[Graph], str]) -> None:
     """Print ``line_of(g)`` for each record of ``path``, only once every
-    record has succeeded, so a failure leaves no partial output; its
-    ValueError names the record as ``path:line``."""
-    lines = []
-    for lineno, g in _read_graphs(path):
-        with _naming(path, lineno):
-            lines.append(line_of(g) + "\n")
-    sys.stdout.write("".join(lines))
+    record has succeeded, so a failure leaves no partial output."""
+    sys.stdout.write("".join(_records(path, lambda _, g: line_of(g) + "\n")))
 
 
-def _require_jobs(args, parser) -> None:
+def _census_options(args, parser) -> tuple[list[MatrixKind], list[str]]:
+    """The kinds and modes of a census command, once ``--jobs``,
+    ``--matrices`` and ``--modes`` pass their usage checks."""
     if args.jobs < 1:
         parser.error(f"--jobs needs N >= 1, got {args.jobs}")
+    kinds = [MatrixKind[k] for k in _parse_names(args.matrices, CLI_KINDS, "matrix kind", parser)]
+    return kinds, _parse_names(args.modes, MODES, "mode", parser)
 
 
 def _cmd_gen(args, parser) -> int:
@@ -125,9 +117,9 @@ def _cmd_gen(args, parser) -> int:
 
 
 def _cmd_census(args, parser) -> int:
-    _require_jobs(args, parser)
-    kinds = [MatrixKind[k] for k in _parse_names(args.matrices, CLI_KINDS, "matrix kind", parser)]
-    modes = _parse_names(args.modes, MODES, "mode", parser)
+    kinds, modes = _census_options(args, parser)
+    if args.n is not None and args.n < 1:
+        parser.error(f"--n needs N >= 1, got {args.n}")
     if args.input:
         graphs = _census_input(args.input, args.n)
     elif args.n:
@@ -140,9 +132,7 @@ def _cmd_census(args, parser) -> int:
 
 
 def _cmd_trees(args, parser) -> int:
-    _require_jobs(args, parser)
-    kinds = [MatrixKind[k] for k in _parse_names(args.matrices, CLI_KINDS, "matrix kind", parser)]
-    modes = _parse_names(args.modes, MODES, "mode", parser)
+    kinds, modes = _census_options(args, parser)
     report = tree_census(args.n, kinds, modes, jobs=args.jobs)
     sys.stdout.write(report_tsv(report))
     return 0

@@ -125,10 +125,18 @@ def _g6_file(tmp_path, *records):
 def test_census_input_names_disconnected_record(tmp_path, capsys):
     # the error once named no record: "error: graph not connected"
     path = _g6_file(tmp_path, "Bg", "B?")
-    assert main(["census", "--input", path, "--matrices", "A", "--jobs", "1"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {path}:2: graph not connected\n"
+    for jobs in ("1", "2"):
+        assert main(["census", "--input", path, "--matrices", "A", "--jobs", jobs]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}:2: graph not connected\n")
+
+
+def test_census_input_reports_first_fault_in_file_order(tmp_path, capsys):
+    # the whole file was once parsed before any record was checked, so the
+    # parse error on line 3 was named ahead of the disconnected line 2
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"Bg\nB?\nB\xc3\n")
+    assert main(["census", "--input", str(path), "--matrices", "A", "--jobs", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}:2: graph not connected\n")
 
 
 def test_census_input_rejects_duplicate_record(tmp_path, capsys):
@@ -145,11 +153,10 @@ def test_census_input_rejects_isomorphic_record(tmp_path, capsys):
     # P4 and P4 with vertices 0 and 1 swapped once counted as mates:
     # mate_count 2, total 2, exit 0
     path = _g6_file(tmp_path, "Ch", "C~", "Cp")
-    assert main(["census", "--input", path, "--matrices", "A",
-                 "--modes", "spectral", "--jobs", "1"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {path}:3: isomorphic to line 1\n"
+    for jobs in ("1", "2"):
+        assert main(["census", "--input", path, "--matrices", "A",
+                     "--modes", "spectral", "--jobs", jobs]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}:3: isomorphic to line 1\n")
 
 
 def test_census_input_accepts_every_connected_graph(tmp_path, capsys):
@@ -183,8 +190,9 @@ def test_census_input_names_empty_file(tmp_path, capsys):
     # the error once named no file: "error: census stream is empty"
     for records in ((), (">>graph6<<",)):
         path = _g6_file(tmp_path, *records)
-        assert main(["census", "--input", path, "--matrices", "A", "--jobs", "1"]) == 1
-        assert capsys.readouterr() == ("", f"error: {path}: no graph6 records\n")
+        for jobs in ("1", "2"):
+            assert main(["census", "--input", path, "--matrices", "A", "--jobs", jobs]) == 1
+            assert capsys.readouterr() == ("", f"error: {path}: no graph6 records\n")
         for argv in (["snf", "--matrix", "A"], ["spectrum", "--matrix", "A"], ["sandpile"]):
             assert main([*argv, "--input", path]) == 0
             assert capsys.readouterr() == ("", "")
@@ -259,7 +267,7 @@ def test_verify_rejects_n_max_before_any_work(monkeypatch, capsys):
         verify.sandpile(2)
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(cricket_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-subcommand"])
     assert exc.value.code == 2
@@ -272,6 +280,17 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # with --input, --n 0 was once ignored (exit 0) and --n -2 failed on
+    # every record (exit 1); without it, --n 0 asked for --n
+    for argv, n in ((["--input", cricket_file], "0"), (["--input", cricket_file], "-2"),
+                    ([], "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", *argv, "--n", n, "--matrices", "A", "--jobs", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--n needs N >= 1, got {n}" in err
 
 
 def test_jobs_below_one_exit_2(capsys):
