@@ -12,49 +12,43 @@ the graphs that have at least one mate.  Isomorphism dedup is the
 generator's or ingester's contract, never re-tested here.
 
 ``run_census`` computes a characteristic polynomial only where it can
-matter, behind a chain of two cheaper exact keys of each matrix M:
+matter, behind a chain of cheaper exact keys of each matrix M.  Serial and
+parallel runs share the chain; they differ only in whether graphs are
+mapped in this process or on workers.
 
-- K1 is ``(trace M, Σ M_ij², |det M|)``, read in O(n²).  |det M| comes
-  from the Smith form that the same kind's invariant slot computes anyway
-  (the product of the factors, or 0 when a factor is zero).  A census
-  without that slot skips K1 (a constant stands in for it):
-  ``(trace M, Σ M_ij²)`` alone leaves 6880 of the 7677 keyed matrices of
-  the connected graphs at n = 7 colliding, and costs more than the moment
-  keys it saves.
-- The moment key ``(t1, t2, t3, t4)`` with ``t_k = trace(M^k)``, all four
-  read off one ``M²`` in O(n³), is computed only for graphs whose K1
-  another graph shares.
-- The charpoly is computed only for graphs whose (K1, moment key) another
-  graph shares too.
+- K1 is ``(trace M, Σ M_ij², |det M|)``, read in O(n²) during the stream.
+  |det M| comes from the Smith form that the same kind's invariant slot
+  computes anyway (the product of the factors, or 0 when a factor is
+  zero).  A census without that slot skips K1.
+- The second key is ``det(M − (4n+1)·I)``, by Bareiss elimination in
+  O(n³).  It is taken for the graphs whose K1 another graph shares, or
+  during the stream where K1 is skipped.
+- The charpoly is taken for the graphs whose second key another graph
+  shares.
 
-For a symmetric M, ``t1 = -c1``, ``Σ M_ij² = t2 = c1² - 2·c2`` and
-``|det M| = |c_n|``, and by Newton's identities the moment key is a
-polynomial in ``c1..c4``; so cospectral matrices share both keys, and a
-graph alone at some level of the chain has no cospectral mate.  The tables
-hold the keys' hashes, which are just as much functions of the charpoly:
-a hash collision only costs work.  The hashed tuples hold ints only: the
-hash of None, str or bytes can differ between processes, and workers hash
-keys that the parent compares.
+For a symmetric M with ``p(x) = det(xI − M) = x^n + c1·x^(n-1) + ... +
+cn``: ``trace M = -c1``, ``Σ M_ij² = trace M² = c1² - 2·c2``,
+``|det M| = |cn|`` and ``det(M − x0·I) = (−1)^n·p(x0)``.  So each key is
+a function of the charpoly, cospectral matrices share it, and a graph
+whose key no other graph at its level shares has no cospectral mate:
+dropping it keeps the report exact.  ``p(x0)`` determines p once x0 is
+large enough (Kronecker substitution), and x0 = 4n+1 already leaves just
+the graphs with a true spectral mate, for all ten kinds over the
+connected graphs with n <= 8.  K1 stays in front because it is cheaper
+and, for the four new kinds, no two trees with n <= 14 share it.
 
-Each level holds the first graph of each key; once a second graph brings
-the same key, both need the next level, so the report stays exact and the
-stream is read once.  Serially, a graph whose key is already in the table
-computes the next level from the matrix in hand, and so does a held first
-graph built again after the stream; it is built a third time only if its
-moment key is held after it.  Workers cannot read the tables, so they send
-K1 alone (with the moment key where K1 is skipped), and every graph whose
-key collides is built again after the stream, on the same workers: first
-for its moment key, then, where that collides too, for its charpoly.
-``bucket_counts`` still fingerprints every graph in full.
-
-The adjacency matrix skips the chain.  Its moment key is only (0,
-2·edges, 6·triangles, closed 4-walks), shared by 64 % of the connected
-graphs at n = 7 and 93 % at n = 8, where computing it costs more than the
-charpolys it saves.
+Each level counts the keys of the graphs still in the chain, then builds
+again only the graphs whose key is shared, to take the next key.  K1
+enters the count as its hash, which is just as much a function of the
+charpoly: a hash collision only costs work.  It hashes ints only, since
+the hash of None, str or bytes can differ between processes, and workers
+hash keys that the parent compares.  ``bucket_counts`` still fingerprints
+every graph in full.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,8 +58,8 @@ from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .exact import SnfResult, charpoly, snf
-from .generators import generate_connected_graphs, generate_trees
+from .exact import SnfResult, charpoly, determinant, snf
+from .generators import TREE_MAX_VERTICES, generate_connected_graphs, generate_trees
 from .graphs import DistanceProfile, Graph, complete_graph, distance_profile
 from .matrices import IntMatrix, MatrixKind, build
 
@@ -84,8 +78,12 @@ def _encode_ints(values: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def _charpoly_payload(m: IntMatrix) -> bytes:
-    return _encode_ints(charpoly(m).coeffs)
+def _coeffs(m: IntMatrix) -> tuple[int, ...]:
+    return charpoly(m).coeffs
+
+
+def _charpoly_payload(m: IntMatrix, invariants: SnfResult | None) -> bytes:
+    return _encode_ints(_coeffs(m))
 
 
 def _first_key(m: IntMatrix, invariants: SnfResult) -> tuple[int, int, int]:
@@ -96,57 +94,27 @@ def _first_key(m: IntMatrix, invariants: SnfResult) -> tuple[int, int, int]:
     return sum(flat[::len(m) + 1]), sum(map(mul, flat, flat)), det
 
 
-def _moment_key(m: IntMatrix) -> tuple[int, int, int, int]:
-    """``(trace M^k for k = 1..4)`` of a symmetric matrix.
-
-    With ``S = M²``, symmetric too: ``t2 = trace S``, ``t3 = Σ S_ij M_ij``
-    and ``t4 = Σ S_ij²``, so only the upper triangle of S is formed and each
-    off-diagonal term is counted twice.
-    """
-    t1 = t2 = t3 = t4 = 0
-    for i, row in enumerate(m):
-        s = [sum(map(mul, row, other)) for other in m[i:]]
-        d = s[0]
-        t1 += row[i]
-        t2 += d
-        t3 += 2 * sum(map(mul, s, row[i:])) - d * row[i]
-        t4 += 2 * sum(map(mul, s, s)) - d * d
-    return t1, t2, t3, t4
+def _shifted_det(m: IntMatrix) -> int:
+    """``det(M − (4n+1)·I)``, the chain's second key (module docstring)."""
+    x0 = 4 * len(m) + 1
+    return determinant([[v - x0 if i == j else v for j, v in enumerate(row)]
+                        for i, row in enumerate(m)])
 
 
-def _moment_keys(key: int, held: dict, m: IntMatrix) -> tuple:
-    """The chain's keys of M past its K1 hash ``key``: the hash of ``key``
-    with the moment key's hash, then the charpoly payload if ``held``, the
-    slot's table at that level, already holds the hash."""
-    h = hash((key, hash(_moment_key(m))))
-    return (h, _charpoly_payload(m)) if h in held else (h,)
+def _stream_key(m: IntMatrix, invariants: SnfResult | None) -> int:
+    """The first key of the chain that M can take: K1's hash, or the
+    second key where there is no Smith form to read |det M| from."""
+    return _shifted_det(m) if invariants is None else hash(_first_key(m, invariants))
 
 
-def _matrix_values(modes: tuple[str, ...], keyed: bool, hint: tuple[dict, dict] | None,
-                   m: IntMatrix) -> tuple:
-    """One built matrix's census values, one per mode.
-
-    The invariant value is the SNF payload, and an unkeyed spectral value
-    the charpoly payload.  A keyed spectral value is the tuple of the
-    chain's keys (module docstring) as far as ``hint``, the serial census's
-    tables for this slot, already holds them: K1's hash, then the hash of
-    that with the moment key's hash, then the charpoly payload.  Without a
-    hint it is K1's hash alone.  The Smith form is computed once and serves
-    both the invariant payload and K1's |det M|.  Without the invariant mode
-    K1 is the constant 0, so every matrix takes its moment key at once.
-    """
+def _matrix_values(spectral: Callable[[IntMatrix, SnfResult | None], object],
+                   modes: tuple[str, ...], m: IntMatrix) -> tuple:
+    """One built matrix's census values, one per mode: the SNF payload, or
+    ``spectral(m, its Smith form or None)``.  The Smith form is computed
+    once and serves both the invariant payload and K1's |det M|."""
     invariants = snf(m) if "invariant" in modes else None
-    out = []
-    for mode in modes:
-        if mode == "invariant":
-            out.append(_encode_ints(invariants.factors + (invariants.zeros,)))
-        elif not keyed:
-            out.append(_charpoly_payload(m))
-        else:
-            h = 0 if invariants is None else hash(_first_key(m, invariants))
-            more = invariants is None or hint is not None and h in hint[0]
-            out.append((h,) + _moment_keys(h, hint[1] if hint else {}, m) if more else (h,))
-    return tuple(out)
+    return tuple(_encode_ints(invariants.factors + (invariants.zeros,)) if mode == "invariant"
+                 else spectral(m, invariants) for mode in modes)
 
 
 @dataclass(frozen=True)
@@ -161,7 +129,7 @@ def fingerprint(g: Graph, kind: MatrixKind, mode: str) -> Fingerprint:
     (matrix kind, mode) pair."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    [(payload,)] = _values(g, (kind,), None, (partial(_matrix_values, (mode,), False, None),))
+    _, [(payload,)] = _values(partial(_matrix_values, _charpoly_payload, (mode,)), (g, (kind,)))
     return Fingerprint(kind, mode, payload)
 
 
@@ -217,29 +185,27 @@ def _bipartite_steps(kinds: tuple[MatrixKind, ...]) -> tuple | None:
     return steps if any(isinstance(step, int) for step in steps) else None
 
 
-def _values(g: Graph, kinds: tuple[MatrixKind, ...], shared: tuple | None,
-            fns: tuple[Callable[[IntMatrix], object], ...]) -> list:
-    """``fn(build(g, kind))`` for each requested kind and its entry of ``fns``.
-
-    ``shared`` is ``_bipartite_steps(kinds)``: on a bipartite graph a kind
-    in ``BIPARTITE_TWINS`` takes the value of its requested twin.
-    """
+def _values(fn: Callable[[IntMatrix], object], item: tuple[Graph, tuple[MatrixKind, ...]]
+            ) -> tuple[Graph, list]:
+    """``(g, [fn(build(g, kind)) for kind in kinds])`` for ``item = (g,
+    kinds)``; on a bipartite graph a kind in ``BIPARTITE_TWINS`` takes the
+    value of its requested twin."""
+    g, kinds = item
     profile = distance_profile(g)  # also rejects disconnected input
+    shared = _bipartite_steps(kinds)
     steps = shared if shared and _is_bipartite(g, profile) else kinds
     out: list = []
-    for step, fn in zip(steps, fns):
+    for step in steps:
         out.append(out[step] if isinstance(step, int) else fn(build(g, step, profile)))
-    return out
+    return g, out
 
 
-def _rows(job, g: Graph) -> tuple[Graph, list]:
-    return g, _values(g, *job)
-
-
-def _rebuilt(item: tuple[Graph, tuple[MatrixKind, ...], tuple[Callable, ...]]) -> list:
-    """Each kind's entry of ``fns`` of its matrix of g, built again."""
-    g, kinds, fns = item
-    return _values(g, kinds, _bipartite_steps(kinds), fns)
+def _mapped(pool: WorkerPool | None, fn: Callable[[IntMatrix], object],
+            items: Iterable[tuple[Graph, tuple[MatrixKind, ...]]]) -> Iterator[tuple[Graph, list]]:
+    """``_values(fn, item)`` per item, computed here or, in any order, on
+    the pool's workers."""
+    task = partial(_values, fn)
+    return map(task, items) if pool is None else pool.imap_unordered(task, items, chunksize=16)
 
 
 def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
@@ -264,27 +230,20 @@ def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
 def _fingerprint_stream(
     graphs: Iterable[Graph],
     kinds: Sequence[MatrixKind],
-    fns: tuple[Callable[[IntMatrix], object], ...],
+    fn: Callable[[IntMatrix], object],
     pool: WorkerPool | None,
 ) -> Iterator[tuple[Graph, list]]:
-    """Yield ``(g, _values(g, kinds, ..., fns))`` per graph.  Raises on an
-    empty stream or mixed orders."""
+    """Yield ``_values(fn, (g, kinds))`` per graph.  Raises on an empty
+    stream or mixed orders."""
     kinds = tuple(kinds)
-    task = partial(_rows, (kinds, _bipartite_steps(kinds), fns))
-    rows = map(task, graphs) if pool is None else pool.imap_unordered(task, graphs, chunksize=64)
     n = 0
-    for g, values in rows:
-        if not n:
-            n = g.n
-        elif g.n != n:
+    for g, values in _mapped(pool, fn, ((h, kinds) for h in graphs)):
+        n = n or g.n
+        if g.n != n:
             raise ValueError("census stream mixes vertex counts")
         yield g, values
     if not n:
         raise ValueError("census stream is empty")
-
-
-def _count(table: dict, value) -> None:
-    table[value] = table.get(value, 0) + 1
 
 
 def bucket_counts(
@@ -302,24 +261,12 @@ def bucket_counts(
     tables: list[dict[bytes, int]] = [{} for _ in kinds for _ in modes]
     total = 0
     with _workers(kinds, modes, jobs) as pool:
-        fns = (partial(_matrix_values, tuple(modes), False, None),) * len(kinds)
-        for g, payloads in _fingerprint_stream(graphs, kinds, fns, pool):
+        fn = partial(_matrix_values, _charpoly_payload, tuple(modes))
+        for g, payloads in _fingerprint_stream(graphs, kinds, fn, pool):
             total += 1
             for table, payload in zip(tables, chain.from_iterable(payloads)):
-                _count(table, payload)
+                table[payload] = table.get(payload, 0) + 1
     return g.n, total, dict(zip(((kind, mode) for kind in kinds for mode in modes), tables))
-
-
-_NEW = object()
-
-_UNKEYED = frozenset({MatrixKind.A})
-"""Kinds whose spectral slot skips the key chain (module docstring).
-Neither kind of a ``BIPARTITE_TWINS`` pair may be here without the other,
-since a twin copies its partner's values."""
-
-_LEVELS = (_moment_keys, _charpoly_payload)
-"""What the chain computes for a held first graph whose key collides at K1
-(given that key and the next level's table), and at (K1, moment key)."""
 
 
 def run_census(
@@ -335,58 +282,41 @@ def run_census(
     """
     modes = tuple(modes)
     slots = [(kind, mode) for kind in kinds for mode in modes]
-    tables: list[dict[bytes, int]] = [{} for _ in slots]
-    # Keyed spectral slots, per level of the chain: key hash -> its first
-    # graph, or None once a second graph has brought the same key.
-    levels: list[tuple[dict, dict] | None] = [
-        ({}, {}) if mode == "spectral" and kind not in _UNKEYED else None for kind, mode in slots]
-    # Per level: graph -> [(slot, its key at the level)], for the graphs
-    # whose key there collides and that must be built again for the next.
-    wanted: tuple[dict[Graph, list], ...] = tuple({} for _ in _LEVELS)
-
-    def offer(i: int, g: Graph, keys: tuple, start: int) -> None:
-        """Enter g's keys for slot i from level ``start`` on; a key past the
-        last level is the charpoly payload."""
-        for level, key in enumerate(keys, start):
-            if level == len(_LEVELS):
-                _count(tables[i], key)
-                return
-            held = levels[i][level]
-            first = held.get(key, _NEW)
-            if first is _NEW and level - start == len(keys) - 1:
-                held[key] = g
-                return
-            held[key] = None
-            if isinstance(first, Graph):
-                wanted[level].setdefault(first, []).append((i, key))
-        wanted[level].setdefault(g, []).append((i, key))
-
-    total = 0
+    tallies = [Counter() for _ in slots]
+    seen: list[Graph] = []
+    # Per spectral slot: the graphs still in the chain and their keys at
+    # the current level, in the same order.
+    chains = {i: (seen, []) for i, (_, mode) in enumerate(slots) if mode == "spectral"}
+    levels = (_shifted_det, _coeffs) if "invariant" in modes else (_coeffs,)
     with _workers(kinds, modes, jobs) as pool:
-        spectral = modes.index("spectral") if "spectral" in modes else None
-        fns = tuple(partial(_matrix_values, modes, kind not in _UNKEYED,
-                            None if pool or spectral is None else levels[k * len(modes) + spectral])
-                    for k, kind in enumerate(kinds))
-        for g, values in _fingerprint_stream(graphs, kinds, fns, pool):
-            total += 1
+        stream = _fingerprint_stream(graphs, kinds, partial(_matrix_values, _stream_key, modes), pool)
+        for g, values in stream:
+            seen.append(g)
             for i, value in enumerate(chain.from_iterable(values)):
-                if levels[i] is None:
-                    _count(tables[i], value)
+                if i in chains:
+                    chains[i][1].append(value)
                 else:
-                    offer(i, g, value, 0)
-        for level, fn in enumerate(_LEVELS):
-            requests = wanted[level]
-            items = ((h, tuple(slots[i][0] for i, _ in where),
-                      tuple(fn if level else partial(fn, key, {} if pool else levels[i][1])
-                            for i, key in where)) for h, where in requests.items())
-            rows = map(_rebuilt, items) if pool is None else pool.imap(_rebuilt, items, chunksize=16)
-            for (h, where), values in zip(requests.items(), rows):
-                for (i, _), value in zip(where, values):
-                    offer(i, h, (value,) if level else value, level + 1)
-    mates = {slot: sum(c for c in table.values() if c >= 2) for slot, table in zip(slots, tables)}
-    entries = tuple(CensusEntry(kind, mode, mates[(kind, mode)], total)
+                    tallies[i][value] += 1
+        for fn in levels:
+            # graph -> the slots where another graph shares its key
+            wanted: dict[Graph, list[int]] = {}
+            for i, (held, keys) in chains.items():
+                counts = Counter(keys)
+                for h, key in zip(held, keys):
+                    if counts[key] > 1:
+                        wanted.setdefault(h, []).append(i)
+            chains = {i: ([], []) for i in chains}
+            items = ((h, tuple(slots[i][0] for i in where)) for h, where in wanted.items())
+            for h, values in _mapped(pool, fn, items):
+                for i, value in zip(wanted[h], values):
+                    chains[i][0].append(h)
+                    chains[i][1].append(value)
+    for i, (_, keys) in chains.items():
+        tallies[i].update(keys)
+    mates = {slot: sum(c for c in tally.values() if c >= 2) for slot, tally in zip(slots, tallies)}
+    entries = tuple(CensusEntry(kind, mode, mates[(kind, mode)], len(seen))
                     for kind in MatrixKind for mode in MODES if (kind, mode) in mates)
-    return CensusReport(g.n, total, entries)
+    return CensusReport(g.n, len(seen), entries)
 
 
 def tree_census(
@@ -396,8 +326,8 @@ def tree_census(
     jobs: int = 1,
 ) -> CensusReport:
     """Census over all free trees on n vertices (2 <= n <= 16)."""
-    if not 2 <= n <= 16:
-        raise ValueError("tree census supports 2 <= n <= 16")
+    if not 2 <= n <= TREE_MAX_VERTICES:
+        raise ValueError(f"tree census supports 2 <= n <= {TREE_MAX_VERTICES}")
     return run_census(generate_trees(n), kinds, modes, jobs)
 
 

@@ -20,12 +20,13 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from . import verify
 from .census import MODES, report_tsv, run_census, tree_census
 from .exact import charpoly, snf
-from .generators import canonical_key, generate_connected_graphs, generate_trees
+from .generators import (CONNECTED_MAX_VERTICES, TREE_MAX_VERTICES, canonical_key,
+                         generate_connected_graphs, generate_trees)
 from .graphs import Graph, iter_graph6, write_graph6
 from .matrices import MatrixKind, build
 from .sandpile import sandpile_group
@@ -108,10 +109,17 @@ def _census_options(args, parser) -> tuple[list[MatrixKind], list[str]]:
     return kinds, _parse_names(args.modes, MODES, "mode", parser)
 
 
+def _require_n(parser, n: int, low: int, high: int, what: str) -> None:
+    """Exit with a usage error unless ``low <= n <= high``."""
+    if not low <= n <= high:
+        parser.error(f"--n needs {low} <= N <= {high} for {what}, got {n}")
+
+
 def _cmd_gen(args, parser) -> int:
-    graphs: Iterable[Graph]
-    graphs = generate_trees(args.n) if args.trees else generate_connected_graphs(args.n)
-    for g in graphs:
+    what, high, generate = (("trees", TREE_MAX_VERTICES, generate_trees) if args.trees else
+                            ("connected graphs", CONNECTED_MAX_VERTICES, generate_connected_graphs))
+    _require_n(parser, args.n, 1, high, what)
+    for g in generate(args.n):
         print(write_graph6(g))
     return 0
 
@@ -123,6 +131,7 @@ def _cmd_census(args, parser) -> int:
     if args.input:
         graphs = _census_input(args.input, args.n)
     elif args.n:
+        _require_n(parser, args.n, 1, CONNECTED_MAX_VERTICES, "the built-in corpus")
         graphs = generate_connected_graphs(args.n)
     else:
         parser.error("census needs --n (built-in corpus) or --input FILE.g6")
@@ -133,6 +142,7 @@ def _cmd_census(args, parser) -> int:
 
 def _cmd_trees(args, parser) -> int:
     kinds, modes = _census_options(args, parser)
+    _require_n(parser, args.n, 2, TREE_MAX_VERTICES, "a tree census")
     report = tree_census(args.n, kinds, modes, jobs=args.jobs)
     sys.stdout.write(report_tsv(report))
     return 0

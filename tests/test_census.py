@@ -8,11 +8,11 @@ from graphinv.census import (
     MODES,
     CensusEntry,
     CensusReport,
-    _bipartite_steps,
+    _charpoly_payload,
     _first_key,
     _is_bipartite,
     _matrix_values,
-    _moment_key,
+    _shifted_det,
     _values,
     bucket_counts,
     completeness_check,
@@ -31,7 +31,7 @@ from graphinv.graphs import (
     path_graph,
 )
 from graphinv.exact import charpoly, snf
-from graphinv.matrices import MatrixKind, build, mat_mul, trace
+from graphinv.matrices import MatrixKind, build
 from oracles import permuted
 
 NEW_KINDS = (MatrixKind.Atr, MatrixKind.AtrPlus, MatrixKind.Ddeg, MatrixKind.DdegPlus)
@@ -154,8 +154,7 @@ def test_is_bipartite_from_distance_parity():
 def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     # AtrPlus and Q are fingerprinted as Atr and L on bipartite graphs;
     # every payload must equal the one computed from the kind's own matrix
-    payloads = partial(_matrix_values, MODES, False, None)
-    shared = _bipartite_steps(ALL_KINDS)
+    payloads = partial(_matrix_values, _charpoly_payload, MODES)
     # the bipartite graphs with n <= 8 include the trees with n <= 8
     graphs = [g for n in range(1, 9) for g in generate_connected_graphs(n)
               if _is_bipartite(g, distance_profile(g))]
@@ -165,21 +164,10 @@ def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     for g in graphs:
         profile = distance_profile(g)
         direct = [payloads(build(g, kind, profile)) for kind in ALL_KINDS]
-        assert _values(g, ALL_KINDS, shared, (payloads,) * len(ALL_KINDS)) == direct
+        assert _values(payloads, (g, ALL_KINDS)) == (g, direct)
 
 
-def _power_sums(coeffs, k_max):
-    """p_1..p_k_max of the roots of c_0 x^n + c_1 x^(n-1) + ... + c_n with
-    c_0 = 1, by Newton's identities p_k = -k c_k - sum_{0<i<k} c_i p_(k-i),
-    taking c_k = 0 past n."""
-    c = list(coeffs) + [0] * k_max
-    p = [0]
-    for k in range(1, k_max + 1):
-        p.append(-k * c[k] - sum(c[i] * p[k - i] for i in range(1, k)))
-    return tuple(p[1:])
-
-
-def test_moment_key_is_a_function_of_the_charpoly():
+def test_shifted_det_is_a_function_of_the_charpoly():
     rng = random.Random(11)
     matrices = [build(g, kind) for n in range(1, 7) for g in generate_connected_graphs(n)
                 for kind in ALL_KINDS]
@@ -196,12 +184,11 @@ def test_moment_key_is_a_function_of_the_charpoly():
         # K1: trace M = -c1, Σ M_ij² = trace M² = c1² - 2 c2 and |det M| = |c_n|
         c1, c2 = (list(coeffs[1:]) + [0])[:2]
         assert _first_key(m, snf(m)) == (-c1, c1 * c1 - 2 * c2, abs(coeffs[-1]))
-        key = _moment_key(m)
-        assert key == _power_sums(coeffs, 4)
-        powers = [m]
-        for _ in range(3):
-            powers.append(mat_mul(powers[-1], m))
-        assert key == tuple(trace(p) for p in powers)
+        # det(M - x0 I) = (-1)^n p(x0) with p(x) = det(xI - M), at x0 = 4n + 1
+        n = len(m)
+        x0 = 4 * n + 1
+        p = sum(c * x0 ** (n - k) for k, c in enumerate(coeffs))
+        assert _shifted_det(m) == (-1) ** n * p
 
 
 def _census_from_buckets(counts, kinds, modes):
@@ -212,12 +199,13 @@ def _census_from_buckets(counts, kinds, modes):
 
 
 def test_filtered_census_matches_bucket_counts(monkeypatch):
-    # run_census computes a moment key only for graphs whose K1 collides,
-    # and a charpoly only where the moment key collides too; its report
-    # must equal the one from every graph's charpoly.  Spectral-only runs
-    # have no |det M| and skip K1; in (AtrPlus, Q) neither twin's partner is
-    # requested, so bipartite graphs build both kinds themselves.
-    calls = {build: 0, distance_profile: 0}
+    # run_census takes det(M - (4n+1) I) only for graphs whose K1 another
+    # graph shares, and a charpoly only where that determinant is shared
+    # too; its report must equal the one from every graph's charpoly.
+    # Spectral-only runs have no |det M| and start at the determinant; in
+    # (AtrPlus, Q) neither twin's partner is requested, so bipartite graphs
+    # build both kinds themselves.
+    calls = {build: 0, distance_profile: 0, charpoly: 0}
     for fn in calls:
         def counted(*args, fn=fn):
             calls[fn] += 1
@@ -233,10 +221,12 @@ def test_filtered_census_matches_bucket_counts(monkeypatch):
             calls.update(dict.fromkeys(calls, 0))
             assert run_census(graphs, kinds, modes) == expected
             if graphs is corpora[6] and modes == MODES and kinds == ALL_KINDS:
-                # Serially, a held first graph's moment-level rebuild also
-                # computes its charpoly where its moment key is held: 9632
-                # builds and 1455 distance profiles without that.
-                assert list(calls.values()) == [9480, 1421]
+                # Builds: 8442 in the stream (8530 matrices less the
+                # bipartite twins' copies), 3750 for determinants and 539
+                # for charpolys, one for each graph with a spectral mate
+                # (543) less the twins' copies.  Distance profiles: 853 in
+                # the stream and one per graph rebuilt at each level.
+                assert list(calls.values()) == [12731, 1912, 539]
 
 
 def test_census_parallel_matches_serial():
@@ -244,7 +234,8 @@ def test_census_parallel_matches_serial():
     serial = run_census(graphs, NEW_KINDS, jobs=1)
     parallel = run_census(graphs, NEW_KINDS, jobs=2)
     assert serial == parallel
-    # connected n = 7 meets K1 and moment-key collisions in every keyed kind
+    # connected n = 7 has shared K1s and shared determinants in every kind,
+    # so both levels rebuild graphs on the workers
     graphs = list(generate_connected_graphs(7))
     assert run_census(graphs, ALL_KINDS, jobs=2) == run_census(graphs, ALL_KINDS, jobs=1)
     spectral = ("spectral",)

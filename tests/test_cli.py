@@ -293,6 +293,25 @@ def test_usage_errors_exit_2(cricket_file, capsys):
         assert f"--n needs N >= 1, got {n}" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["trees", "--n", "0", "--matrices", "A"], "--n needs 2 <= N <= 16 for a tree census, got 0"),
+    (["trees", "--n", "17", "--matrices", "A"], "--n needs 2 <= N <= 16 for a tree census, got 17"),
+    (["gen", "--n", "0"], "--n needs 1 <= N <= 8 for connected graphs, got 0"),
+    (["gen", "--n", "20"], "--n needs 1 <= N <= 8 for connected graphs, got 20"),
+    (["gen", "--n", "17", "--trees"], "--n needs 1 <= N <= 16 for trees, got 17"),
+    (["census", "--n", "20", "--matrices", "A"],
+     "--n needs 1 <= N <= 8 for the built-in corpus, got 20"),
+])
+def test_vertex_count_out_of_range_exit_2(argv, message, capsys):
+    # these once exited 1, as computation errors, from the generators' checks
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_jobs_below_one_exit_2(capsys):
     # a zero or negative pool width once ran serially and exited 0
     census = ["census", "--n", "4", "--matrices", "A", "--modes", "spectral"]
@@ -323,8 +342,6 @@ def test_computation_errors_exit_1(tmp_path, capsys):
     missing = str(tmp_path / "missing.g6")
     assert main(["snf", "--input", missing, "--matrix", "Atr"]) == 1
     assert "error" in capsys.readouterr().err
-    assert main(["gen", "--n", "20"]) == 1  # beyond the built-in range
-    assert "graph6" in capsys.readouterr().err
 
 
 def test_input_errors_name_path_and_line(tmp_path, capsys):
