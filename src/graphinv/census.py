@@ -2,14 +2,17 @@
 
 A graph's fingerprint for a matrix kind is either its characteristic
 polynomial coefficients (spectral mode) or its invariant factors plus
-zero count (invariant mode), serialised to length-prefixed bytes.  Both
-are exact, so two graphs share a fingerprint iff they are genuinely
-cospectral/coinvariant for that matrix; no hashing, no tolerances.
+zero count (invariant mode).  Both are exact, so two graphs share a
+fingerprint iff they are genuinely cospectral/coinvariant for that
+matrix; no hashing, no tolerances.  ``fingerprint`` serialises them to
+length-prefixed bytes; a census tallies the integer tuples themselves.
 
 A census buckets a stream of same-order, pairwise non-isomorphic graphs
 by fingerprint and counts the graphs lying in buckets of size >= 2, i.e.
-the graphs that have at least one mate.  Isomorphism dedup is the
-generator's or ingester's contract, never re-tested here.
+the graphs that have at least one mate.  Its invariant buckets are keyed
+on the invariant factors alone: every graph in the stream has the same
+order n, so the zero count is n less their number.  Isomorphism dedup is
+the generator's or ingester's contract, never re-tested here.
 
 ``run_census`` computes a characteristic polynomial only where it can
 matter, behind a chain of cheaper exact keys of each matrix M.  Serial and
@@ -42,8 +45,7 @@ again only the graphs whose key is shared, to take the next key.  K1
 enters the count as its hash, which is just as much a function of the
 charpoly: a hash collision only costs work.  It hashes ints only, since
 the hash of None, str or bytes can differ between processes, and workers
-hash keys that the parent compares.  ``bucket_counts`` still fingerprints
-every graph in full.
+hash keys that the parent compares.
 """
 
 from __future__ import annotations
@@ -82,10 +84,6 @@ def _coeffs(m: IntMatrix) -> tuple[int, ...]:
     return charpoly(m).coeffs
 
 
-def _charpoly_payload(m: IntMatrix, invariants: SnfResult | None) -> bytes:
-    return _encode_ints(_coeffs(m))
-
-
 def _first_key(m: IntMatrix, invariants: SnfResult) -> tuple[int, int, int]:
     """K1 of a symmetric matrix: ``(trace M, Σ M_ij², |det M|)``, with
     |det M| read off M's Smith form ``invariants``."""
@@ -101,20 +99,15 @@ def _shifted_det(m: IntMatrix) -> int:
                         for i, row in enumerate(m)])
 
 
-def _stream_key(m: IntMatrix, invariants: SnfResult | None) -> int:
-    """The first key of the chain that M can take: K1's hash, or the
-    second key where there is no Smith form to read |det M| from."""
-    return _shifted_det(m) if invariants is None else hash(_first_key(m, invariants))
-
-
-def _matrix_values(spectral: Callable[[IntMatrix, SnfResult | None], object],
-                   modes: tuple[str, ...], m: IntMatrix) -> tuple:
-    """One built matrix's census values, one per mode: the SNF payload, or
-    ``spectral(m, its Smith form or None)``.  The Smith form is computed
-    once and serves both the invariant payload and K1's |det M|."""
+def _stream_values(modes: tuple[str, ...], m: IntMatrix) -> tuple:
+    """One built matrix's census values, one per mode: its invariant
+    factors, or the first key of the chain that M can take (K1's hash, or
+    the second key where there is no Smith form to read |det M| from).  The
+    Smith form is computed once and serves both."""
     invariants = snf(m) if "invariant" in modes else None
-    return tuple(_encode_ints(invariants.factors + (invariants.zeros,)) if mode == "invariant"
-                 else spectral(m, invariants) for mode in modes)
+    return tuple(invariants.factors if mode == "invariant"
+                 else _shifted_det(m) if invariants is None else hash(_first_key(m, invariants))
+                 for mode in modes)
 
 
 @dataclass(frozen=True)
@@ -129,8 +122,13 @@ def fingerprint(g: Graph, kind: MatrixKind, mode: str) -> Fingerprint:
     (matrix kind, mode) pair."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    _, [(payload,)] = _values(partial(_matrix_values, _charpoly_payload, (mode,)), (g, (kind,)))
-    return Fingerprint(kind, mode, payload)
+    m = build(g, kind, distance_profile(g))  # the profile rejects disconnected input
+    if mode == "spectral":
+        values = _coeffs(m)
+    else:
+        invariants = snf(m)
+        values = invariants.factors + (invariants.zeros,)
+    return Fingerprint(kind, mode, _encode_ints(values))
 
 
 @dataclass(frozen=True)
@@ -211,13 +209,16 @@ def _mapped(pool: WorkerPool | None, fn: Callable[[IntMatrix], object],
 def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
     """A pool of ``jobs`` processes, or a null context for ``jobs == 1``,
     once the arguments pass the checks that every census shares: a worker
-    count of at least 1, known modes and no repeated kind or mode."""
+    count of at least 1, known modes and at least one kind and one mode,
+    none repeated."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
     for what, names in (("kind", kinds), ("mode", modes)):
+        if not names:
+            raise ValueError(f"census needs at least one {what}")
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise ValueError(f"{what} {name} given twice")
@@ -225,48 +226,6 @@ def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
         return nullcontext()
     from multiprocessing import Pool  # here, so that a serial run does not import it
     return Pool(jobs)
-
-
-def _fingerprint_stream(
-    graphs: Iterable[Graph],
-    kinds: Sequence[MatrixKind],
-    fn: Callable[[IntMatrix], object],
-    pool: WorkerPool | None,
-) -> Iterator[tuple[Graph, list]]:
-    """Yield ``_values(fn, (g, kinds))`` per graph.  Raises on an empty
-    stream or mixed orders."""
-    kinds = tuple(kinds)
-    n = 0
-    for g, values in _mapped(pool, fn, ((h, kinds) for h in graphs)):
-        n = n or g.n
-        if g.n != n:
-            raise ValueError("census stream mixes vertex counts")
-        yield g, values
-    if not n:
-        raise ValueError("census stream is empty")
-
-
-def bucket_counts(
-    graphs: Iterable[Graph],
-    kinds: Sequence[MatrixKind],
-    modes: Sequence[str] = MODES,
-    jobs: int = 1,
-) -> tuple[int, int, dict[tuple[MatrixKind, str], dict[bytes, int]]]:
-    """Fingerprint every graph and tally bucket sizes.
-
-    Returns (n, total, buckets) where buckets maps (kind, mode) to a
-    payload -> count table.  Raises on a worker count below 1, a repeated
-    kind or mode, an empty stream or mixed orders.
-    """
-    tables: list[dict[bytes, int]] = [{} for _ in kinds for _ in modes]
-    total = 0
-    with _workers(kinds, modes, jobs) as pool:
-        fn = partial(_matrix_values, _charpoly_payload, tuple(modes))
-        for g, payloads in _fingerprint_stream(graphs, kinds, fn, pool):
-            total += 1
-            for table, payload in zip(tables, chain.from_iterable(payloads)):
-                table[payload] = table.get(payload, 0) + 1
-    return g.n, total, dict(zip(((kind, mode) for kind in kinds for mode in modes), tables))
 
 
 def run_census(
@@ -277,10 +236,11 @@ def run_census(
 ) -> CensusReport:
     """Count graphs with a cospectral/coinvariant mate, per kind and mode.
 
-    Raises as ``bucket_counts`` does.  Spectral buckets are tallied only
-    among graphs whose keys another graph shares (module docstring).
+    Raises on a worker count below 1, an empty or repeated kind or mode
+    list, an empty stream or mixed orders.  Spectral buckets are tallied
+    only among graphs whose keys another graph shares (module docstring).
     """
-    modes = tuple(modes)
+    kinds, modes = tuple(kinds), tuple(modes)
     slots = [(kind, mode) for kind in kinds for mode in modes]
     tallies = [Counter() for _ in slots]
     seen: list[Graph] = []
@@ -289,14 +249,17 @@ def run_census(
     chains = {i: (seen, []) for i, (_, mode) in enumerate(slots) if mode == "spectral"}
     levels = (_shifted_det, _coeffs) if "invariant" in modes else (_coeffs,)
     with _workers(kinds, modes, jobs) as pool:
-        stream = _fingerprint_stream(graphs, kinds, partial(_matrix_values, _stream_key, modes), pool)
-        for g, values in stream:
+        for g, values in _mapped(pool, partial(_stream_values, modes), ((h, kinds) for h in graphs)):
+            if seen and g.n != seen[0].n:
+                raise ValueError("census stream mixes vertex counts")
             seen.append(g)
             for i, value in enumerate(chain.from_iterable(values)):
                 if i in chains:
                     chains[i][1].append(value)
                 else:
                     tallies[i][value] += 1
+        if not seen:
+            raise ValueError("census stream is empty")
         for fn in levels:
             # graph -> the slots where another graph shares its key
             wanted: dict[Graph, list[int]] = {}
@@ -334,9 +297,8 @@ def tree_census(
 def completeness_check(n: int, kind: MatrixKind) -> bool:
     """True iff the complete graph's invariant fingerprint occurs exactly
     once in the full connected-graph corpus on n vertices (n <= 8)."""
-    _, _, buckets = bucket_counts(generate_connected_graphs(n), (kind,), ("invariant",))
-    target = fingerprint(complete_graph(n), kind, "invariant").payload
-    return buckets[(kind, "invariant")][target] == 1
+    target = fingerprint(complete_graph(n), kind, "invariant")
+    return sum(fingerprint(g, kind, "invariant") == target for g in generate_connected_graphs(n)) == 1
 
 
 def report_tsv(report: CensusReport) -> str:

@@ -64,13 +64,6 @@ def sandpile_group(g: Graph) -> tuple[AbelianGroup, int]:
     return group, group.order()
 
 
-def reduced_laplacian(h: Multigraph, q: int) -> IntMatrix:
-    """Laplacian of ``h`` with row and column ``q`` deleted."""
-    lap = h.laplacian()
-    keep = [i for i in range(h.n) if i != q]
-    return [[lap[i][j] for j in keep] for i in keep]
-
-
 def cross_check(g: Graph) -> bool:
     """Verify the cone identity on ``g``: the apex-reduced Laplacian of the
     cone equals the transmission-adjacency matrix entrywise, and the cone

@@ -8,23 +8,28 @@ unpruned graph generators and their canonical search) that
 share no code with the library paths they check, beyond the distance
 profile the builder reads, the Smith form's square check and result type,
 the Jacobi tolerance, sweep cap and result type, and the ``Graph`` type and
-tree certificate the generators use.  The
-edge test and the relabelling that tests apply to graphs live here too.
+tree certificate the generators use.  The census reference tallies full
+fingerprints from the library's ``build``, ``snf`` and ``charpoly``, which
+have oracles of their own here, and checks only the census's key chain and
+bipartite twins.  The edge test, the relabelling that tests apply to graphs
+and the reduced Laplacian of a cone live here too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
 from graphinv import spectra
-from graphinv.exact import SnfResult, _check_square
+from graphinv.census import MODES, CensusEntry, CensusReport
+from graphinv.exact import SnfResult, _check_square, charpoly, snf
 from graphinv.generators import tree_certificate
 from graphinv.graphs import Graph, distance_profile, graph_from_edges
-from graphinv.matrices import MatrixKind
+from graphinv.matrices import MatrixKind, build
 
 
 # Polynomials as ascending coefficient lists over the integers.
@@ -403,6 +408,32 @@ def build_reference(g, kind, profile=None):
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
+@lru_cache(maxsize=None)
+def full_fingerprints(g, kinds) -> tuple:
+    """Per kind, the full Smith form and charpoly coefficients of g's
+    matrix, each matrix built from g itself.  Cached, since two tests
+    check the census against the same trees."""
+    profile = distance_profile(g)
+    return tuple((snf(m), charpoly(m).coeffs) for m in (build(g, kind, profile) for kind in kinds))
+
+
+def mate_counts_reference(graphs, kinds) -> CensusReport:
+    """``run_census(graphs, kinds)`` without its key chain or bipartite
+    twins: every graph's ``full_fingerprints``, counted in one table per
+    (kind, mode)."""
+    kinds = tuple(kinds)
+    tables = {(kind, mode): Counter() for kind in kinds for mode in MODES}
+    total = 0
+    for g in graphs:
+        total += 1
+        for kind, (invariants, coeffs) in zip(kinds, full_fingerprints(g, kinds)):
+            tables[(kind, "spectral")][coeffs] += 1
+            tables[(kind, "invariant")][invariants] += 1
+    return CensusReport(g.n, total, tuple(
+        CensusEntry(kind, mode, sum(c for c in tables[(kind, mode)].values() if c >= 2), total)
+        for kind in MatrixKind for mode in MODES if (kind, mode) in tables))
+
+
 # Dense integer matrix helpers that only the tests use.
 
 def identity_matrix(n: int):
@@ -435,6 +466,13 @@ def row_sums(m) -> list[int]:
 def is_symmetric(m) -> bool:
     n = len(m)
     return all(m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def reduced_laplacian(h, q: int):
+    """Laplacian of the multigraph ``h`` with row and column ``q`` deleted."""
+    lap = h.laplacian()
+    keep = [i for i in range(h.n) if i != q]
+    return [[lap[i][j] for j in keep] for i in keep]
 
 
 # The cyclic Jacobi loop with its per-k index test and repeated row lookups.

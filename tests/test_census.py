@@ -1,20 +1,15 @@
 import random
-from functools import partial
 
 import pytest
 
 from graphinv import census
 from graphinv.census import (
     MODES,
-    CensusEntry,
     CensusReport,
-    _charpoly_payload,
     _first_key,
     _is_bipartite,
-    _matrix_values,
     _shifted_det,
     _values,
-    bucket_counts,
     completeness_check,
     fingerprint,
     report_tsv,
@@ -32,7 +27,7 @@ from graphinv.graphs import (
 )
 from graphinv.exact import charpoly, snf
 from graphinv.matrices import MatrixKind, build
-from oracles import permuted
+from oracles import full_fingerprints, mate_counts_reference, permuted
 
 NEW_KINDS = (MatrixKind.Atr, MatrixKind.AtrPlus, MatrixKind.Ddeg, MatrixKind.DdegPlus)
 ALL_KINDS = tuple(MatrixKind[k] for k in CLI_KINDS)
@@ -66,6 +61,18 @@ def test_fingerprint_separates_k3_p3():
 def test_fingerprint_rejects_bad_input():
     with pytest.raises(ValueError):
         fingerprint(path_graph(3), MatrixKind.A, "nope")
+    with pytest.raises(ValueError, match="^graph not connected$"):
+        fingerprint(graph_from_edges(3, [(0, 1)]), MatrixKind.A, "spectral")
+    # payloads are length-prefixed big-endian signed ints: the charpoly
+    # coefficients, or the invariant factors followed by the zero count
+    c5 = cycle_graph(5)
+    for kind, mode, payload in (
+        (MatrixKind.Atr, "spectral", "0001010001e2000201630002f7ea000217390002e5bc"),
+        (MatrixKind.Atr, "invariant", "000101000101000101000129000200a4000100"),
+        (MatrixKind.DdegPlus, "spectral", "0001010001f600010f00010a0001f10001f8"),
+        (MatrixKind.DdegPlus, "invariant", "000101000101000101000101000108000100"),
+    ):
+        assert fingerprint(c5, kind, mode).payload.hex() == payload
 
 
 def test_all_trees_share_distance_invariant_fingerprint():
@@ -101,22 +108,20 @@ def test_census_is_order_independent():
     assert run_census(graphs, NEW_KINDS) == before
 
 
-def test_census_bucket_sizes_sum_to_total():
-    graphs = list(generate_connected_graphs(5))
-    n, total, buckets = bucket_counts(graphs, NEW_KINDS)
-    assert n == 5 and total == len(graphs)
-    for table in buckets.values():
-        assert sum(table.values()) == total
-
-
 def test_census_input_errors():
     mixed = [path_graph(3), path_graph(4)]
-    with pytest.raises(ValueError, match="mixes"):
-        run_census(mixed, [MatrixKind.A])
-    with pytest.raises(ValueError, match="empty"):
-        run_census([], [MatrixKind.A])
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="^census stream mixes vertex counts$"):
+            run_census(mixed, [MatrixKind.A], jobs=jobs)
+        with pytest.raises(ValueError, match="^census stream is empty$"):
+            run_census([], [MatrixKind.A], jobs=jobs)
     with pytest.raises(ValueError, match="mode"):
         run_census([path_graph(3)], [MatrixKind.A], ["bogus"])
+    # an empty kind or mode list once gave a report with no entries
+    with pytest.raises(ValueError, match="^census needs at least one mode$"):
+        run_census(generate_connected_graphs(4), [MatrixKind.A], [])
+    with pytest.raises(ValueError, match="^census needs at least one kind$"):
+        run_census(generate_connected_graphs(4), [], ["spectral"])
 
 
 def test_census_rejects_repeated_names():
@@ -125,7 +130,7 @@ def test_census_rejects_repeated_names():
     with pytest.raises(ValueError, match="Atr given twice"):
         run_census(graphs, [MatrixKind.Atr, MatrixKind.Atr], ["invariant"])
     with pytest.raises(ValueError, match="spectral given twice"):
-        bucket_counts(graphs, [MatrixKind.A], ["spectral", "invariant", "spectral"])
+        run_census(graphs, [MatrixKind.A], ["spectral", "invariant", "spectral"])
 
 
 def test_census_rejects_worker_count_below_one():
@@ -154,7 +159,9 @@ def test_is_bipartite_from_distance_parity():
 def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     # AtrPlus and Q are fingerprinted as Atr and L on bipartite graphs;
     # every payload must equal the one computed from the kind's own matrix
-    payloads = partial(_matrix_values, _charpoly_payload, MODES)
+    def payloads(m):
+        return snf(m), charpoly(m).coeffs
+
     # the bipartite graphs with n <= 8 include the trees with n <= 8
     graphs = [g for n in range(1, 9) for g in generate_connected_graphs(n)
               if _is_bipartite(g, distance_profile(g))]
@@ -162,9 +169,7 @@ def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     graphs += [t for n in range(9, 13) for t in generate_trees(n)]
     assert len(graphs) == 254 + 47 + 106 + 235 + 551
     for g in graphs:
-        profile = distance_profile(g)
-        direct = [payloads(build(g, kind, profile)) for kind in ALL_KINDS]
-        assert _values(payloads, (g, ALL_KINDS)) == (g, direct)
+        assert _values(payloads, (g, ALL_KINDS)) == (g, list(full_fingerprints(g, ALL_KINDS)))
 
 
 def test_shifted_det_is_a_function_of_the_charpoly():
@@ -191,17 +196,11 @@ def test_shifted_det_is_a_function_of_the_charpoly():
         assert _shifted_det(m) == (-1) ** n * p
 
 
-def _census_from_buckets(counts, kinds, modes):
-    n, total, buckets = counts
-    return CensusReport(n, total, tuple(
-        CensusEntry(kind, mode, sum(c for c in buckets[(kind, mode)].values() if c >= 2), total)
-        for kind in MatrixKind for mode in MODES if kind in kinds and mode in modes))
-
-
-def test_filtered_census_matches_bucket_counts(monkeypatch):
+def test_filtered_census_matches_full_reference(monkeypatch):
     # run_census takes det(M - (4n+1) I) only for graphs whose K1 another
     # graph shares, and a charpoly only where that determinant is shared
-    # too; its report must equal the one from every graph's charpoly.
+    # too; its report must equal the one from every graph's full charpoly
+    # and Smith form, tallied once per corpus for all kinds and modes.
     # Spectral-only runs have no |det M| and start at the determinant; in
     # (AtrPlus, Q) neither twin's partner is requested, so bipartite graphs
     # build both kinds themselves.
@@ -215,9 +214,10 @@ def test_filtered_census_matches_bucket_counts(monkeypatch):
     corpora += [list(generate_trees(n)) for n in range(2, 13)]
     twins = (MatrixKind.AtrPlus, MatrixKind.Q)
     for graphs in corpora:
-        counts = bucket_counts(graphs, ALL_KINDS)
+        full = mate_counts_reference(graphs, ALL_KINDS)
         for kinds, modes in ((ALL_KINDS, MODES), (ALL_KINDS, ("spectral",)), (twins, MODES)):
-            expected = _census_from_buckets(counts, kinds, modes)
+            expected = CensusReport(full.n, full.total, tuple(
+                e for e in full.entries if e.kind in kinds and e.mode in modes))
             calls.update(dict.fromkeys(calls, 0))
             assert run_census(graphs, kinds, modes) == expected
             if graphs is corpora[6] and modes == MODES and kinds == ALL_KINDS:

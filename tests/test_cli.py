@@ -8,7 +8,7 @@ import pytest
 
 import graphinv
 from graphinv import verify
-from graphinv.census import bucket_counts
+from graphinv.census import run_census
 from graphinv.cli import main
 from graphinv.graphs import cricket_graph, parse_graph6, write_graph6
 from graphinv.matrices import MatrixKind
@@ -197,7 +197,7 @@ def test_census_input_names_empty_file(tmp_path, capsys):
             assert main([*argv, "--input", path]) == 0
             assert capsys.readouterr() == ("", "")
     with pytest.raises(ValueError, match="^census stream is empty$"):
-        bucket_counts([], [MatrixKind.A])
+        run_census([], [MatrixKind.A])
 
 
 def test_census_input_names_record_of_wrong_order(tmp_path, capsys):
