@@ -177,15 +177,14 @@ def _cmd_sandpile(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    names = [args.suite] if args.suite else list(verify.SUITES)
-    for name in names:
-        try:
+    names = [args.suite] if args.suite else list(verify.N_MAX_RANGE)
+    try:
+        for name in names:
             verify.require_n_max(name, args.n_max)
-        except ValueError as exc:
-            parser.error(str(exc))
+    except ValueError as exc:
+        parser.error(str(exc))
     failed = False
-    for name in names:
-        objects, checks, failures = verify.SUITES[name](args.n_max)
+    for name, (objects, checks, failures) in verify.run(names, args.n_max).items():
         print(f"{name}: {objects} objects, {checks} checks", file=sys.stderr)
         if failures:
             failed = True
@@ -209,19 +208,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", action="store_true", help="generate trees instead of connected graphs")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("census", help="mate counts over connected graphs")
+    # --matrices, --modes and --jobs, shared by census and trees
+    census_options = argparse.ArgumentParser(add_help=False)
+    census_options.add_argument("--matrices", required=True, help="comma-separated matrix kinds")
+    census_options.add_argument("--modes", default="spectral,invariant", help="comma-separated modes")
+    census_options.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker pool width")
+
+    p = sub.add_parser("census", parents=[census_options], help="mate counts over connected graphs")
     p.add_argument("--n", type=int, help="vertex count for the built-in corpus")
     p.add_argument("--input", help="graph6 file ('-' for stdin) instead of the built-in corpus")
-    p.add_argument("--matrices", required=True, help="comma-separated matrix kinds")
-    p.add_argument("--modes", default="spectral,invariant", help="comma-separated modes")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker pool width")
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("trees", help="mate counts over all trees of one order")
+    p = sub.add_parser("trees", parents=[census_options], help="mate counts over all trees of one order")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--matrices", required=True)
-    p.add_argument("--modes", default="spectral,invariant")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_trees)
 
     p = sub.add_parser("snf", help="invariant factor diagonal per input graph")
@@ -240,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sandpile)
 
     p = sub.add_parser("verify", help="run property suites")
-    p.add_argument("--suite", choices=sorted(verify.SUITES), help="run one suite (default: all)")
+    p.add_argument("--suite", choices=sorted(verify.N_MAX_RANGE), help="run one suite (default: all)")
     p.add_argument("--n-max", type=int, default=6, dest="n_max")
     p.set_defaults(func=_cmd_verify)
 

@@ -10,7 +10,7 @@ tolerance enters any census.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .matrices import IntMatrix
@@ -58,12 +58,7 @@ class AbelianGroup:
 
     def order(self) -> int | None:
         """Group order, or None when the free part is nontrivial."""
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+        return None if self.free_rank else prod(self.torsion)
 
     def __str__(self) -> str:
         parts = [f"Z_{d}" for d in self.torsion]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .exact import AbelianGroup, SnfResult, cokernel, snf
 from .graphs import DistanceProfile, Graph, distance_profile
 from .matrices import IntMatrix, MatrixKind, build
+from .spectra import GraphSpectra
 
 
 @dataclass(frozen=True)
@@ -64,17 +65,17 @@ def sandpile_group(g: Graph) -> tuple[AbelianGroup, int]:
     return group, group.order()
 
 
-def cross_check(g: Graph) -> bool:
-    """Verify the cone identity on ``g``: the apex-reduced Laplacian of the
-    cone equals the transmission-adjacency matrix entrywise, and the cone
-    Laplacian's SNF is that matrix's SNF extended by one zero.
+def cross_check(ctx: GraphSpectra) -> bool:
+    """Verify the cone identity on the context's graph: the apex-reduced
+    Laplacian of the cone equals the transmission-adjacency matrix
+    entrywise, and the cone Laplacian's SNF is that matrix's SNF extended
+    by one zero.
 
     Returns False (with a note on stderr) instead of raising on mismatch;
     ``cone_graph`` rejects a complete graph.
     """
-    profile = distance_profile(g)
-    h = cone_graph(g, profile)
-    atr = build(g, MatrixKind.Atr, profile)
+    h = cone_graph(ctx.g, ctx.profile)
+    atr = ctx.matrix(MatrixKind.Atr)
     lap = h.laplacian()
     if [row[:-1] for row in lap[:-1]] != atr:  # the apex is vertex n
         print("cone cross-check: reduced Laplacian differs entrywise", file=sys.stderr)

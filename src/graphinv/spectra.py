@@ -7,9 +7,9 @@ a per-n cached tuple of (p, q, others), ``others`` being the k not in
 c*c, s*s and 2*s*c*a_pq once, each in the association of the textbook
 update, so the eigenvalues are bit-identical to the plain loop's.
 
-The bound checks read one shared per-graph context, ``GraphSpectra``, which
-builds the distance profile once and each matrix kind's spectrum at most
-once.  Every check returns a report of inequality records; an inequality
+The checks read one shared per-graph context, ``GraphSpectra``, which
+builds the distance profile once and each matrix kind and its spectrum at
+most once.  Every check returns a report of inequality records; an inequality
 "holds" when left <= right + tol, with the default tolerance scaled by the
 matrix max-norm so equality cases survive roundoff.
 
@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
-from .graphs import Graph, conductance, distance_profile, triangle_count, wiener_indices
+from .graphs import DistanceProfile, Graph, conductance, distance_profile, triangle_count, wiener_indices
 from .matrices import IntMatrix, MatrixKind, build, mat_mul, trace
 
 
@@ -146,19 +146,32 @@ def eigenvalues_symmetric(m: IntMatrix) -> Spectrum:
 
 
 class GraphSpectra:
-    """One connected graph with what the bound checks read from it: its
-    distance profile, ``r = tr - deg`` per vertex, and ``ctx[kind]``, the
-    Spectrum of each matrix kind, computed on first access and kept."""
+    """One connected graph with what the checks read from it: its distance
+    profile, ``r = tr - deg`` per vertex, ``matrix(kind)`` and ``ctx[kind]``,
+    the Spectrum of that matrix.  Each is computed on first access and kept."""
 
     def __init__(self, g: Graph):
         self.g = g
-        self.profile = distance_profile(g)
-        self.r = [t - d for t, d in zip(self.profile.tr, self.profile.deg)]
+        self._matrices: dict[MatrixKind, IntMatrix] = {}
         self._spectra: dict[MatrixKind, Spectrum] = {}
+
+    @cached_property
+    def profile(self) -> DistanceProfile:
+        return distance_profile(self.g)
+
+    @cached_property
+    def r(self) -> list[int]:
+        return [t - d for t, d in zip(self.profile.tr, self.profile.deg)]
+
+    def matrix(self, kind: MatrixKind) -> IntMatrix:
+        """The graph's ``kind`` matrix, shared by every reader: none may modify it."""
+        if kind not in self._matrices:
+            self._matrices[kind] = build(self.g, kind, self.profile)
+        return self._matrices[kind]
 
     def __getitem__(self, kind: MatrixKind) -> Spectrum:
         if kind not in self._spectra:
-            self._spectra[kind] = eigenvalues_symmetric(build(self.g, kind, self.profile))
+            self._spectra[kind] = eigenvalues_symmetric(self.matrix(kind))
         return self._spectra[kind]
 
 
@@ -261,7 +274,7 @@ THIRD_MOMENT_EXPANSION = "trace(Atr^3) == sum(tr^3) + 3*wdeg - 6*triangles"
 THIRD_MOMENT_UNIT_MIXED = "trace(Atr^3) == sum(tr^3) + wdeg + 6*triangles"
 
 
-def check_moments(g: Graph) -> BoundReport:
+def check_moments(ctx: GraphSpectra) -> BoundReport:
     """Exact trace identities for powers of the transmission-adjacency
     matrix, in integer arithmetic (no tolerance).
 
@@ -269,8 +282,8 @@ def check_moments(g: Graph) -> BoundReport:
     identities are evaluated (see module docstring); inspect the records
     named by THIRD_MOMENT_EXPANSION / THIRD_MOMENT_UNIT_MIXED.
     """
-    profile = distance_profile(g)
-    atr = build(g, MatrixKind.Atr, profile)
+    g, profile = ctx.g, ctx.profile
+    atr = ctx.matrix(MatrixKind.Atr)
     sq = mat_mul(atr, atr)
     # trace(Atr^2 Atr), reading column i of the symmetric Atr as row i
     tr_cube = sum(sum(map(mul, x, y)) for x, y in zip(sq, atr))

@@ -1,7 +1,7 @@
 """Property suites behind ``graphinv verify``.
 
-Each suite sweeps one family of results over every object up to ``n_max``
-and returns a ``SuiteResult``: how many objects it checked (graphs, or
+``run`` sweeps each named suite over every object up to ``n_max`` and
+returns a ``SuiteResult`` per suite: how many objects it checked (graphs, or
 closed-form cases), how many individual checks it evaluated, and one line
 per failed check.  The acceptance tests call the same suites.
 
@@ -37,34 +37,59 @@ from .spectra import (
     check_weyl_sandwich,
 )
 
+
 class SuiteResult(NamedTuple):
     objects: int
     checks: int
     failures: list[str]
 
 
-def bounds(n_max: int) -> SuiteResult:
-    require_n_max("bounds", n_max)
-    objects = checks = 0
-    failures = []
-    for n in range(2, n_max + 1):
+def _bounds(ctx: GraphSpectra) -> tuple[int, list[str]] | None:
+    if ctx.g.n < 2:
+        return None
+    records = [c for check in (check_extreme_bounds, check_lambda1_bracket,
+                               check_weyl_sandwich, check_conductance_bracket)
+               for c in check(ctx).checks]
+    return len(records), [f"n={ctx.g.n} {write_graph6(ctx.g)}: {c.name} "
+                          f"left={c.left!r} right={c.right!r}" for c in records if not c.holds]
+
+
+def _sandpile(ctx: GraphSpectra) -> tuple[int, list[str]] | None:
+    if ctx.g.is_complete():
+        return None
+    return 1, [] if cross_check(ctx) else [f"cone cross-check failed: {write_graph6(ctx.g)}"]
+
+
+def _moments(ctx: GraphSpectra) -> tuple[int, list[str]] | None:
+    report = check_moments(ctx)
+    records = (*report.checks[:2], report.by_name(THIRD_MOMENT_EXPANSION))
+    return len(records), [f"{write_graph6(ctx.g)}: {c.name} left={c.left} right={c.right}"
+                          for c in records if not c.holds]
+
+
+_GRAPH_SUITES = {"bounds": _bounds, "sandpile": _sandpile, "moments": _moments}
+
+
+def run(names: list[str], n_max: int) -> dict[str, SuiteResult]:
+    """Each named suite's result up to ``n_max``, in the given order.  Every
+    ``n_max`` is checked before any work.  The graph suites then share one
+    walk over the connected graphs with 1 <= n <= n_max and one
+    ``GraphSpectra`` per graph; a suite returns None for a graph it skips.
+    closed-forms walks its own objects."""
+    for name in names:
+        require_n_max(name, n_max)
+    results = {name: SuiteResult(0, 0, []) for name in names if name in _GRAPH_SUITES}
+    # closed-forms alone walks no graph: its n_max may exceed the generators'
+    for n in range(1, n_max + 1 if results else 1):
         for g in generate_connected_graphs(n):
-            objects += 1
             ctx = GraphSpectra(g)
-            for report in (
-                check_extreme_bounds(ctx),
-                check_lambda1_bracket(ctx),
-                check_weyl_sandwich(ctx),
-                check_conductance_bracket(ctx),
-            ):
-                for c in report.checks:
-                    checks += 1
-                    if not c.holds:
-                        failures.append(
-                            f"n={n} {write_graph6(g)}: {c.name} "
-                            f"left={c.left!r} right={c.right!r}"
-                        )
-    return SuiteResult(objects, checks, failures)
+            for name in results:
+                got = _GRAPH_SUITES[name](ctx)
+                if got is not None:
+                    objects, checks, failures = results[name]
+                    failures += got[1]
+                    results[name] = SuiteResult(objects + 1, checks + got[0], failures)
+    return {name: closed_forms(n_max) if name == "closed-forms" else results[name] for name in names}
 
 
 def closed_forms(n_max: int) -> SuiteResult:
@@ -104,44 +129,8 @@ def closed_forms(n_max: int) -> SuiteResult:
     return SuiteResult(objects, checks, failures)
 
 
-def sandpile(n_max: int) -> SuiteResult:
-    require_n_max("sandpile", n_max)
-    objects = checks = 0
-    failures = []
-    for n in range(2, n_max + 1):
-        for g in generate_connected_graphs(n):
-            if g.is_complete():
-                continue
-            objects += 1
-            checks += 1
-            if not cross_check(g):
-                failures.append(f"cone cross-check failed: {write_graph6(g)}")
-    return SuiteResult(objects, checks, failures)
-
-
-def moments(n_max: int) -> SuiteResult:
-    require_n_max("moments", n_max)
-    objects = checks = 0
-    failures = []
-    for n in range(1, n_max + 1):
-        for g in generate_connected_graphs(n):
-            objects += 1
-            report = check_moments(g)
-            for c in (*report.checks[:2], report.by_name(THIRD_MOMENT_EXPANSION)):
-                checks += 1
-                if not c.holds:
-                    failures.append(f"{write_graph6(g)}: {c.name} left={c.left} right={c.right}")
-    return SuiteResult(objects, checks, failures)
-
-
-SUITES = {
-    "bounds": bounds,
-    "closed-forms": closed_forms,
-    "sandpile": sandpile,
-    "moments": moments,
-}
-
-# Inclusive n_max range per suite: below it the suite checks nothing (the
+# The suites, in the order ``graphinv verify`` runs them, each with its
+# inclusive n_max range: below it the suite checks nothing (the
 # only graph with n = 2 is complete, and sandpile skips complete graphs);
 # above it the built-in generators, or the largest star, cannot reach.
 N_MAX_RANGE = {

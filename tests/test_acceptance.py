@@ -184,7 +184,7 @@ def test_criterion_07_complete_graphs_unique_snf():
 
 
 def test_criterion_08_bound_property_suite():
-    graphs_checked, records, failures = verify.bounds(7)
+    graphs_checked, records, failures = verify.run(["bounds"], 7)["bounds"]
     if graphs_checked < 992:
         failures.append(f"only {graphs_checked} graphs checked")
     # per graph: 4 extreme, 2 lambda_1, 2 conductance and 2n Weyl records
@@ -251,13 +251,13 @@ def test_criterion_10_exact_algebra_suite():
             failures.append("charpoly disagrees with cofactor oracle")
 
     # exact moment identities over all connected graphs with n <= 6
-    total, records, moment_failures = verify.moments(6)
+    total, records, moment_failures = verify.run(["moments"], 6)["moments"]
     failures += moment_failures
     if (total, records) != (sum(CONNECTED_COUNTS[n] for n in range(1, 7)), 3 * total):
         failures.append(f"moments suite read {records} records on {total} graphs")
     expansion_holds = total - sum(THIRD_MOMENT_EXPANSION in line for line in moment_failures)
     unit_mixed_holds = sum(
-        check_moments(g).by_name(THIRD_MOMENT_UNIT_MIXED).holds
+        check_moments(GraphSpectra(g)).by_name(THIRD_MOMENT_UNIT_MIXED).holds
         for n in range(1, 7) for g in generate_connected_graphs(n)
     )
     if expansion_holds != total:

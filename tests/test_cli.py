@@ -231,7 +231,7 @@ def test_verify_ok(capsys):
 def test_verify_counts_on_stderr(capsys):
     assert main(["verify", "--n-max", "4"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "".join(f"ok {name} (n <= 4)\n" for name in verify.SUITES)
+    assert captured.out == "".join(f"ok {name} (n <= 4)\n" for name in verify.N_MAX_RANGE)
     # 9 graphs with 2 <= n <= 4; closed forms: K2..K4, 4 stars, 4 trees;
     # sandpile skips K2, K3, K4; moments adds K1
     assert captured.err.splitlines() == [
@@ -243,17 +243,18 @@ def test_verify_counts_on_stderr(capsys):
 
 
 def test_verify_fail_exits_1(monkeypatch, capsys):
-    monkeypatch.setitem(verify.SUITES, "sandpile", lambda n_max: verify.SuiteResult(1, 1, ["boom"]))
+    # with n <= 3 the only non-complete graph is the path P3, "Bo" as generated
+    monkeypatch.setattr(verify, "cross_check", lambda ctx: False)
     assert main(["verify", "--suite", "sandpile", "--n-max", "3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "FAIL sandpile: 1 failures\n"
-    assert "  boom" in captured.err
+    assert "  cone cross-check failed: Bo" in captured.err
 
 
 def test_verify_rejects_n_max_before_any_work(monkeypatch, capsys):
     ran = []
-    for name in list(verify.SUITES):
-        monkeypatch.setitem(verify.SUITES, name, ran.append)
+    for name in ("generate_connected_graphs", "generate_trees", "closed_forms"):
+        monkeypatch.setattr(verify, name, ran.append)
     # moments reaches n = 9 only after computing every n <= 8
     for argv, allowed in ((["--suite", "moments", "--n-max", "9"], "1 <= n_max <= 8"),
                           (["--n-max", "0"], "2 <= n_max <= 8"),
@@ -262,9 +263,11 @@ def test_verify_rejects_n_max_before_any_work(monkeypatch, capsys):
             main(["verify", *argv])
         assert exc.value.code == 2
         assert allowed in capsys.readouterr().err
-    assert ran == []
     with pytest.raises(ValueError, match="3 <= n_max <= 8"):
-        verify.sandpile(2)
+        verify.run(["sandpile"], 2)
+    with pytest.raises(ValueError, match="1 <= n_max <= 8"):
+        verify.run(["closed-forms", "moments"], 9)
+    assert ran == []
 
 
 def test_usage_errors_exit_2(cricket_file, capsys):

@@ -1,11 +1,12 @@
 import pytest
 
-from graphinv import matrices, sandpile
+from graphinv import matrices, sandpile, spectra
 from graphinv.exact import cokernel, determinant, snf
 from graphinv.generators import generate_connected_graphs
 from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, distance_profile, path_graph
 from graphinv.matrices import MatrixKind, build
 from graphinv.sandpile import cone_graph, cross_check, sandpile_group
+from graphinv.spectra import GraphSpectra
 from oracles import reduced_laplacian
 
 
@@ -26,9 +27,11 @@ def test_cone_graph_cycle_and_path():
 
 def test_cone_rejects_complete():
     for n in range(2, 6):
-        for fn in (cone_graph, sandpile_group, cross_check):
+        for fn in (cone_graph, sandpile_group):
             with pytest.raises(ValueError, match="isolated"):
                 fn(complete_graph(n))
+        with pytest.raises(ValueError, match="isolated"):
+            cross_check(GraphSpectra(complete_graph(n)))
 
 
 def test_sandpile_group_cricket():
@@ -49,9 +52,9 @@ def test_sandpile_group_cycle5():
 
 
 def test_cross_check_examples():
-    assert cross_check(cricket_graph())
-    assert cross_check(cycle_graph(5))
-    assert cross_check(path_graph(3))
+    assert cross_check(GraphSpectra(cricket_graph()))
+    assert cross_check(GraphSpectra(cycle_graph(5)))
+    assert cross_check(GraphSpectra(path_graph(3)))
 
 
 def test_cross_check_builds_one_profile(monkeypatch):
@@ -62,11 +65,11 @@ def test_cross_check_builds_one_profile(monkeypatch):
         calls.append(g)
         return distance_profile(g)
 
-    monkeypatch.setattr(sandpile, "distance_profile", counting)
-    monkeypatch.setattr(matrices, "distance_profile", counting)
+    for module in (sandpile, matrices, spectra):
+        monkeypatch.setattr(module, "distance_profile", counting)
     for g in (cricket_graph(), cycle_graph(5), path_graph(3)):
         calls.clear()
-        assert cross_check(g)
+        assert cross_check(GraphSpectra(g))
         assert calls == [g]
         assert cone_graph(g, distance_profile(g)) == cone_graph(g)
 
@@ -82,7 +85,7 @@ def test_cross_check_builds_one_laplacian(monkeypatch):
     monkeypatch.setattr(sandpile.Multigraph, "laplacian", counting)
     for g in (cricket_graph(), cycle_graph(5), path_graph(3)):
         calls.clear()
-        assert cross_check(g)
+        assert cross_check(GraphSpectra(g))
         assert calls == [cone_graph(g)]
 
 
@@ -91,7 +94,7 @@ def test_cross_check_sweep():
         for g in generate_connected_graphs(n):
             if g.is_complete():
                 continue
-            assert cross_check(g)
+            assert cross_check(GraphSpectra(g))
 
 
 def test_spanning_tree_count_is_reduction_independent():

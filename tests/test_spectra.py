@@ -1,9 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from graphinv import spectra, verify
+from graphinv import graphs, matrices, sandpile, spectra, verify
 from graphinv.exact import charpoly
 from graphinv.generators import generate_connected_graphs
 from graphinv.graphs import (
@@ -226,10 +227,10 @@ def test_shift_lemmas_cycle_and_cricket():
 
 
 def test_moments_examples():
-    assert check_moments(complete_graph(3)).checks[0].holds
-    report = check_moments(cycle_graph(5))
+    assert check_moments(GraphSpectra(complete_graph(3))).checks[0].holds
+    report = check_moments(GraphSpectra(cycle_graph(5)))
     assert report.checks[0].left == 30
-    report = check_moments(path_graph(3))
+    report = check_moments(GraphSpectra(path_graph(3)))
     assert report.checks[1].left == 2 * 2 + (9 + 4 + 9)
     assert report.checks[1].holds
 
@@ -238,7 +239,7 @@ def test_moments_exact_sweep():
     saw_disagreement = False
     for n in range(1, 6):
         for g in generate_connected_graphs(n):
-            report = check_moments(g)
+            report = check_moments(GraphSpectra(g))
             assert report.checks[0].holds
             assert report.checks[1].holds
             assert report.by_name(THIRD_MOMENT_EXPANSION).holds
@@ -246,7 +247,7 @@ def test_moments_exact_sweep():
                 saw_disagreement = True
     # the two third-moment forms are genuinely different identities
     assert saw_disagreement
-    k3 = check_moments(complete_graph(3))
+    k3 = check_moments(GraphSpectra(complete_graph(3)))
     assert not k3.by_name(THIRD_MOMENT_UNIT_MIXED).holds
 
 
@@ -255,7 +256,7 @@ def test_third_moment_reads_trace_of_cube():
         for g in generate_connected_graphs(n):
             atr = build(g, MatrixKind.Atr)
             cube = trace(mat_mul(mat_mul(atr, atr), atr))
-            report = check_moments(g)
+            report = check_moments(GraphSpectra(g))
             assert report.by_name(THIRD_MOMENT_EXPANSION).left == cube
             assert report.by_name(THIRD_MOMENT_UNIT_MIXED).left == cube
 
@@ -290,6 +291,30 @@ def test_bounds_suite_shares_one_context_per_graph(monkeypatch):
 
     monkeypatch.setattr(spectra, "eigenvalues_symmetric", counted("eigen", spectra.eigenvalues_symmetric))
     monkeypatch.setattr(spectra, "distance_profile", counted("profile", spectra.distance_profile))
-    graphs_checked = verify.bounds(5).objects
+    graphs_checked = verify.run(["bounds"], 5)["bounds"].objects
     assert graphs_checked == 1 + 2 + 6 + 21
     assert calls == {"eigen": 5 * graphs_checked, "profile": graphs_checked}
+
+
+def test_graph_suites_share_one_context_per_graph(monkeypatch):
+    # the three graph suites read one context per graph: one profile, and
+    # Atr built once although bounds, sandpile and moments all read it
+    profiles, builds = [], Counter()
+
+    def counted_profile(g):
+        profiles.append(g)
+        return graphs.distance_profile(g)
+
+    def counted_build(g, kind, profile=None):
+        builds[g, kind] += 1
+        return matrices.build(g, kind, profile)
+
+    for module in (spectra, sandpile, matrices):
+        monkeypatch.setattr(module, "distance_profile", counted_profile)
+    for module in (spectra, sandpile, verify):
+        monkeypatch.setattr(module, "build", counted_build)
+    results = verify.run(["bounds", "sandpile", "moments"], 5)
+    corpus = [g for n in range(1, 6) for g in generate_connected_graphs(n)]
+    assert [r.objects for r in results.values()] == [len(corpus) - 1, len(corpus) - 5, len(corpus)]
+    assert profiles == corpus
+    assert builds and max(builds.values()) == 1
