@@ -174,28 +174,17 @@ def _is_bipartite(g: Graph, profile: DistanceProfile) -> bool:
     return not any(row & (odd if (odd >> u) & 1 else even) for u, row in enumerate(g.adj))
 
 
-def _bipartite_steps(kinds: tuple[MatrixKind, ...]) -> tuple | None:
-    """Per requested kind, what a bipartite graph computes for it: the kind
-    to build, or the position of the earlier kind whose values it copies.
-    None when no two requested kinds share a source, so nothing is saved."""
-    sources = [BIPARTITE_TWINS.get(kind, kind) for kind in kinds]
-    steps = tuple(s if sources.index(s) == i else sources.index(s) for i, s in enumerate(sources))
-    return steps if any(isinstance(step, int) for step in steps) else None
-
-
 def _values(fn: Callable[[IntMatrix], object], item: tuple[Graph, tuple[MatrixKind, ...]]
             ) -> tuple[Graph, list]:
     """``(g, [fn(build(g, kind)) for kind in kinds])`` for ``item = (g,
-    kinds)``; on a bipartite graph a kind in ``BIPARTITE_TWINS`` takes the
-    value of its requested twin."""
+    kinds)``, with ``fn`` applied once per matrix built.  On a bipartite
+    graph a kind in ``BIPARTITE_TWINS`` is built as its twin."""
     g, kinds = item
     profile = distance_profile(g)  # also rejects disconnected input
-    shared = _bipartite_steps(kinds)
-    steps = shared if shared and _is_bipartite(g, profile) else kinds
-    out: list = []
-    for step in steps:
-        out.append(out[step] if isinstance(step, int) else fn(build(g, step, profile)))
-    return g, out
+    twins = BIPARTITE_TWINS if _is_bipartite(g, profile) else {}
+    sources = [twins.get(kind, kind) for kind in kinds]
+    values = {source: fn(build(g, source, profile)) for source in dict.fromkeys(sources)}
+    return g, [values[source] for source in sources]
 
 
 def _mapped(pool: WorkerPool | None, fn: Callable[[IntMatrix], object],

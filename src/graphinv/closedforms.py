@@ -17,8 +17,8 @@ from __future__ import annotations
 from .exact import SnfResult
 from .matrices import MatrixKind
 
-_MINUS_FAMILY = frozenset({MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.L})
-_PLUS_FAMILY = frozenset({MatrixKind.AtrPlus, MatrixKind.DdegPlus, MatrixKind.Q})
+MINUS_FAMILY = (MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.L)
+PLUS_FAMILY = (MatrixKind.AtrPlus, MatrixKind.DdegPlus, MatrixKind.Q)
 
 
 def _as_result(diagonal: list[int], n: int) -> SnfResult:
@@ -36,9 +36,9 @@ def snf_complete(kind: MatrixKind, n: int) -> SnfResult:
     """
     if n < 2:
         raise ValueError("complete-graph formulas need n >= 2")
-    if kind in _MINUS_FAMILY:
+    if kind in MINUS_FAMILY:
         return _as_result([1] + [n] * (n - 2) + [0], n)
-    if kind in _PLUS_FAMILY:
+    if kind in PLUS_FAMILY:
         return _as_result([1] + [n - 2] * (n - 2) + [2 * (n - 1) * (n - 2)], n)
     raise ValueError(f"no complete-graph closed form for kind {kind.value}")
 

@@ -173,7 +173,10 @@ def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> tuple[
 # Free trees: centroid certificate plus leaf-extension growth.
 
 def tree_certificate(g: Graph):
-    """Canonical encoding of a free tree, rooted at its centroid(s)."""
+    """Canonical encoding of a free tree, rooted at its centroid(s).
+    Raises ValueError unless ``g`` is a tree."""
+    if g.edge_count() != g.n - 1 or not g.is_connected():
+        raise ValueError("tree certificate needs a connected graph with n - 1 edges")
     return _tree_certificate(g.n, [g.neighbors(u) for u in range(g.n)])
 
 

@@ -104,6 +104,8 @@ def _bits(mask: int) -> list[int]:
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     rows = [0] * n
     for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v

@@ -96,12 +96,10 @@ def closed_forms(n_max: int) -> SuiteResult:
     require_n_max("closed-forms", n_max)
     objects = checks = 0
     failures = []
-    minus = (MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.L)
-    plus = (MatrixKind.AtrPlus, MatrixKind.DdegPlus, MatrixKind.Q)
     for n in range(2, n_max + 1):
         kn = complete_graph(n)
         objects += 1
-        for kind in minus + plus:
+        for kind in closedforms.MINUS_FAMILY + closedforms.PLUS_FAMILY:
             got = snf(build(kn, kind))
             want = closedforms.snf_complete(kind, n)
             checks += 1
@@ -142,7 +140,9 @@ N_MAX_RANGE = {
 
 
 def require_n_max(name: str, n_max: int) -> None:
-    """Raise ValueError unless suite ``name`` accepts ``n_max``."""
+    """Raise ValueError unless ``name`` is a suite and accepts ``n_max``."""
+    if name not in N_MAX_RANGE:
+        raise ValueError(f"unknown suite {name!r}; suites are {', '.join(N_MAX_RANGE)}")
     lo, hi = N_MAX_RANGE[name]
     if not lo <= n_max <= hi:
         raise ValueError(f"suite {name} supports {lo} <= n_max <= {hi}, got {n_max}")

@@ -202,8 +202,7 @@ def test_filtered_census_matches_full_reference(monkeypatch):
     # too; its report must equal the one from every graph's full charpoly
     # and Smith form, tallied once per corpus for all kinds and modes.
     # Spectral-only runs have no |det M| and start at the determinant; in
-    # (AtrPlus, Q) neither twin's partner is requested, so bipartite graphs
-    # build both kinds themselves.
+    # (AtrPlus, Q) bipartite graphs build Atr and L in their place.
     calls = {build: 0, distance_profile: 0, charpoly: 0}
     for fn in calls:
         def counted(*args, fn=fn):
@@ -222,9 +221,9 @@ def test_filtered_census_matches_full_reference(monkeypatch):
             assert run_census(graphs, kinds, modes) == expected
             if graphs is corpora[6] and modes == MODES and kinds == ALL_KINDS:
                 # Builds: 8442 in the stream (8530 matrices less the
-                # bipartite twins' copies), 3750 for determinants and 539
-                # for charpolys, one for each graph with a spectral mate
-                # (543) less the twins' copies.  Distance profiles: 853 in
+                # bipartite twins' shared builds), 3750 for determinants and
+                # 539 for charpolys, one for each graph with a spectral mate
+                # (543) less the twins' shared builds.  Distance profiles: 853 in
                 # the stream and one per graph rebuilt at each level.
                 assert list(calls.values()) == [12731, 1912, 539]
 

@@ -270,6 +270,14 @@ def test_verify_rejects_n_max_before_any_work(monkeypatch, capsys):
     assert ran == []
 
 
+def test_verify_rejects_unknown_suite():
+    message = "unknown suite 'nope'; suites are bounds, closed-forms, sandpile, moments"
+    with pytest.raises(ValueError, match=message):
+        verify.require_n_max("nope", 5)
+    with pytest.raises(ValueError, match=message):
+        verify.run(["moments", "nope"], 5)
+
+
 def test_usage_errors_exit_2(cricket_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-subcommand"])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -105,6 +106,17 @@ def test_tree_certificate_permutation_invariant():
         perm = list(range(t.n))
         rng.shuffle(perm)
         assert tree_certificate(permuted(t, perm)) == cert
+
+
+def test_tree_certificate_rejects_non_trees():
+    for g in (complete_graph(4), cycle_graph(4), graph_from_edges(4, [(0, 1), (2, 3)])):
+        with pytest.raises(ValueError, match="connected graph with n - 1 edges"):
+            tree_certificate(g)
+    # the certificates of the trees with n <= 8 are pinned
+    certs = [tree_certificate(t) for n in range(1, 9) for t in generate_trees(n)]
+    assert len(certs) == 48
+    digest = hashlib.sha256(repr(certs).encode()).hexdigest()
+    assert digest == "224629935faa658656603a54a6996fe86f431738fa4d2eaa181b99e5092cf286"
 
 
 def test_generators_match_unpruned_reference():

@@ -42,6 +42,12 @@ def test_graph_validation():
         Graph(2, (0b100, 0b000))  # bit beyond n
 
 
+def test_graph_from_edges_rejects_endpoint_out_of_range():
+    for edge in ((0, 5), (0, -1), (3, 0)):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) .* outside 0\.\.2"):
+            graph_from_edges(3, [(0, 1), edge])
+
+
 def test_parse_graph6_smallest():
     g = parse_graph6("@")
     assert g.n == 1 and g.edge_count() == 0
@@ -68,16 +74,20 @@ def test_parse_graph6_header_tolerated():
 
 
 def test_parse_graph6_errors_name_offset():
-    with pytest.raises(Graph6ParseError):
-        parse_graph6("")
-    with pytest.raises(Graph6ParseError) as exc:
-        parse_graph6("D?")  # truncated bit data
-    assert exc.value.offset == 2
-    with pytest.raises(Graph6ParseError) as exc:
-        parse_graph6("A_?")  # trailing garbage
-    assert exc.value.offset == 2
-    with pytest.raises(Graph6ParseError):
-        parse_graph6("A\x07")  # byte outside alphabet
+    for line, message, offset in (
+        ("", "empty graph6 record", 0),
+        ("D?", "truncated edge bit data", 2),
+        ("A_?", "trailing garbage after edge bit data", 2),
+        ("A\x07", "byte 7 outside graph6 alphabet", 1),
+        ("~~", "beyond 258047 vertices", 1),
+        ("~?", "truncated vertex-count header", 2),
+        ("?", "vertex count must be at least 1", 0),
+        ("~?@@", "vertex count 65 exceeds supported 64", 0),
+        ("A`", "nonzero padding bits", 1),
+    ):
+        with pytest.raises(Graph6ParseError, match=message) as exc:
+            parse_graph6(line)
+        assert exc.value.offset == offset
 
 
 def test_parse_graph6_rejects_non_ascii():
