@@ -374,3 +374,13 @@ def test_import_does_not_load_multiprocessing():
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_import_compiles_no_jacobi_kernel():
+    # the eigensolver's kernels are compiled on first use, so commands that
+    # never take a spectrum pay nothing for them
+    src = Path(graphinv.__file__).resolve().parent.parent
+    code = "import graphinv.cli, graphinv.spectra as s; print(s._kernel.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0\n"

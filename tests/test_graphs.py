@@ -111,6 +111,34 @@ def test_graph6_roundtrip_all_small():
             assert parse_graph6(write_graph6(g)) == g
 
 
+def test_graph6_seeded_mutations_fail_cleanly_or_round_trip():
+    # 10000 random edits of 1-3 bytes (replace, insert or delete, any byte
+    # value) of the connected records with n <= 7: the parser raises nothing
+    # but Graph6ParseError, and every record it accepts (the line without its
+    # line ending) is exactly what write_graph6 writes for the parsed graph
+    rng = random.Random(2024)
+    records = [write_graph6(g).encode("ascii") for n in range(1, 8) for g in generate_connected_graphs(n)]
+    accepted = 0
+    for _ in range(10000):
+        data = bytearray(rng.choice(records))
+        for _ in range(rng.randint(1, 3)):
+            op, at = rng.randrange(3), rng.randint(0, len(data))
+            if op == 0 and at < len(data):
+                data[at] = rng.randrange(256)
+            elif op == 1:
+                data.insert(at, rng.randrange(256))
+            elif at < len(data):
+                del data[at]
+        line = data.decode("ascii", "surrogateescape")
+        try:
+            g = parse_graph6(line)
+        except Graph6ParseError:
+            continue
+        accepted += 1
+        assert write_graph6(g) == line.rstrip("\r\n"), line
+    assert 0 < accepted < 10000
+
+
 def test_graph6_large_n_header():
     # 63 vertices forces the long vertex-count form.
     g = path_graph(63)

@@ -101,8 +101,11 @@ def test_eigenvalues_bit_identical_to_reference_on_random_matrices():
             if n >= 2:
                 # zero rows stay zero, so their rotations take the apq == 0.0 skip
                 cases.append(_random_symmetric(rng, n, zero_rows=rng.randint(1, n - 1)))
+    spectra._kernel.cache_clear()
     for m in cases:
         assert eigenvalues_symmetric(m) == eigenvalues_symmetric_reference(m), m
+    # orders 0..8 ran on unrolled kernels, and the larger ones on the row loop
+    assert spectra._kernel.cache_info().currsize == 9
 
 
 def test_sweep_cap_stops_like_reference(monkeypatch):
