@@ -32,8 +32,7 @@ from .matrices import MatrixKind, build
 from .sandpile import sandpile_group
 from .spectra import eigenvalues_symmetric
 
-# Every kind but the diagonal R, which only the API exposes.
-CLI_KINDS = tuple(k.value for k in MatrixKind if k is not MatrixKind.R)
+CLI_KINDS = tuple(k.value for k in MatrixKind)
 
 T = TypeVar("T")
 

@@ -19,6 +19,7 @@ from .matrices import MatrixKind
 
 MINUS_FAMILY = (MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.L)
 PLUS_FAMILY = (MatrixKind.AtrPlus, MatrixKind.DdegPlus, MatrixKind.Q)
+STAR_FAMILY = (MatrixKind.Ddeg, MatrixKind.DdegPlus)
 
 
 def _as_result(diagonal: list[int], n: int) -> SnfResult:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -48,9 +49,6 @@ class Graph:
             for v in range(u + 1, self.n):
                 if (self.adj[u] >> v) & 1 != (self.adj[v] >> u) & 1:
                     raise ValueError(f"adjacency not symmetric at pair ({u}, {v})")
-
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
 
     def neighbors(self, u: int) -> list[int]:
         return _bits(self.adj[u])
@@ -265,6 +263,11 @@ class DistanceProfile:
     dist: tuple[tuple[int, ...], ...]
     tr: tuple[int, ...]
     deg: tuple[int, ...]
+
+    @property
+    def r(self) -> tuple[int, ...]:
+        """tr - deg per vertex: the diagonal R in Atr = L + R."""
+        return tuple(map(sub, self.tr, self.deg))
 
 
 def distance_profile(g: Graph) -> DistanceProfile:

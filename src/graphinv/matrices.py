@@ -1,7 +1,6 @@
 """Exact integer matrices derived from a graph.
 
-Every kind is a diagonal part plus or minus an off-diagonal part, or one
-of the bare building blocks:
+Every kind is an optional diagonal part plus or minus an off-diagonal part:
 
     A            adjacency
     L  = deg - A        Q  = deg + A
@@ -9,13 +8,13 @@ of the bare building blocks:
     DL = tr - D         DQ = tr + D
     Atr = tr - A        AtrPlus  = tr + A
     Ddeg = deg - D      DdegPlus = deg + D
-    R  = tr - deg       (diagonal)
 
 ``RECIPES`` holds that split for each kind as a triple (diagonal source,
 sign, off-diagonal source), and ``build`` runs one code path for all of
-them.  A kind needs a ``DistanceProfile``, and so a connected graph, when
-its diagonal uses transmissions or its off-diagonal part uses distances;
-``A``, ``L`` and ``Q`` work on any graph.
+them.  The diagonal R = tr - deg of the paper's split Atr = L + R is no
+kind: ``DistanceProfile.r`` holds it.  A kind needs a ``DistanceProfile``,
+and so a connected graph, when its diagonal uses transmissions or its
+off-diagonal part uses distances; ``A``, ``L`` and ``Q`` work on any graph.
 
 Entries are plain Python ints, so nothing ever overflows downstream in the
 Smith normal form or characteristic polynomial computations.
@@ -24,7 +23,7 @@ Smith normal form or characteristic polynomial computations.
 from __future__ import annotations
 
 from enum import Enum
-from operator import mul, neg, sub
+from operator import mul, neg
 
 from .graphs import DistanceProfile, Graph, distance_profile
 
@@ -42,19 +41,12 @@ class MatrixKind(Enum):
     AtrPlus = "AtrPlus"
     Ddeg = "Ddeg"
     DdegPlus = "DdegPlus"
-    R = "R"
 
 
-# Diagonal sources, by the name ``RECIPES`` uses; a diagonal of None is zero.
-_DIAGONALS = {
-    "deg": lambda g, profile: g.degree_sequence(),
-    "tr": lambda g, profile: profile.tr,
-    "tr - deg": lambda g, profile: map(sub, profile.tr, profile.deg),
-}
-
-# kind -> (diagonal source, sign of the off-diagonal part, off-diagonal
-# source: "A" for adjacency, "D" for distances, None with sign 0 for none).
-RECIPES: dict[MatrixKind, tuple[str | None, int, str | None]] = {
+# kind -> (diagonal source: None for zero, "deg" for degrees, "tr" for
+# transmissions; sign of the off-diagonal part, +1 or -1; off-diagonal
+# source: "A" for adjacency, "D" for distances).
+RECIPES: dict[MatrixKind, tuple[str | None, int, str]] = {
     MatrixKind.A: (None, 1, "A"),
     MatrixKind.L: ("deg", -1, "A"),
     MatrixKind.Q: ("deg", 1, "A"),
@@ -65,7 +57,6 @@ RECIPES: dict[MatrixKind, tuple[str | None, int, str | None]] = {
     MatrixKind.AtrPlus: ("tr", 1, "A"),
     MatrixKind.Ddeg: ("deg", -1, "D"),
     MatrixKind.DdegPlus: ("deg", 1, "D"),
-    MatrixKind.R: ("tr - deg", 0, None),
 }
 
 
@@ -79,16 +70,13 @@ def build(g: Graph, kind: MatrixKind, profile: DistanceProfile | None = None) ->
     if recipe is None:
         raise ValueError(f"unknown matrix kind {kind!r}")
     diagonal, sign, off = recipe
-    if profile is None and (diagonal in ("tr", "tr - deg") or off == "D"):
+    if profile is None and (diagonal == "tr" or off == "D"):
         profile = distance_profile(g)  # raises on a disconnected graph
     n = g.n
-    if sign == 0:
-        m = [[0] * n for _ in range(n)]
-    else:
-        rows = profile.dist if off == "D" else [[(a >> v) & 1 for v in range(n)] for a in g.adj]
-        m = [list(map(neg, row)) for row in rows] if sign < 0 else [list(row) for row in rows]
+    rows = profile.dist if off == "D" else [[(a >> v) & 1 for v in range(n)] for a in g.adj]
+    m = [list(map(neg, row)) for row in rows] if sign < 0 else [list(row) for row in rows]
     if diagonal is not None:
-        for u, x in enumerate(_DIAGONALS[diagonal](g, profile)):
+        for u, x in enumerate(profile.tr if diagonal == "tr" else g.degree_sequence()):
             m[u][u] = x
     return m
 

@@ -45,13 +45,13 @@ def cone_graph(g: Graph, profile: DistanceProfile | None = None) -> Multigraph:
     if profile is None:
         profile = distance_profile(g)
     n = g.n
-    weights = [t - d for t, d in zip(profile.tr, profile.deg)]
+    weights = profile.r
     rows = []
     for u in range(n):
         rows.append(tuple(
             ((g.adj[u] >> v) & 1) for v in range(n)
         ) + (weights[u],))
-    rows.append(tuple(weights) + (0,))
+    rows.append(weights + (0,))
     return Multigraph(n + 1, tuple(rows))
 
 

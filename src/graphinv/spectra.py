@@ -203,8 +203,9 @@ def eigenvalues_symmetric(m: IntMatrix) -> Spectrum:
 
 class GraphSpectra:
     """One connected graph with what the checks read from it: its distance
-    profile, ``r = tr - deg`` per vertex, ``matrix(kind)`` and ``ctx[kind]``,
-    the Spectrum of that matrix.  Each is computed on first access and kept."""
+    profile (``ctx.profile.r`` is tr - deg per vertex), ``matrix(kind)``
+    and ``ctx[kind]``, the Spectrum of that matrix.  Each is computed on
+    first access and kept."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -214,10 +215,6 @@ class GraphSpectra:
     @cached_property
     def profile(self) -> DistanceProfile:
         return distance_profile(self.g)
-
-    @cached_property
-    def r(self) -> list[int]:
-        return [t - d for t, d in zip(self.profile.tr, self.profile.deg)]
 
     def matrix(self, kind: MatrixKind) -> IntMatrix:
         """The graph's ``kind`` matrix, shared by every reader: none may modify it."""
@@ -258,7 +255,8 @@ def check_weyl_sandwich(ctx: GraphSpectra) -> BoundReport:
     transmission-minus-degree: for each index i (1-based),
     eig_i(L) + min(R) <= eig_i(Atr) <= eig_i(L) + max(R).
     """
-    r_lo, r_hi = min(ctx.r), max(ctx.r)
+    r = ctx.profile.r
+    r_lo, r_hi = min(r), max(r)
     l, atr = ctx[MatrixKind.L], ctx[MatrixKind.Atr]
     eff = max(l.tol, atr.tol)
     checks = []
@@ -274,9 +272,10 @@ def check_lambda1_bracket(ctx: GraphSpectra) -> BoundReport:
     """min(tr - deg) <= min_eig(Atr) <= average(tr - deg)."""
     atr = ctx[MatrixKind.Atr]
     lam1 = atr.eigenvalues[0]
+    r = ctx.profile.r
     return BoundReport((
-        _leq("min(tr - deg) <= min_eig(Atr)", min(ctx.r), lam1, atr.tol),
-        _leq("min_eig(Atr) <= mean(tr - deg)", lam1, sum(ctx.r) / ctx.g.n, atr.tol),
+        _leq("min(tr - deg) <= min_eig(Atr)", min(r), lam1, atr.tol),
+        _leq("min_eig(Atr) <= mean(tr - deg)", lam1, sum(r) / ctx.g.n, atr.tol),
     ))
 
 
@@ -294,8 +293,9 @@ def check_conductance_bracket(ctx: GraphSpectra) -> BoundReport:
     phi, _ = conductance(ctx.g)
     atr = ctx[MatrixKind.Atr]
     lam2 = atr.eigenvalues[1]
-    lower = float(phi) ** 2 / (2 * max(ctx.profile.deg)) + min(ctx.r)
-    upper = 2 * float(phi) + max(ctx.r)
+    r = ctx.profile.r
+    lower = float(phi) ** 2 / (2 * max(ctx.profile.deg)) + min(r)
+    upper = 2 * float(phi) + max(r)
     return BoundReport((
         _leq("phi^2/(2*max_deg) + min(tr - deg) < eig_2(Atr)", lower, lam2, atr.tol),
         _leq("eig_2(Atr) <= 2*phi + max(tr - deg)", lam2, upper, atr.tol),

@@ -108,7 +108,7 @@ def closed_forms(n_max: int) -> SuiteResult:
     for m in range(1, n_max + 1):
         star = star_graph(m)
         objects += 1
-        for kind in (MatrixKind.Ddeg, MatrixKind.DdegPlus):
+        for kind in closedforms.STAR_FAMILY:
             got = snf(build(star, kind))
             want = closedforms.snf_star(kind, m)
             checks += 1

@@ -340,7 +340,6 @@ DISTANCE_KINDS = frozenset({
     MatrixKind.D, MatrixKind.DL, MatrixKind.DQ,
     MatrixKind.Atr, MatrixKind.AtrPlus,
     MatrixKind.Ddeg, MatrixKind.DdegPlus,
-    MatrixKind.R,
 })
 
 
@@ -398,11 +397,6 @@ def build_reference(g, kind, profile=None):
     if kind is MatrixKind.DdegPlus:
         return [
             [deg[u] if u == v else dist[u][v] for v in range(n)]
-            for u in range(n)
-        ]
-    if kind is MatrixKind.R:
-        return [
-            [tr[u] - deg[u] if u == v else 0 for v in range(n)]
             for u in range(n)
         ]
     raise ValueError(f"unknown matrix kind {kind!r}")

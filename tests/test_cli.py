@@ -8,10 +8,8 @@ import pytest
 
 import graphinv
 from graphinv import verify
-from graphinv.census import run_census
 from graphinv.cli import main
 from graphinv.graphs import cricket_graph, parse_graph6, write_graph6
-from graphinv.matrices import MatrixKind
 from oracles import permuted, triangular_and_chang_graphs
 
 
@@ -122,12 +120,85 @@ def _g6_file(tmp_path, *records):
     return str(path)
 
 
-def test_census_input_names_disconnected_record(tmp_path, capsys):
-    # the error once named no record: "error: graph not connected"
-    path = _g6_file(tmp_path, "Bg", "B?")
-    for jobs in ("1", "2"):
-        assert main(["census", "--input", path, "--matrices", "A", "--jobs", jobs]) == 1
-        assert capsys.readouterr() == ("", f"error: {path}:2: graph not connected\n")
+# Each fault of the per-record input contract, as the records of one file
+# (None: the file does not exist).  Line 2, where there is one, is at fault.
+FAULTS = {
+    "malformed": ("Bg", "B~"),
+    "disconnected": ("Bg", "B?"),
+    "order": ("Bg", "Ch"),
+    "repeat": ("Bg", "Bg"),
+    "isomorphic": ("Bg", "Bo"),
+    "empty": (),
+    "header-only": (">>graph6<<",),
+    "missing": None,
+}
+NOT_FOUND = "error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def _census_rows(jobs):
+    # a census needs records of one order, each connected and none repeated,
+    # not even up to isomorphism
+    argv = ["census", "--matrices", "A", "--modes", "spectral", "--jobs", jobs]
+    return [
+        pytest.param(argv, "malformed", 1, "",
+                     "error: {path}:2: nonzero padding bits (byte offset 1)\n",
+                     id=f"census-j{jobs}-malformed"),
+        pytest.param(argv, "disconnected", 1, "", "error: {path}:2: graph not connected\n",
+                     id=f"census-j{jobs}-disconnected"),
+        pytest.param(argv, "order", 1, "", "error: {path}:2: graph on 4 vertices, expected 3\n",
+                     id=f"census-j{jobs}-order"),
+        pytest.param([*argv, "--n", "4"], "order", 1, "",
+                     "error: {path}:1: graph on 3 vertices, expected 4\n", id=f"census-j{jobs}-n4-order"),
+        pytest.param(argv, "repeat", 1, "", "error: {path}:2: duplicate of line 1\n",
+                     id=f"census-j{jobs}-repeat"),
+        pytest.param(argv, "isomorphic", 1, "", "error: {path}:2: isomorphic to line 1\n",
+                     id=f"census-j{jobs}-isomorphic"),
+        pytest.param(argv, "empty", 1, "", "error: {path}: no graph6 records\n",
+                     id=f"census-j{jobs}-empty"),
+        pytest.param(argv, "header-only", 1, "", "error: {path}: no graph6 records\n",
+                     id=f"census-j{jobs}-header-only"),
+        pytest.param(argv, "missing", 1, "", NOT_FOUND, id=f"census-j{jobs}-missing"),
+    ]
+
+
+def _per_record_rows(name, argv, p3, p4, disconnected):
+    # snf, spectrum and sandpile read each record on its own, so a repeat,
+    # a mixed order or an empty file is accepted; each prints its lines only
+    # once every record has succeeded
+    return [
+        pytest.param(argv, "malformed", 1, "",
+                     "error: {path}:2: nonzero padding bits (byte offset 1)\n", id=f"{name}-malformed"),
+        pytest.param(argv, "disconnected", *disconnected, id=f"{name}-disconnected"),
+        pytest.param(argv, "order", 0, p3 + p4, "", id=f"{name}-order"),
+        pytest.param(argv, "repeat", 0, p3 + p3, "", id=f"{name}-repeat"),
+        pytest.param(argv, "isomorphic", 0, p3 + p3, "", id=f"{name}-isomorphic"),
+        pytest.param(argv, "empty", 0, "", "", id=f"{name}-empty"),
+        pytest.param(argv, "header-only", 0, "", "", id=f"{name}-header-only"),
+        pytest.param(argv, "missing", 1, "", NOT_FOUND, id=f"{name}-missing"),
+    ]
+
+
+NOT_CONNECTED = (1, "", "error: {path}:2: graph not connected\n")
+
+
+@pytest.mark.parametrize("argv, fault, code, stdout, stderr", [
+    *_census_rows("1"),
+    *_census_rows("2"),
+    # the adjacency matrix needs no distances, so snf --matrix A takes a
+    # disconnected graph
+    *_per_record_rows("snf", ["snf", "--matrix", "A"], "1 1 0\n", "1 1 1 1\n",
+                      (0, "1 1 0\n0 0 0\n", "")),
+    *_per_record_rows("spectrum", ["spectrum", "--matrix", "Atr", "--exact"], "1 -8 19 -12\n",
+                      "1 -20 145 -448 493\n", NOT_CONNECTED),
+    # P3 and P4, not K3: the cone over a complete graph is refused first
+    *_per_record_rows("sandpile", ["sandpile"], "Z_12, tau=12\n", "Z_493, tau=493\n",
+                      NOT_CONNECTED),
+])
+def test_input_fault_contract(argv, fault, code, stdout, stderr, tmp_path, capsys):
+    records = FAULTS[fault]
+    path = str(tmp_path / "graphs.g6") if records is None else _g6_file(tmp_path, *records)
+    assert main([*argv, "--input", path]) == code
+    assert capsys.readouterr() == (stdout, stderr.format(path=path))
 
 
 def test_census_input_reports_first_fault_in_file_order(tmp_path, capsys):
@@ -137,26 +208,6 @@ def test_census_input_reports_first_fault_in_file_order(tmp_path, capsys):
     path.write_bytes(b"Bg\nB?\nB\xc3\n")
     assert main(["census", "--input", str(path), "--matrices", "A", "--jobs", "1"]) == 1
     assert capsys.readouterr() == ("", f"error: {path}:2: graph not connected\n")
-
-
-def test_census_input_rejects_duplicate_record(tmp_path, capsys):
-    # two copies of one record once counted as mates: mate_count 2, total 2
-    path = _g6_file(tmp_path, "Bg", "Bg")
-    assert main(["census", "--input", path, "--matrices", "Atr",
-                 "--modes", "invariant", "--jobs", "1"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: {path}:2: duplicate of line 1\n"
-
-
-def test_census_input_rejects_isomorphic_record(tmp_path, capsys):
-    # P4 and P4 with vertices 0 and 1 swapped once counted as mates:
-    # mate_count 2, total 2, exit 0
-    path = _g6_file(tmp_path, "Ch", "C~", "Cp")
-    for jobs in ("1", "2"):
-        assert main(["census", "--input", path, "--matrices", "A",
-                     "--modes", "spectral", "--jobs", jobs]) == 1
-        assert capsys.readouterr() == ("", f"error: {path}:3: isomorphic to line 1\n")
 
 
 def test_census_input_accepts_every_connected_graph(tmp_path, capsys):
@@ -184,30 +235,6 @@ def test_census_input_on_cospectral_strongly_regular_graphs(tmp_path, capsys):
     path = _g6_file(tmp_path, *records, relabelled)
     assert main(["census", "--input", path, *argv]) == 1
     assert capsys.readouterr().err == f"error: {path}:5: isomorphic to line 1\n"
-
-
-def test_census_input_names_empty_file(tmp_path, capsys):
-    # the error once named no file: "error: census stream is empty"
-    for records in ((), (">>graph6<<",)):
-        path = _g6_file(tmp_path, *records)
-        for jobs in ("1", "2"):
-            assert main(["census", "--input", path, "--matrices", "A", "--jobs", jobs]) == 1
-            assert capsys.readouterr() == ("", f"error: {path}: no graph6 records\n")
-        for argv in (["snf", "--matrix", "A"], ["spectrum", "--matrix", "A"], ["sandpile"]):
-            assert main([*argv, "--input", path]) == 0
-            assert capsys.readouterr() == ("", "")
-    with pytest.raises(ValueError, match="^census stream is empty$"):
-        run_census([], [MatrixKind.A])
-
-
-def test_census_input_names_record_of_wrong_order(tmp_path, capsys):
-    path = _g6_file(tmp_path, "Bg", "C~")
-    for extra, expected in (([], "2: graph on 4 vertices, expected 3"),
-                            (["--n", "4"], "1: graph on 3 vertices, expected 4")):
-        assert main(["census", "--input", path, *extra, "--matrices", "A", "--jobs", "1"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: {path}:{expected}\n"
 
 
 def test_per_record_commands_leave_no_partial_output(tmp_path, capsys):

@@ -10,7 +10,8 @@ from graphinv.graphs import (
     graph_from_edges,
 )
 from graphinv.generators import generate_connected_graphs, generate_trees
-from graphinv.matrices import MatrixKind, build, mat_mul
+from graphinv.census import BIPARTITE_TWINS
+from graphinv.matrices import RECIPES, MatrixKind, build, mat_mul
 from oracles import build_reference, is_symmetric, mat_add, mat_mul_reference, permuted, row_sums
 
 ALL_KINDS = list(MatrixKind)
@@ -52,8 +53,8 @@ def test_laplacian_decomposition_of_atr():
         for g in generate_connected_graphs(n):
             prof = distance_profile(g)
             lhs = build(g, MatrixKind.Atr, prof)
-            rhs = mat_add(build(g, MatrixKind.L, prof), build(g, MatrixKind.R, prof))
-            assert lhs == rhs
+            r = [[x if u == v else 0 for v in range(n)] for u, x in enumerate(prof.r)]
+            assert lhs == mat_add(build(g, MatrixKind.L, prof), r)
 
 
 def test_plus_minus_pairs_sum_to_doubled_diagonal():
@@ -64,6 +65,19 @@ def test_plus_minus_pairs_sum_to_doubled_diagonal():
             assert s == [[2 * prof.deg[u] if u == v else 0 for v in range(n)] for u in range(n)]
             s = mat_add(build(g, MatrixKind.Atr, prof), build(g, MatrixKind.AtrPlus, prof))
             assert s == [[2 * prof.tr[u] if u == v else 0 for v in range(n)] for u in range(n)]
+
+
+def test_every_kind_is_diagonal_plus_or_minus_off_diagonal():
+    # Every kind is X + s*B: X a diagonal of zeros, degrees or transmissions,
+    # s = +-1, and B = A or D, each with a zero diagonal.  A bipartite twin
+    # pair differs only in the sign of A, which conjugating by the +-1
+    # diagonal S of a 2-colouring negates.
+    assert list(RECIPES) == ALL_KINDS
+    for kind, (diagonal, sign, off) in RECIPES.items():
+        assert diagonal in (None, "deg", "tr") and sign in (1, -1) and off in ("A", "D"), kind
+    for key, twin in BIPARTITE_TWINS.items():
+        (d1, s1, o1), (d2, s2, o2) = RECIPES[key], RECIPES[twin]
+        assert d1 == d2 and o1 == o2 == "A" and s1 == -s2, key
 
 
 def test_all_kinds_symmetric():
@@ -89,7 +103,7 @@ def test_permutation_equivariance():
 
 def test_distance_kinds_reject_disconnected():
     g = graph_from_edges(4, [(0, 1), (2, 3)])
-    for kind in (MatrixKind.D, MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.R):
+    for kind in (MatrixKind.D, MatrixKind.Atr, MatrixKind.Ddeg):
         with pytest.raises(ValueError, match="not connected"):
             build(g, kind)
     # purely adjacency-based kinds tolerate disconnected graphs
