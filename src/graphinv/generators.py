@@ -6,19 +6,18 @@ with a canonical certificate.  Growing is exhaustive because deleting a
 leaf of a tree, or any non-cut vertex of a connected graph, lands back in
 the previous level.
 
-Each level keeps, for every class, the first candidate seen (parents in
-level order, then neighbourhoods or attachment vertices in increasing
-order), and lists the classes by certificate.  Candidates are visited in
-that order, but a parent skips each neighbourhood (or attachment vertex)
-that is not the least of its orbit under a group of its automorphisms.  One
-taking S to S' maps the candidate joined to S onto the one joined to S', so
-the orbit's least member, never skipped, is an earlier isomorphic candidate:
-for any group the first-seen representatives and their order are the same.
-Connected graphs use the automorphisms that the parent's canonical search
-finds and the swaps of twins (vertices that agree off both), which it never
-tries; trees use the twin swaps alone, skipping v if it has a twin u < v.
-Each candidate's neighbour lists are the parent's with the new vertex
-appended, and only a first-seen candidate is built as a ``Graph``.
+One loop, ``_grow``, builds each level of both corpora: per parent (in
+level order) it joins a new vertex to each neighbourhood a rule yields (in
+increasing order), keeps the first candidate seen per key and lists the
+level by key.  Trees pass one-vertex neighbourhoods, skipping v if it has a
+twin u < v (a vertex agreeing with v off both), keyed by the centroid
+certificate; connected graphs pass ``_orbit_minima``, the neighbourhoods
+least in their orbit under the automorphisms the parent's canonical search
+finds and its twin swaps (which that search never tries), keyed by the
+canonical bitmask.  Skipping is safe under any group of the parent's
+automorphisms: one taking S to S' maps the candidate joined to S onto the
+one joined to S', so the orbit's least member, never skipped, is an earlier
+isomorphic candidate.  Only a first-seen candidate is built as a ``Graph``.
 
 Certificates: trees use the classic rooted-at-centroid encoding; general
 graphs use an individualisation-refinement search for the minimum
@@ -30,7 +29,7 @@ strongly regular) stay cheap.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, _bits
 
@@ -170,6 +169,30 @@ def _canonical_mask(n: int, adj: Sequence[int], nbrs: list[list[int]]) -> tuple[
 
 
 # ---------------------------------------------------------------------------
+# Growing one level from the level below.
+
+def _grow(n: int, parents: Sequence[Graph], neighbourhoods: Callable[..., Iterable[int]],
+          key: Callable[..., object]) -> tuple[Graph, ...]:
+    """Level n: each parent joined to each mask ``neighbourhoods(m, adj, nbrs)``
+    yields, keeping the first graph per ``key(n, rows, cand)``, in key order."""
+    m = n - 1
+    new = 1 << m
+    found: dict[object, Graph] = {}
+    for small in parents:
+        adj = small.adj
+        nbrs = [small.neighbors(u) for u in range(m)]
+        for nbhd in neighbourhoods(m, adj, nbrs):
+            rows = [row | new if (nbhd >> u) & 1 else row for u, row in enumerate(adj)]
+            rows.append(nbhd)
+            cand = [nb + [m] if (nbhd >> u) & 1 else nb for u, nb in enumerate(nbrs)]
+            cand.append(_bits(nbhd))
+            k = key(n, rows, cand)
+            if k not in found:
+                found[k] = Graph(n, tuple(rows))
+    return tuple(found[k] for k in sorted(found))
+
+
+# ---------------------------------------------------------------------------
 # Free trees: centroid certificate plus leaf-extension growth.
 
 def tree_certificate(g: Graph):
@@ -222,23 +245,10 @@ def _tree_certificate(n: int, nbrs: list[list[int]]):
 def _tree_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
-    m = n - 1
-    found: dict[object, Graph] = {}
-    for small in _tree_level(m):
-        adj = small.adj
-        nbrs = [small.neighbors(u) for u in range(m)]
-        for v, lower in enumerate(_lower_twins(adj)):
-            if lower:
-                continue
-            cand = nbrs.copy()
-            cand[v] = nbrs[v] + [m]
-            cand.append([v])
-            cert = _tree_certificate(n, cand)
-            if cert not in found:
-                rows = list(adj) + [1 << v]
-                rows[v] |= 1 << m
-                found[cert] = Graph(n, tuple(rows))
-    return tuple(found[c] for c in sorted(found))
+    return _grow(
+        n, _tree_level(n - 1),
+        lambda m, adj, nbrs: (1 << v for v, lower in enumerate(_lower_twins(adj)) if not lower),
+        lambda n, rows, cand: _tree_certificate(n, cand))
 
 
 def generate_trees(n: int) -> Iterator[Graph]:
@@ -271,22 +281,8 @@ def _orbit_minima(m: int, adj: tuple[int, ...], nbrs: list[list[int]]) -> Iterat
 def _connected_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, (0,)),)
-    m = n - 1
-    new = 1 << m
-    new_nbrs = [_bits(nbhd) for nbhd in range(new)]
-    found: dict[int, Graph] = {}
-    for small in _connected_level(m):
-        adj = small.adj
-        nbrs = [small.neighbors(u) for u in range(m)]
-        for nbhd in _orbit_minima(m, adj, nbrs):
-            rows = [row | new if (nbhd >> u) & 1 else row for u, row in enumerate(adj)]
-            rows.append(nbhd)
-            cand = [nb + [m] if (nbhd >> u) & 1 else nb for u, nb in enumerate(nbrs)]
-            cand.append(new_nbrs[nbhd])
-            key = _canonical_mask(n, rows, cand)[0]
-            if key not in found:
-                found[key] = Graph(n, tuple(rows))
-    return tuple(found[k] for k in sorted(found))
+    return _grow(n, _connected_level(n - 1), _orbit_minima,
+                 lambda n, rows, cand: _canonical_mask(n, rows, cand)[0])
 
 
 def generate_connected_graphs(n: int) -> Iterator[Graph]:

@@ -19,6 +19,7 @@ from graphinv.graphs import (
     star_graph,
 )
 from oracles import (
+    _twins_reference,
     canonical_key_reference,
     connected_candidates,
     connected_level_reference,
@@ -209,6 +210,31 @@ def test_orbit_rule_candidate_searches_at_seven(monkeypatch):
     assert len(level) == 853
     assert len(visited) == 112
     assert sum(map(len, visited)) == 3771
+
+
+def test_tree_twin_rule_candidate_counts(monkeypatch):
+    # A parent offers each attachment vertex v with no twin u < v; every
+    # attachment would give 77 candidates at n = 8 and 2585 at n = 12.
+    certify = generators._tree_certificate
+    for n, want in ((8, 59), (12, 2075)):
+        parents = list(generate_trees(n - 1))
+        calls = []
+        monkeypatch.setattr(generators, "_tree_certificate",
+                            lambda k, nbrs: calls.append(k) or certify(k, nbrs))
+        level = generators._tree_level.__wrapped__(n)
+        monkeypatch.undo()
+        assert level == tuple(generate_trees(n))
+        assert len(calls) == want == sum(
+            not any(_twins_reference(t.adj, u, v) for u in range(v))
+            for t in parents for v in range(t.n))
+
+
+def test_trees_are_the_connected_graphs_with_n_minus_1_edges():
+    for n in range(1, 9):
+        trees = {canonical_key(t) for t in generate_trees(n)}
+        assert trees == {canonical_key(g) for g in generate_connected_graphs(n)
+                         if g.edge_count() == n - 1}
+        assert len(trees) == TREE_COUNTS[n]
 
 
 def test_search_automorphisms_map_adjacency_onto_itself():
