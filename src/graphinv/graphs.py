@@ -29,7 +29,8 @@ class Graph6ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph: ``adj[u]`` has bit v set iff u ~ v."""
+    """Immutable simple graph: ``adj[u]`` has bit v set iff u ~ v.  Any
+    sequence of int rows is accepted and stored as a tuple."""
 
     n: int
     adj: tuple[int, ...]
@@ -37,10 +38,13 @@ class Graph:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
+        object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << self.n) - 1
         for u, row in enumerate(self.adj):
+            if not isinstance(row, int):
+                raise ValueError(f"adjacency row {u} is not an integer: {row!r}")
             if row & ~full:
                 raise ValueError(f"adjacency row {u} references vertices beyond n")
             if (row >> u) & 1:

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .exact import AbelianGroup, SnfResult, cokernel, snf
-from .graphs import DistanceProfile, Graph, distance_profile
+from .graphs import DistanceProfile, Graph, distance_profile, write_graph6
 from .matrices import IntMatrix, MatrixKind, build
 from .spectra import GraphSpectra
 
@@ -71,18 +71,19 @@ def cross_check(ctx: GraphSpectra) -> bool:
     entrywise, and the cone Laplacian's SNF is that matrix's SNF extended
     by one zero.
 
-    Returns False (with a note on stderr) instead of raising on mismatch;
-    ``cone_graph`` rejects a complete graph.
+    Returns False (with a note on stderr naming the graph) instead of
+    raising on mismatch; ``cone_graph`` rejects a complete graph.
     """
     h = cone_graph(ctx.g, ctx.profile)
     atr = ctx.matrix(MatrixKind.Atr)
     lap = h.laplacian()
     if [row[:-1] for row in lap[:-1]] != atr:  # the apex is vertex n
-        print("cone cross-check: reduced Laplacian differs entrywise", file=sys.stderr)
+        print(f"cone cross-check: reduced Laplacian differs entrywise: {write_graph6(ctx.g)}",
+              file=sys.stderr)
         return False
     full = snf(lap)
     expected = snf(atr)
     if full != SnfResult(expected.factors, expected.zeros + 1, expected.n + 1):
-        print("cone cross-check: SNF mismatch", file=sys.stderr)
+        print(f"cone cross-check: SNF mismatch: {write_graph6(ctx.g)}", file=sys.stderr)
         return False
     return True

@@ -71,13 +71,17 @@ _GRAPH_SUITES = {"bounds": _bounds, "sandpile": _sandpile, "moments": _moments}
 
 
 def run(names: list[str], n_max: int) -> dict[str, SuiteResult]:
-    """Each named suite's result up to ``n_max``, in the given order.  Every
-    ``n_max`` is checked before any work.  The graph suites then share one
-    walk over the connected graphs with 1 <= n <= n_max and one
-    ``GraphSpectra`` per graph; a suite returns None for a graph it skips.
-    closed-forms walks its own objects."""
-    for name in names:
+    """Each named suite's result up to ``n_max``, in the given order.  The
+    names (at least one, none twice) and ``n_max`` are checked before any
+    work.  The graph suites then share one walk over the connected graphs
+    with 1 <= n <= n_max and one ``GraphSpectra`` per graph; a suite
+    returns None for a graph it skips.  closed-forms walks its own objects."""
+    if not names:
+        raise ValueError("verify needs at least one suite")
+    for i, name in enumerate(names):
         require_n_max(name, n_max)
+        if name in names[:i]:
+            raise ValueError(f"suite {name} given twice")
     results = {name: SuiteResult(0, 0, []) for name in names if name in _GRAPH_SUITES}
     # closed-forms alone walks no graph: its n_max may exceed the generators'
     for n in range(1, n_max + 1 if results else 1):
@@ -94,37 +98,27 @@ def run(names: list[str], n_max: int) -> dict[str, SuiteResult]:
 
 def closed_forms(n_max: int) -> SuiteResult:
     require_n_max("closed-forms", n_max)
-    objects = checks = 0
-    failures = []
+    def compare(label, got, want):  # one check, as (holds, failure line)
+        return got == want, f"{label}: {got} != {want}"
+    objects = []  # per object, its checks
     for n in range(2, n_max + 1):
         kn = complete_graph(n)
-        objects += 1
-        for kind in closedforms.MINUS_FAMILY + closedforms.PLUS_FAMILY:
-            got = snf(build(kn, kind))
-            want = closedforms.snf_complete(kind, n)
-            checks += 1
-            if got != want:
-                failures.append(f"complete n={n} kind={kind.value}: {got} != {want}")
+        objects.append([compare(f"complete n={n} kind={kind.value}", snf(build(kn, kind)),
+                                closedforms.snf_complete(kind, n))
+                        for kind in closedforms.MINUS_FAMILY + closedforms.PLUS_FAMILY])
     for m in range(1, n_max + 1):
         star = star_graph(m)
-        objects += 1
-        for kind in closedforms.STAR_FAMILY:
-            got = snf(build(star, kind))
-            want = closedforms.snf_star(kind, m)
-            checks += 1
-            if got != want:
-                failures.append(f"star m={m} kind={kind.value}: {got} != {want}")
+        objects.append([compare(f"star m={m} kind={kind.value}", snf(build(star, kind)),
+                                closedforms.snf_star(kind, m))
+                        for kind in closedforms.STAR_FAMILY])
     for n in range(2, min(n_max, 12) + 1):
+        want_snf, want_det = closedforms.snf_tree_distance(n), closedforms.det_tree_distance(n)
         for t in generate_trees(n):
-            objects += 1
-            d = build(t, MatrixKind.D)
-            checks += 1
-            if snf(d) != closedforms.snf_tree_distance(n):
-                failures.append(f"tree distance SNF n={n}: {write_graph6(t)}")
-            checks += 1
-            if determinant(d) != closedforms.det_tree_distance(n):
-                failures.append(f"tree distance det n={n}: {write_graph6(t)}")
-    return SuiteResult(objects, checks, failures)
+            d, g6 = build(t, MatrixKind.D), write_graph6(t)
+            objects.append([(snf(d) == want_snf, f"tree distance SNF n={n}: {g6}"),
+                            (determinant(d) == want_det, f"tree distance det n={n}: {g6}")])
+    checks = [check for object_checks in objects for check in object_checks]
+    return SuiteResult(len(objects), len(checks), [line for holds, line in checks if not holds])
 
 
 # The suites, in the order ``graphinv verify`` runs them, each with its

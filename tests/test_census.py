@@ -19,6 +19,7 @@ from graphinv.census import (
 from graphinv.cli import CLI_KINDS
 from graphinv.generators import generate_connected_graphs, generate_trees
 from graphinv.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     distance_profile,
@@ -258,6 +259,15 @@ def test_completeness_small():
         for kind in NEW_KINDS:
             expected = not (n == 3 and kind is MatrixKind.DdegPlus)
             assert completeness_check(n, kind) is expected
+
+
+def test_list_built_graphs_match_tuple_built_ones():
+    assert Graph(3, [6, 5, 3]) == Graph(3, (6, 5, 3))
+    assert hash(Graph(3, [6, 5, 3])) == hash(Graph(3, (6, 5, 3)))
+    graphs = list(generate_connected_graphs(5))
+    listed = [Graph(g.n, list(g.adj)) for g in graphs]
+    assert (report_tsv(run_census(listed, [MatrixKind.A]))
+            == report_tsv(run_census(graphs, [MatrixKind.A])))
 
 
 def test_report_tsv_shape():

@@ -294,6 +294,10 @@ def test_verify_rejects_n_max_before_any_work(monkeypatch, capsys):
         verify.run(["sandpile"], 2)
     with pytest.raises(ValueError, match="1 <= n_max <= 8"):
         verify.run(["closed-forms", "moments"], 9)
+    with pytest.raises(ValueError, match="suite moments given twice"):
+        verify.run(["moments", "closed-forms", "moments"], 3)
+    with pytest.raises(ValueError, match="verify needs at least one suite"):
+        verify.run([], 3)
     assert ran == []
 
 

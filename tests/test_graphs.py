@@ -40,6 +40,8 @@ def test_graph_validation():
         Graph(0, ())
     with pytest.raises(ValueError):
         Graph(2, (0b100, 0b000))  # bit beyond n
+    with pytest.raises(ValueError, match="adjacency row 2 is not an integer: 3.0"):
+        Graph(3, (6, 5, 3.0))
 
 
 def test_graph_from_edges_rejects_endpoint_out_of_range():

@@ -1,7 +1,7 @@
 import pytest
 
 from graphinv import matrices, sandpile, spectra
-from graphinv.exact import cokernel, determinant, snf
+from graphinv.exact import SnfResult, cokernel, determinant, snf
 from graphinv.generators import generate_connected_graphs
 from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, distance_profile, path_graph
 from graphinv.matrices import MatrixKind, build
@@ -87,6 +87,20 @@ def test_cross_check_builds_one_laplacian(monkeypatch):
         calls.clear()
         assert cross_check(GraphSpectra(g))
         assert calls == [cone_graph(g)]
+
+
+def test_cross_check_notes_name_the_graph(monkeypatch, capsys):
+    # under verify the notes print mid-sweep, so each must name its graph;
+    # the generated P3 is Bo
+    p3 = next(g for g in generate_connected_graphs(3) if not g.is_complete())
+    laplacian = sandpile.Multigraph.laplacian
+    with monkeypatch.context() as m:
+        m.setattr(sandpile.Multigraph, "laplacian", lambda h: [[r + 1 for r in row] for row in laplacian(h)])
+        assert not cross_check(GraphSpectra(p3))
+    assert capsys.readouterr().err == "cone cross-check: reduced Laplacian differs entrywise: Bo\n"
+    monkeypatch.setattr(sandpile, "snf", lambda matrix: SnfResult((), 0, 0))
+    assert not cross_check(GraphSpectra(p3))
+    assert capsys.readouterr().err == "cone cross-check: SNF mismatch: Bo\n"
 
 
 def test_cross_check_sweep():
