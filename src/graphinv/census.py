@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .exact import SnfResult, charpoly, determinant, snf
 from .generators import TREE_MAX_VERTICES, generate_connected_graphs, generate_trees
-from .graphs import DistanceProfile, Graph, complete_graph, distance_profile
+from .graphs import DistanceProfile, Graph, _require_int, complete_graph, distance_profile
 from .matrices import IntMatrix, MatrixKind, build
 
 if TYPE_CHECKING:
@@ -197,9 +197,10 @@ def _mapped(pool: WorkerPool | None, fn: Callable[[IntMatrix], object],
 
 def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
     """A pool of ``jobs`` processes, or a null context for ``jobs == 1``,
-    once the arguments pass the checks that every census shares: a worker
-    count of at least 1, known modes and at least one kind and one mode,
+    once the arguments pass the checks that every census shares: an integer
+    worker count of at least 1, known modes and at least one kind and one mode,
     none repeated."""
+    _require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for mode in modes:
@@ -225,9 +226,10 @@ def run_census(
 ) -> CensusReport:
     """Count graphs with a cospectral/coinvariant mate, per kind and mode.
 
-    Raises on a worker count below 1, an empty or repeated kind or mode
-    list, an empty stream or mixed orders.  Spectral buckets are tallied
-    only among graphs whose keys another graph shares (module docstring).
+    Raises on a non-integer worker count or one below 1, an empty or
+    repeated kind or mode list, an empty stream or mixed orders.  Spectral
+    buckets are tallied only among graphs whose keys another graph shares
+    (module docstring).
     """
     kinds, modes = tuple(kinds), tuple(modes)
     slots = [(kind, mode) for kind in kinds for mode in modes]
@@ -278,6 +280,7 @@ def tree_census(
     jobs: int = 1,
 ) -> CensusReport:
     """Census over all free trees on n vertices (2 <= n <= 16)."""
+    _require_int("n", n)
     if not 2 <= n <= TREE_MAX_VERTICES:
         raise ValueError(f"tree census supports 2 <= n <= {TREE_MAX_VERTICES}")
     return run_census(generate_trees(n), kinds, modes, jobs)

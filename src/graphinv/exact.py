@@ -89,18 +89,17 @@ def snf(m: IntMatrix) -> SnfResult:
     The pivot is the first entry of least magnitude in row-major order, so
     the scan stops at the first +-1: no later entry can be smaller.
 
-    The column pass touches only the pivot row: the row pass has already
-    cleared column t below the pivot, so a column operation just reduces
-    ``a[t][j]`` modulo the pivot.  A nonzero remainder is swapped into
-    column t over rows t..n-1.  Under a +-1 pivot every quotient is exact
-    and every remainder zero, so the step ends after the row pass and the
-    rest of the pivot row is left as it stands.  That is safe because
-    later steps read only rows and columns past t, and the result reads
-    only the diagonal.
+    Each step runs a row pass and then, unless the pivot is +-1, a column
+    pass; the first nonzero remainder of either is smaller than the pivot,
+    is swapped in as the new pivot and restarts the step.  The column pass
+    touches only the pivot row, since the row pass has cleared column t
+    below the pivot.  Under a +-1 pivot every remainder is zero, so the
+    rest of the pivot row is left as it stands: later steps read only rows
+    and columns past t, and the result reads only the diagonal, whose
+    nonzero entries are the factors (the block past the last pivot is zero).
     """
     n = _check_square(m)
     a = [list(row) for row in m]
-    rank = 0
     for t in range(n):
         # Locate the minimal-magnitude nonzero entry of the trailing block.
         pi = pj = -1
@@ -121,14 +120,12 @@ def snf(m: IntMatrix) -> SnfResult:
                 break
         if pi < 0:
             break
-        rank += 1
         a[pi], a[t] = a[t], a[pi]
         for row in a[t:]:
             row[pj], row[t] = row[t], row[pj]
         while True:
             row_t = a[t]
             pivot = row_t[t]
-            dirty = False
             for i in range(t + 1, n):
                 row_i = a[i]
                 q = row_i[t] // pivot
@@ -138,29 +135,26 @@ def snf(m: IntMatrix) -> SnfResult:
                 if row_i[t]:
                     # Remainder is strictly smaller: promote it.
                     a[i], a[t] = row_t, row_i
-                    dirty = True
                     break
-            if dirty:
-                continue
-            if pivot == 1 or pivot == -1:
-                break
-            for j in range(t + 1, n):
-                row_t[j] %= pivot
-                if row_t[j]:
-                    for row in a[t:]:
-                        row[j], row[t] = row[t], row[j]
-                    dirty = True
+            else:
+                if pivot == 1 or pivot == -1:
                     break
-            if not dirty:
-                break
-    fs = sorted(abs(a[i][i]) for i in range(rank))
+                for j in range(t + 1, n):
+                    row_t[j] %= pivot
+                    if row_t[j]:
+                        for row in a[t:]:
+                            row[j], row[t] = row[t], row[j]
+                        break
+                else:
+                    break
+    fs = sorted(abs(a[i][i]) for i in range(n) if a[i][i])
     # diag(a, b) ~ diag(gcd, lcm): one forward sweep yields the chain.
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             if fs[j] % fs[i]:
                 g = gcd(fs[i], fs[j])
                 fs[i], fs[j] = g, fs[i] // g * fs[j]
-    return SnfResult(tuple(fs), n - rank, n)
+    return SnfResult(tuple(fs), n - len(fs), n)
 
 
 def charpoly(m: IntMatrix) -> IntPolynomial:
@@ -190,12 +184,9 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = _check_square(m)
-    if n == 0:
-        return 1
     a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    sign = prev = 1
+    for k in range(n):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k]:
@@ -213,7 +204,7 @@ def determinant(m: IntMatrix) -> int:
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * prev
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _require_int
 
 TREE_MAX_VERTICES = 16
 CONNECTED_MAX_VERTICES = 8
@@ -253,6 +253,7 @@ def _tree_level(n: int) -> tuple[Graph, ...]:
 
 def generate_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices."""
+    _require_int("n", n)
     if not 1 <= n <= TREE_MAX_VERTICES:
         raise ValueError(f"tree generation supports 1 <= n <= {TREE_MAX_VERTICES}")
     yield from _tree_level(n)
@@ -291,6 +292,7 @@ def generate_connected_graphs(n: int) -> Iterator[Graph]:
     Built-in up to 8 vertices; larger corpora should be ingested as graph6
     lines from an external generator.
     """
+    _require_int("n", n)
     if not 1 <= n <= CONNECTED_MAX_VERTICES:
         raise ValueError(
             f"built-in generation supports 1 <= n <= {CONNECTED_MAX_VERTICES}; "

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import closedforms
 from .exact import determinant, snf
 from .generators import CONNECTED_MAX_VERTICES, generate_connected_graphs, generate_trees
-from .graphs import MAX_VERTICES, complete_graph, star_graph, write_graph6
+from .graphs import MAX_VERTICES, _require_int, complete_graph, star_graph, write_graph6
 from .matrices import MatrixKind, build
 from .sandpile import cross_check
 from .spectra import (
@@ -137,6 +137,7 @@ def require_n_max(name: str, n_max: int) -> None:
     """Raise ValueError unless ``name`` is a suite and accepts ``n_max``."""
     if name not in N_MAX_RANGE:
         raise ValueError(f"unknown suite {name!r}; suites are {', '.join(N_MAX_RANGE)}")
+    _require_int("n_max", n_max)
     lo, hi = N_MAX_RANGE[name]
     if not lo <= n_max <= hi:
         raise ValueError(f"suite {name} supports {lo} <= n_max <= {hi}, got {n_max}")

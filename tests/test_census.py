@@ -142,6 +142,19 @@ def test_census_rejects_worker_count_below_one():
         tree_census(5, [MatrixKind.A], ["spectral"], jobs=0)
 
 
+def test_census_rejects_non_integer_order_and_worker_count():
+    # tree_census(5.0) once failed late with a raw TypeError, and jobs=True
+    # ran serially as one worker; neither now touches the stream
+    taken = []
+    graphs = (taken.append(g) or g for g in generate_connected_graphs(4))
+    for jobs in (True, 2.0):
+        with pytest.raises(ValueError, match=f"jobs is not an integer: {jobs}"):
+            run_census(graphs, [MatrixKind.A], ["spectral"], jobs=jobs)
+    with pytest.raises(ValueError, match="n is not an integer: 5.0"):
+        tree_census(5.0, [MatrixKind.A])
+    assert taken == []
+
+
 def test_is_bipartite_from_distance_parity():
     c5 = cycle_graph(5)
     cases = (

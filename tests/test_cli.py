@@ -301,6 +301,20 @@ def test_verify_rejects_n_max_before_any_work(monkeypatch, capsys):
     assert ran == []
 
 
+def test_verify_rejects_non_integer_n_max_before_any_work(monkeypatch):
+    # 5.0 once failed in range() with a raw TypeError, and True ran as n_max = 1
+    ran = []
+    for name in ("generate_connected_graphs", "generate_trees", "complete_graph", "star_graph"):
+        monkeypatch.setattr(verify, name, ran.append)
+    for call, n_max in ((lambda n: verify.run(["moments"], n), 5.0),
+                        (lambda n: verify.run(["moments"], n), True),
+                        (lambda n: verify.run(["closed-forms"], n), 3.0),
+                        (verify.closed_forms, 3.0)):
+        with pytest.raises(ValueError, match=f"n_max is not an integer: {n_max}"):
+            call(n_max)
+    assert ran == []
+
+
 def test_verify_rejects_unknown_suite():
     message = "unknown suite 'nope'; suites are bounds, closed-forms, sandpile, moments"
     with pytest.raises(ValueError, match=message):

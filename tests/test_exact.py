@@ -1,4 +1,5 @@
 import random
+import signal
 from math import gcd
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from graphinv.cli import CLI_KINDS
 from graphinv.exact import SnfResult, charpoly, cokernel, determinant, snf
 from graphinv.generators import generate_connected_graphs, generate_trees
-from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, distance_profile
+from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, distance_profile, star_graph
 from graphinv.matrices import MatrixKind, build, mat_mul
 from graphinv.sandpile import cone_graph
 
@@ -184,6 +185,48 @@ def test_snf_matches_reference_with_unit_after_a_two():
         assert snf(m) == snf_reference(m), m
     assert snf([[2, 0], [0, 1]]).factors == (1, 2)
     assert snf([[-2, 3], [1, 2]]).factors == (1, 7)
+
+
+def _sparse_unit_matrix(rng, n):
+    return [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+
+
+def test_snf_and_determinant_on_empty_zero_and_sparse_unit_matrices():
+    # the 0x0 and 1x1 zero matrices, then sparse 0/+-1 matrices with n <= 6,
+    # whose zero pivots, row swaps and zero trailing blocks reach every way
+    # out of the SNF step and of the Bareiss column
+    assert snf([]) == SnfResult((), 0, 0) and determinant([]) == 1
+    assert snf([[0]]) == SnfResult((), 1, 1) and determinant([[0]]) == 0
+    rng = random.Random(2025)
+    cases = [[], [[0]]] + [_sparse_unit_matrix(rng, 1 + i % 6) for i in range(600)]
+    singular = 0
+    for m in cases:
+        assert snf(m) == snf_reference(m), m
+        d = determinant(m)
+        assert d == det_cofactor(m), m
+        singular += d == 0
+    assert 100 < singular < 500
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: SNF entry growth")
+def test_snf_of_ddeg_on_a_star_with_50_leaves_within_a_second():
+    # the Euclidean elimination lets entries grow to millions of bits here:
+    # this SNF had not finished after 10 minutes
+    m = build(star_graph(50), MatrixKind.Ddeg)
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        finished = snf(m).n == 51
+    except TimeoutError:
+        finished = False
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert finished, "SNF still running after 1 s"
 
 
 def test_snf_rejects_nonsquare():

@@ -65,6 +65,15 @@ def test_tree_range_errors():
         list(generate_trees(17))
 
 
+def test_generators_reject_a_non_integer_order():
+    # 5.0 once passed the range check and failed inside the growth loop with a
+    # raw TypeError; True passed as n = 1
+    for generate in (generate_trees, generate_connected_graphs):
+        for n in (5.0, True):
+            with pytest.raises(ValueError, match=f"n is not an integer: {n}"):
+                list(generate(n))
+
+
 def test_connected_counts():
     for n, want in CONNECTED_COUNTS.items():
         assert len(list(generate_connected_graphs(n))) == want

@@ -44,6 +44,24 @@ def test_graph_validation():
         Graph(3, (6, 5, 3.0))
 
 
+def test_graph_rejects_a_non_integer_order_or_bool_row():
+    # 3.0 once failed with a raw TypeError from 1 << n; True passed as n = 1,
+    # and as a row, since a bool is an int
+    for make, message in ((lambda: Graph(3.0, (6, 5, 3)), "vertex count is not an integer: 3.0"),
+                          (lambda: Graph(True, (0,)), "vertex count is not an integer: True"),
+                          (lambda: complete_graph(True), "vertex count is not an integer: True"),
+                          (lambda: Graph(2, (2, True)), "adjacency row 1 is not an integer: True")):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
+def test_graph_from_edges_rejects_a_non_integer_endpoint():
+    # 1.0 once failed with a raw TypeError from 1 << v; True passed as 1
+    for edge in ((0, 1.0), (True, 2)):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) has a non-integer endpoint"):
+            graph_from_edges(3, [edge])
+
+
 def test_graph_from_edges_rejects_endpoint_out_of_range():
     for edge in ((0, 5), (0, -1), (3, 0)):
         with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) .* outside 0\.\.2"):
@@ -147,6 +165,28 @@ def test_graph6_large_n_header():
     line = write_graph6(g)
     assert line.startswith("~")
     assert parse_graph6(line) == g
+
+
+def test_graph6_round_trips_across_the_long_header():
+    # n = 62 is the last short header; 62, 63 and 64 leave 5, 3 and 0 padding bits
+    rng = random.Random(6264)
+    for n, head in ((62, "}"), (63, "~??~"), (64, "~?@?")):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs = [complete_graph(n), graph_from_edges(n, [])]
+        graphs += [graph_from_edges(n, [p for p in pairs if rng.random() < q]) for q in (0.05, 0.5, 0.95)]
+        for g in graphs:
+            line = write_graph6(g)
+            assert line[:len(head)] == head
+            assert len(line) == len(head) + (len(pairs) + 5) // 6
+            assert parse_graph6(line) == g
+
+
+def test_edges_order():
+    # by first endpoint, then second
+    assert cycle_graph(5).edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert star_graph(4).edges() == [(0, 1), (0, 2), (0, 3), (0, 4)]
+    assert parse_graph6("D?{").edges() == [(0, 4), (1, 4), (2, 4), (3, 4)]
+    assert path_graph(1).edges() == []
 
 
 def test_distance_profile_path():
