@@ -9,9 +9,7 @@ over whole corpora, and verifies eigenvalue bounds numerically.
 from .census import (
     CensusEntry,
     CensusReport,
-    Fingerprint,
     completeness_check,
-    fingerprint,
     report_tsv,
     run_census,
     tree_census,

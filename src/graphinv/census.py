@@ -4,8 +4,8 @@ A graph's fingerprint for a matrix kind is either its characteristic
 polynomial coefficients (spectral mode) or its invariant factors plus
 zero count (invariant mode).  Both are exact, so two graphs share a
 fingerprint iff they are genuinely cospectral/coinvariant for that
-matrix; no hashing, no tolerances.  ``fingerprint`` serialises them to
-length-prefixed bytes; a census tallies the integer tuples themselves.
+matrix; no hashing, no tolerances.  A census tallies the integer tuples
+themselves.
 
 A census buckets a stream of same-order, pairwise non-isomorphic graphs
 by fingerprint and counts the graphs lying in buckets of size >= 2, i.e.
@@ -71,15 +71,6 @@ if TYPE_CHECKING:
 MODES = ("spectral", "invariant")
 
 
-def _encode_ints(values: Iterable[int]) -> bytes:
-    out = bytearray()
-    for v in values:
-        blob = v.to_bytes((v.bit_length() + 8) // 8, "big", signed=True)
-        out += len(blob).to_bytes(2, "big")
-        out += blob
-    return bytes(out)
-
-
 def _coeffs(m: IntMatrix) -> tuple[int, ...]:
     return charpoly(m).coeffs
 
@@ -108,27 +99,6 @@ def _stream_values(modes: tuple[str, ...], m: IntMatrix) -> tuple:
     return tuple(invariants.factors if mode == "invariant"
                  else _shifted_det(m) if invariants is None else hash(_first_key(m, invariants))
                  for mode in modes)
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    kind: MatrixKind
-    mode: str
-    payload: bytes
-
-
-def fingerprint(g: Graph, kind: MatrixKind, mode: str) -> Fingerprint:
-    """Deterministic, isomorphism-invariant certificate of g for one
-    (matrix kind, mode) pair."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    m = build(g, kind, distance_profile(g))  # the profile rejects disconnected input
-    if mode == "spectral":
-        values = _coeffs(m)
-    else:
-        invariants = snf(m)
-        values = invariants.factors + (invariants.zeros,)
-    return Fingerprint(kind, mode, _encode_ints(values))
 
 
 @dataclass(frozen=True)
@@ -286,11 +256,18 @@ def tree_census(
     return run_census(generate_trees(n), kinds, modes, jobs)
 
 
-def completeness_check(n: int, kind: MatrixKind) -> bool:
-    """True iff the complete graph's invariant fingerprint occurs exactly
-    once in the full connected-graph corpus on n vertices (n <= 8)."""
-    target = fingerprint(complete_graph(n), kind, "invariant")
-    return sum(fingerprint(g, kind, "invariant") == target for g in generate_connected_graphs(n)) == 1
+def completeness_check(n: int, kinds: Sequence[MatrixKind]) -> tuple[bool, ...]:
+    """One bool per kind in ``kinds``, in that order: True iff the complete
+    graph is the only connected graph on n vertices (1 <= n <= 8) with its
+    Smith normal form for that kind.  Each graph is built through
+    ``_values``, so one distance profile serves every kind."""
+    _require_int("n", n)
+    kinds = tuple(kinds)
+    _, target = _values(snf, (complete_graph(n), kinds))
+    matches = Counter()
+    for _, values in _mapped(None, snf, ((g, kinds) for g in generate_connected_graphs(n))):
+        matches.update(i for i, value in enumerate(values) if value == target[i])
+    return tuple(matches[i] == 1 for i in range(len(kinds)))
 
 
 def report_tsv(report: CensusReport) -> str:

@@ -15,6 +15,7 @@ two-vertex tree is hard-coded).
 from __future__ import annotations
 
 from .exact import SnfResult
+from .graphs import _require_int
 from .matrices import MatrixKind
 
 MINUS_FAMILY = (MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.L)
@@ -35,6 +36,7 @@ def snf_complete(kind: MatrixKind, n: int) -> SnfResult:
     signless counterparts coincide with SNF diag(1, n-2, ..., n-2,
     2(n-1)(n-2)).
     """
+    _require_int("n", n)
     if n < 2:
         raise ValueError("complete-graph formulas need n >= 2")
     if kind in MINUS_FAMILY:
@@ -53,6 +55,7 @@ def snf_star(kind: MatrixKind, m: int) -> SnfResult:
         diag(1, 3, ..., 3, 2m(m-1))     when 3 | 2m + 1,
         diag(1, 1, 3, ..., 3, 6m(m-1))  otherwise.
     """
+    _require_int("m", m)
     if m < 1:
         raise ValueError("star formulas need at least one leaf")
     n = m + 1
@@ -70,6 +73,7 @@ def snf_tree_distance(n_plus_1: int) -> SnfResult:
     diag(1, 1, 2, ..., 2, 2n) with n = n_plus_1 - 1.  Every tree of a given
     order shares it.  The two-vertex case degenerates to diag(1, 1).
     """
+    _require_int("n_plus_1", n_plus_1)
     if n_plus_1 < 2:
         raise ValueError("tree distance formula needs at least 2 vertices")
     n = n_plus_1 - 1
@@ -81,6 +85,7 @@ def snf_tree_distance(n_plus_1: int) -> SnfResult:
 def det_tree_distance(n_plus_1: int) -> int:
     """Determinant of the distance matrix of any tree on n+1 vertices:
     (-1)^n * n * 2^(n-1)."""
+    _require_int("n_plus_1", n_plus_1)
     if n_plus_1 < 1:
         raise ValueError("need at least 1 vertex")
     n = n_plus_1 - 1

@@ -102,6 +102,7 @@ def _bits(mask: int) -> list[int]:
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    _require_int("vertex count", n)
     rows = [0] * n
     for u, v in edges:
         if type(u) is not int or type(v) is not int:
@@ -119,15 +120,18 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 # Named small graphs used throughout the tests and the CLI examples.
 
 def complete_graph(n: int) -> Graph:
+    _require_int("vertex count", n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << u) for u in range(n)))
 
 
 def path_graph(n: int) -> Graph:
+    _require_int("vertex count", n)
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
+    _require_int("vertex count", n)
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
@@ -135,6 +139,7 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """Star with ``leaves`` leaves attached to centre 0 (leaves + 1 vertices)."""
+    _require_int("leaves", leaves)
     return graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 

@@ -177,8 +177,8 @@ def test_criterion_06_closed_form_oracles():
 def test_criterion_07_complete_graphs_unique_snf():
     failures = []
     for n in range(1, 9):
-        for kind in NEW_KINDS:
-            if not completeness_check(n, kind):
+        for kind, unique in zip(NEW_KINDS, completeness_check(n, NEW_KINDS)):
+            if not unique:
                 failures.append(f"n={n} kind={kind.value}")
     _report(7, "complete-graph invariant fingerprints unique for n <= 8", failures)
 

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -6,12 +7,13 @@ from graphinv import census
 from graphinv.census import (
     MODES,
     CensusReport,
+    _coeffs,
     _first_key,
     _is_bipartite,
     _shifted_det,
+    _stream_values,
     _values,
     completeness_check,
-    fingerprint,
     report_tsv,
     run_census,
     tree_census,
@@ -26,7 +28,7 @@ from graphinv.graphs import (
     graph_from_edges,
     path_graph,
 )
-from graphinv.exact import charpoly, snf
+from graphinv.exact import SnfResult, charpoly, snf
 from graphinv.matrices import MatrixKind, build
 from oracles import full_fingerprints, mate_counts_reference, permuted
 
@@ -35,53 +37,46 @@ ALL_KINDS = tuple(MatrixKind[k] for k in CLI_KINDS)
 
 
 def test_fingerprint_isomorphism_invariance():
+    # every key of the census chain, for all ten kinds: the stream values
+    # (Smith form factors and K1's hash), the second key and the charpoly
+    keys = (partial(_stream_values, MODES), _shifted_det, _coeffs)
     rng = random.Random(2)
     trials = 0
     for g in list(generate_connected_graphs(6))[::7]:
-        base = {
-            (kind, mode): fingerprint(g, kind, mode).payload
-            for kind in NEW_KINDS
-            for mode in ("spectral", "invariant")
-        }
+        base = [_values(fn, (g, ALL_KINDS))[1] for fn in keys]
         for _ in range(12):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = permuted(g, perm)
-            for (kind, mode), payload in base.items():
-                assert fingerprint(h, kind, mode).payload == payload
-                trials += 1
-    assert trials >= 1000
+            for fn, values in zip(keys, base):
+                assert _values(fn, (h, ALL_KINDS))[1] == values
+                trials += len(values)
+    assert trials >= 5000
 
 
 def test_fingerprint_separates_k3_p3():
-    a = fingerprint(complete_graph(3), MatrixKind.A, "spectral")
-    b = fingerprint(path_graph(3), MatrixKind.A, "spectral")
-    assert a.payload != b.payload
+    a = _values(_coeffs, (complete_graph(3), (MatrixKind.A,)))
+    b = _values(_coeffs, (path_graph(3), (MatrixKind.A,)))
+    assert a[1] != b[1]
 
 
 def test_fingerprint_rejects_bad_input():
-    with pytest.raises(ValueError):
-        fingerprint(path_graph(3), MatrixKind.A, "nope")
+    with pytest.raises(ValueError, match="^mode must be one of"):
+        run_census([path_graph(3)], [MatrixKind.A], ["nope"])
     with pytest.raises(ValueError, match="^graph not connected$"):
-        fingerprint(graph_from_edges(3, [(0, 1)]), MatrixKind.A, "spectral")
-    # payloads are length-prefixed big-endian signed ints: the charpoly
-    # coefficients, or the invariant factors followed by the zero count
+        _values(_coeffs, (graph_from_edges(3, [(0, 1)]), (MatrixKind.A,)))
+    # C5's charpoly coefficients and Smith forms (factors, zero count, order)
     c5 = cycle_graph(5)
-    for kind, mode, payload in (
-        (MatrixKind.Atr, "spectral", "0001010001e2000201630002f7ea000217390002e5bc"),
-        (MatrixKind.Atr, "invariant", "000101000101000101000129000200a4000100"),
-        (MatrixKind.DdegPlus, "spectral", "0001010001f600010f00010a0001f10001f8"),
-        (MatrixKind.DdegPlus, "invariant", "000101000101000101000101000108000100"),
-    ):
-        assert fingerprint(c5, kind, mode).payload.hex() == payload
+    kinds = (MatrixKind.Atr, MatrixKind.DdegPlus)
+    assert _values(_coeffs, (c5, kinds))[1] == [(1, -30, 355, -2070, 5945, -6724),
+                                                (1, -10, 15, 10, -15, -8)]
+    assert _values(snf, (c5, kinds))[1] == [SnfResult((1, 1, 1, 41, 164), 0, 5),
+                                            SnfResult((1, 1, 1, 1, 8), 0, 5)]
 
 
 def test_all_trees_share_distance_invariant_fingerprint():
     for n in (5, 8):
-        payloads = {
-            fingerprint(t, MatrixKind.D, "invariant").payload for t in generate_trees(n)
-        }
-        assert len(payloads) == 1
+        assert len({snf(build(t, MatrixKind.D)) for t in generate_trees(n)}) == 1
     for n in range(4, 9):
         report = tree_census(n, [MatrixKind.D], ["invariant"])
         entry = report.get(MatrixKind.D, "invariant")
@@ -269,9 +264,8 @@ def test_completeness_small():
     # complete graphs (n=3) and stars (m=2) both predict.  Everywhere else
     # the complete graph's invariant fingerprint is unique.
     for n in range(2, 7):
-        for kind in NEW_KINDS:
-            expected = not (n == 3 and kind is MatrixKind.DdegPlus)
-            assert completeness_check(n, kind) is expected
+        expected = tuple(not (n == 3 and kind is MatrixKind.DdegPlus) for kind in NEW_KINDS)
+        assert completeness_check(n, NEW_KINDS) == expected
 
 
 def test_list_built_graphs_match_tuple_built_ones():

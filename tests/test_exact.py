@@ -208,7 +208,7 @@ def test_snf_and_determinant_on_empty_zero_and_sparse_unit_matrices():
     assert 100 < singular < 500
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: SNF entry growth")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item \"SNF entry growth\"")
 def test_snf_of_ddeg_on_a_star_with_50_leaves_within_a_second():
     # the Euclidean elimination lets entries grow to millions of bits here:
     # this SNF had not finished after 10 minutes
