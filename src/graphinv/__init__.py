@@ -6,6 +6,8 @@ characteristic polynomials exactly, counts cospectral/coinvariant mates
 over whole corpora, and verifies eigenvalue bounds numerically.
 """
 
+from types import ModuleType as _ModuleType
+
 from .census import (
     CensusEntry,
     CensusReport,
@@ -52,4 +54,5 @@ from .spectra import (
     eigenvalues_symmetric,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -263,6 +263,7 @@ def completeness_check(n: int, kinds: Sequence[MatrixKind]) -> tuple[bool, ...]:
     ``_values``, so one distance profile serves every kind."""
     _require_int("n", n)
     kinds = tuple(kinds)
+    _workers(kinds, MODES, 1)  # the census's checks on the kind list; serial, so no pool
     _, target = _values(snf, (complete_graph(n), kinds))
     matches = Counter()
     for _, values in _mapped(None, snf, ((g, kinds) for g in generate_connected_graphs(n))):

@@ -206,30 +206,19 @@ def tree_certificate(g: Graph):
 def _tree_certificate(n: int, nbrs: list[list[int]]):
     if n == 1:
         return (1,)
-    size = [1] * n
+    # Breadth first from 0: in a tree the only neighbour already listed is the parent.
     parent = [-1] * n
-    order: list[int] = []
-    stack = [0]
-    seen = 1
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in nbrs[u]:
-            if not (seen >> w) & 1:
-                seen |= 1 << w
-                parent[w] = u
-                stack.append(w)
-    for u in reversed(order):
-        if parent[u] >= 0:
-            size[parent[u]] += size[u]
-    centroids = []
-    for u in range(n):
-        heaviest = n - size[u]
+    order = [0]
+    for u in order:
         for w in nbrs[u]:
             if w != parent[u]:
-                heaviest = max(heaviest, size[w])
-        if heaviest <= n // 2:
-            centroids.append(u)
+                parent[w] = u
+                order.append(w)
+    size = [1] * n
+    for u in reversed(order[1:]):
+        size[parent[u]] += size[u]
+    centroids = [u for u in range(n) if n - size[u] <= n // 2
+                 and all(size[w] <= n // 2 for w in nbrs[u] if w != parent[u])]
 
     def encode(v: int, banned: int):
         subs = sorted(encode(w, v) for w in nbrs[v] if w != banned)

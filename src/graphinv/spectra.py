@@ -36,6 +36,7 @@ from itertools import chain
 from math import sqrt
 from operator import mul
 
+from .exact import _check_square
 from .graphs import DistanceProfile, Graph, conductance, distance_profile, triangle_count, wiener_indices
 from .matrices import IntMatrix, MatrixKind, build, mat_mul, trace
 
@@ -182,13 +183,9 @@ def eigenvalues_symmetric(m: IntMatrix) -> Spectrum:
     handful of sweeps.  Raises ValueError if JACOBI_MAX_SWEEPS sweeps do
     not get there.
     """
-    n = len(m)
-    for i, row in enumerate(m):
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("matrix not symmetric")
+    n = _check_square(m)
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise ValueError("matrix not symmetric")
     tol = default_tol(m)
     threshold = tol * tol
     if n <= _KERNEL_MAX_ORDER:

@@ -268,6 +268,15 @@ def test_completeness_small():
         assert completeness_check(n, NEW_KINDS) == expected
 
 
+def test_completeness_check_rejects_an_empty_or_repeated_kind_list(monkeypatch):
+    # both were once accepted: () and (True, True); no graph is generated first
+    monkeypatch.setattr(census, "generate_connected_graphs", None)
+    with pytest.raises(ValueError, match="^census needs at least one kind$"):
+        completeness_check(4, [])
+    with pytest.raises(ValueError, match="^kind MatrixKind.Atr given twice$"):
+        completeness_check(4, [MatrixKind.Atr, MatrixKind.Atr])
+
+
 def test_list_built_graphs_match_tuple_built_ones():
     assert Graph(3, [6, 5, 3]) == Graph(3, (6, 5, 3))
     assert hash(Graph(3, [6, 5, 3])) == hash(Graph(3, (6, 5, 3)))

@@ -122,11 +122,11 @@ def test_tree_certificate_rejects_non_trees():
     for g in (complete_graph(4), cycle_graph(4), graph_from_edges(4, [(0, 1), (2, 3)])):
         with pytest.raises(ValueError, match="connected graph with n - 1 edges"):
             tree_certificate(g)
-    # the certificates of the trees with n <= 8 are pinned
-    certs = [tree_certificate(t) for n in range(1, 9) for t in generate_trees(n)]
-    assert len(certs) == 48
+    # the certificates of the trees with n <= 14 are pinned
+    certs = [tree_certificate(t) for n in range(1, 15) for t in generate_trees(n)]
+    assert len(certs) == 5447
     digest = hashlib.sha256(repr(certs).encode()).hexdigest()
-    assert digest == "224629935faa658656603a54a6996fe86f431738fa4d2eaa181b99e5092cf286"
+    assert digest == "b6cbf89b1c6040161e95d8f84276b5b20ff4fd43ed3cbf1e76aa2bf10c5090c8"
 
 
 def test_generators_match_unpruned_reference():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -65,6 +66,10 @@ def test_graph_from_edges_rejects_a_non_integer_endpoint():
 def test_graph_from_edges_rejects_endpoint_out_of_range():
     for edge in ((0, 5), (0, -1), (3, 0)):
         with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) .* outside 0\.\.2"):
+            graph_from_edges(3, [(0, 1), edge])
+    # the first edge repeated, in either orientation, was once kept silently
+    for edge in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match=rf"^edge \({edge[0]}, {edge[1]}\) given twice$"):
             graph_from_edges(3, [(0, 1), edge])
 
 
@@ -179,6 +184,33 @@ def test_graph6_round_trips_across_the_long_header():
             assert line[:len(head)] == head
             assert len(line) == len(head) + (len(pairs) + 5) // 6
             assert parse_graph6(line) == g
+
+
+def test_random_graphs_round_trip_and_agree_on_connectivity():
+    # The orders 1..64 reach every padding width and both header forms; edge
+    # probabilities up to twice ln(n + 1) / n give both outcomes at each n >= 2.
+    rng = random.Random(164)
+    for n in range(1, 65):
+        outcomes = set()
+        for _ in range(16):
+            p = min(1.0, rng.random() * 2 * math.log(n + 1) / n)
+            rows = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+            g = Graph(n, rows)
+            assert parse_graph6(write_graph6(g)) == g
+            try:
+                distance_profile(g)
+            except ValueError:
+                connected = False
+            else:
+                connected = True
+            assert g.is_connected() == connected
+            outcomes.add(connected)
+        assert outcomes == ({True} if n == 1 else {True, False}), n
 
 
 def test_edges_order():

@@ -56,8 +56,10 @@ def test_eigenvalues_laplacian_k4():
 def test_eigenvalues_reject_bad_input(monkeypatch):
     with pytest.raises(ValueError, match="symmetric"):
         eigenvalues_symmetric([[0, 1], [0, 0]])
-    with pytest.raises(ValueError, match="square"):
-        eigenvalues_symmetric([[0, 1]])
+    # a short second row once raised a raw IndexError, or was called not symmetric
+    for m in ([[0, 1]], [[1, 2], []], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            eigenvalues_symmetric(m)
     # running out of sweeps raises instead of returning unconverged values
     m = build(cricket_graph(), MatrixKind.Atr)
     monkeypatch.setattr(spectra, "JACOBI_MAX_SWEEPS", 2)
