@@ -19,26 +19,41 @@ matter, behind a chain of cheaper exact keys of each matrix M.  Serial and
 parallel runs share the chain; they differ only in whether graphs are
 mapped in this process or on workers.
 
-- K1 is ``(trace M, Σ M_ij², |det M|)``, read in O(n²) during the stream.
-  |det M| comes from the Smith form that the same kind's invariant slot
-  computes anyway (the product of the factors, or 0 when a factor is
-  zero).  A census without that slot skips K1.
+- K1 is ``(trace M, Σ M_ij², d)``, read in O(n²) during the stream, with
+  d read off the Smith form that the same kind's invariant slot computes
+  anyway.  d is |det M| (the product of the factors, or 0 when a factor is
+  zero), except for L = deg − A and DL = tr − D: their rows sum to 0, so
+  |det M| is 0 on every connected graph, and d is the product of the
+  nonzero factors, the value κ of every cofactor.  A census without that
+  slot skips K1.
 - The second key is ``det(M − (4n+1)·I)``, by Bareiss elimination in
-  O(n³).  It is taken for the graphs whose K1 another graph shares, or
-  during the stream where K1 is skipped.
+  O(n³), on M's flattened entries with the shift taken on the diagonal;
+  for n <= 8 it runs ``exact``'s straight-line kernel for the order.  It
+  is taken for the graphs whose K1 another graph shares, or during the
+  stream where K1 is skipped.
 - The charpoly is taken for the graphs whose second key another graph
   shares.
 
 For a symmetric M with ``p(x) = det(xI − M) = x^n + c1·x^(n-1) + ... +
 cn``: ``trace M = -c1``, ``Σ M_ij² = trace M² = c1² - 2·c2``,
-``|det M| = |cn|`` and ``det(M − x0·I) = (−1)^n·p(x0)``.  So each key is
-a function of the charpoly, cospectral matrices share it, and a graph
-whose key no other graph at its level shares has no cospectral mate:
-dropping it keeps the report exact.  ``p(x0)`` determines p once x0 is
-large enough (Kronecker substitution), and x0 = 4n+1 already leaves just
-the graphs with a true spectral mate, for all ten kinds over the
-connected graphs with n <= 8.  K1 stays in front because it is cheaper
-and, for the four new kinds, no two trees with n <= 14 share it.
+``|det M| = |cn|``, ``κ = |c(n-1)|/n`` for L and DL on a connected graph
+(the sum of the n principal cofactors) and ``det(M − x0·I) =
+(−1)^n·p(x0)``.  So each key is a function of the charpoly, cospectral
+matrices share it, and a graph whose key no other graph at its level
+shares has no cospectral mate: dropping it keeps the report exact.
+``p(x0)`` determines p once x0 is large enough (Kronecker substitution),
+and x0 = 4n+1 already leaves just the graphs with a true spectral mate,
+for all ten kinds over the connected graphs with n <= 8.  K1 stays in
+front because it is cheaper and, for the four new kinds, no two trees
+with n <= 14 share it.
+
+K1's rule for d goes by the kind built, never by testing a matrix's row
+sums.  K_n's ``Ddeg`` equals L(K_n), so a row-sum test would key it by κ,
+while a cospectral ``Ddeg`` whose rows do not sum to 0 would key 0: the
+two would part, and a mate would be lost.  On a bipartite graph Q is
+built as L and keyed by L's rule.  That is still a function of Q's
+charpoly: there Q and L are cospectral, and a bipartite Q is never
+cospectral with a non-bipartite one (only the former has eigenvalue 0).
 
 Each level counts the keys of the graphs still in the chain, then builds
 again only the graphs whose key is shared, to take the next key.  K1
@@ -60,10 +75,10 @@ from math import prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .exact import SnfResult, charpoly, determinant, snf
+from .exact import SnfResult, _determinant, charpoly, snf
 from .generators import TREE_MAX_VERTICES, generate_connected_graphs, generate_trees
 from .graphs import DistanceProfile, Graph, _require_int, complete_graph, distance_profile
-from .matrices import IntMatrix, MatrixKind, build
+from .matrices import RECIPES, IntMatrix, MatrixKind, build
 
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool as WorkerPool
@@ -71,33 +86,44 @@ if TYPE_CHECKING:
 MODES = ("spectral", "invariant")
 
 
-def _coeffs(m: IntMatrix) -> tuple[int, ...]:
+# The kinds whose diagonal is the row sums of the negated off-diagonal part,
+# L = deg - A and DL = tr - D: K1 keys them by κ (module docstring).
+_ROW_SUM_KINDS = frozenset(kind for kind, recipe in RECIPES.items()
+                           if recipe in (("deg", -1, "A"), ("tr", -1, "D")))
+
+
+def _coeffs(kind: MatrixKind, m: IntMatrix) -> tuple[int, ...]:
     return charpoly(m).coeffs
 
 
-def _first_key(m: IntMatrix, invariants: SnfResult) -> tuple[int, int, int]:
-    """K1 of a symmetric matrix: ``(trace M, Σ M_ij², |det M|)``, with
-    |det M| read off M's Smith form ``invariants``."""
+def _first_key(kind: MatrixKind, m: IntMatrix, invariants: SnfResult) -> tuple[int, int, int]:
+    """K1 of a symmetric matrix M of ``kind``: ``(trace M, Σ M_ij², d)``,
+    with d read off M's Smith form ``invariants``: the product of the
+    nonzero factors for a kind in _ROW_SUM_KINDS, |det M| for any other."""
     flat = list(chain.from_iterable(m))
-    det = 0 if invariants.zeros else prod(invariants.factors)
-    return sum(flat[::len(m) + 1]), sum(map(mul, flat, flat)), det
+    d = prod(invariants.factors) if not invariants.zeros or kind in _ROW_SUM_KINDS else 0
+    return sum(flat[::len(m) + 1]), sum(map(mul, flat, flat)), d
 
 
-def _shifted_det(m: IntMatrix) -> int:
-    """``det(M − (4n+1)·I)``, the chain's second key (module docstring)."""
-    x0 = 4 * len(m) + 1
-    return determinant([[v - x0 if i == j else v for j, v in enumerate(row)]
-                        for i, row in enumerate(m)])
+def _shifted_det(kind: MatrixKind, m: IntMatrix) -> int:
+    """``det(M − (4n+1)·I)``, the chain's second key (module docstring),
+    with the shift taken on the diagonal of M's flattened entries."""
+    n = len(m)
+    x0 = 4 * n + 1
+    entries = list(chain.from_iterable(m))
+    entries[::n + 1] = [v - x0 for v in entries[::n + 1]]
+    return _determinant(n, entries)
 
 
-def _stream_values(modes: tuple[str, ...], m: IntMatrix) -> tuple:
+def _stream_values(modes: tuple[str, ...], kind: MatrixKind, m: IntMatrix) -> tuple:
     """One built matrix's census values, one per mode: its invariant
     factors, or the first key of the chain that M can take (K1's hash, or
-    the second key where there is no Smith form to read |det M| from).  The
+    the second key where there is no Smith form to read K1 from).  The
     Smith form is computed once and serves both."""
     invariants = snf(m) if "invariant" in modes else None
     return tuple(invariants.factors if mode == "invariant"
-                 else _shifted_det(m) if invariants is None else hash(_first_key(m, invariants))
+                 else _shifted_det(kind, m) if invariants is None
+                 else hash(_first_key(kind, m, invariants))
                  for mode in modes)
 
 
@@ -144,20 +170,21 @@ def _is_bipartite(g: Graph, profile: DistanceProfile) -> bool:
     return not any(row & (odd if (odd >> u) & 1 else even) for u, row in enumerate(g.adj))
 
 
-def _values(fn: Callable[[IntMatrix], object], item: tuple[Graph, tuple[MatrixKind, ...]]
+def _values(fn: Callable[[MatrixKind, IntMatrix], object], item: tuple[Graph, tuple[MatrixKind, ...]]
             ) -> tuple[Graph, list]:
-    """``(g, [fn(build(g, kind)) for kind in kinds])`` for ``item = (g,
-    kinds)``, with ``fn`` applied once per matrix built.  On a bipartite
-    graph a kind in ``BIPARTITE_TWINS`` is built as its twin."""
+    """``(g, [fn(kind, build(g, kind)) for kind in kinds])`` for ``item =
+    (g, kinds)``, with ``fn`` applied once per matrix built.  On a bipartite
+    graph a kind in ``BIPARTITE_TWINS`` is built as its twin, and ``fn``
+    gets the twin as the kind."""
     g, kinds = item
     profile = distance_profile(g)  # also rejects disconnected input
     twins = BIPARTITE_TWINS if _is_bipartite(g, profile) else {}
     sources = [twins.get(kind, kind) for kind in kinds]
-    values = {source: fn(build(g, source, profile)) for source in dict.fromkeys(sources)}
+    values = {source: fn(source, build(g, source, profile)) for source in dict.fromkeys(sources)}
     return g, [values[source] for source in sources]
 
 
-def _mapped(pool: WorkerPool | None, fn: Callable[[IntMatrix], object],
+def _mapped(pool: WorkerPool | None, fn: Callable[[MatrixKind, IntMatrix], object],
             items: Iterable[tuple[Graph, tuple[MatrixKind, ...]]]) -> Iterator[tuple[Graph, list]]:
     """``_values(fn, item)`` per item, computed here or, in any order, on
     the pool's workers."""
@@ -260,13 +287,15 @@ def completeness_check(n: int, kinds: Sequence[MatrixKind]) -> tuple[bool, ...]:
     """One bool per kind in ``kinds``, in that order: True iff the complete
     graph is the only connected graph on n vertices (1 <= n <= 8) with its
     Smith normal form for that kind.  Each graph is built through
-    ``_values``, so one distance profile serves every kind."""
+    ``_values`` and keyed by the census's invariant value, so one distance
+    profile serves every kind."""
     _require_int("n", n)
     kinds = tuple(kinds)
     _workers(kinds, MODES, 1)  # the census's checks on the kind list; serial, so no pool
-    _, target = _values(snf, (complete_graph(n), kinds))
+    invariants = partial(_stream_values, ("invariant",))
+    _, target = _values(invariants, (complete_graph(n), kinds))
     matches = Counter()
-    for _, values in _mapped(None, snf, ((g, kinds) for g in generate_connected_graphs(n))):
+    for _, values in _mapped(None, invariants, ((g, kinds) for g in generate_connected_graphs(n))):
         matches.update(i for i, value in enumerate(values) if value == target[i])
     return tuple(matches[i] == 1 for i in range(len(kinds)))
 

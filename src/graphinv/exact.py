@@ -5,13 +5,25 @@ Everything here stays in plain Python integers.  Cospectrality downstream
 is decided by comparing characteristic polynomial coefficients and
 coinvariance by comparing invariant factors, so no floating point or
 tolerance enters any census.
+
+The determinant of an order n <= 8 (``_KERNEL_MAX_ORDER``) runs a
+straight-line Bareiss function generated for that order: the entries are
+locals and every update is unrolled.  It does not pivot, so it returns
+None at a zero pivot and the determinant falls back to the elimination
+loop with row swaps, which every larger order takes.  ``_generated`` is
+the package's one way to build such kernels: it compiles an order's source
+on first use and keeps the function, so nothing is compiled at import.
+The Jacobi sweeps in ``spectra`` use it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, wraps
+from itertools import chain
 from math import gcd, prod
 from operator import mul
+from typing import Callable
 
 from .matrices import IntMatrix
 
@@ -181,10 +193,62 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
+# Orders that get a generated kernel: every graph the census generates and
+# every graph the verify suites read.
+_KERNEL_MAX_ORDER = 8
+
+
+def _generated(label: str):
+    """Decorator for a kernel source ``source(n) -> (lines, namespace)``,
+    whose lines define a function named ``kernel`` that reads the names in
+    ``namespace``.  The decorated ``source(n)`` returns that function for
+    order n, compiled on the first call for n and kept."""
+    def decorate(source: Callable[[int], tuple[list[str], dict]]):
+        @lru_cache(maxsize=None)
+        @wraps(source)
+        def compiled(n: int):
+            lines, namespace = source(n)
+            exec(compile("\n".join(lines), f"<{label} kernel, n = {n}>", "exec"), namespace)
+            return namespace["kernel"]
+        return compiled
+    return decorate
+
+
+@_generated("Bareiss")
+def _bareiss(n: int):
+    """Fraction-free elimination of an order-n matrix without pivoting:
+    ``f(*entries)``, ``entries`` row-major, returns the determinant, or None
+    at a zero pivot.  Step k divides by step k-1's pivot, and step 0 by 1."""
+    def a(i: int, j: int) -> str:
+        return f"a{i}_{j}"
+
+    lines = [f"def kernel({', '.join(a(i, j) for i in range(n) for j in range(n))}):"]
+    for k in range(n - 1):
+        lines += [f"    if not {a(k, k)}:",
+                  "        return None"]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                update = f"{a(i, j)} * {a(k, k)} - {a(i, k)} * {a(k, j)}"
+                lines.append(f"    {a(i, j)} = " + (f"({update}) // {a(k - 1, k - 1)}" if k else update))
+    lines.append(f"    return {a(n - 1, n - 1) if n else 1}")
+    return lines, {}
+
+
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = _check_square(m)
-    a = [list(row) for row in m]
+    return _determinant(n, list(chain.from_iterable(m)))
+
+
+def _determinant(n: int, entries: list[int]) -> int:
+    """The determinant of the order-n matrix with row-major ``entries``: the
+    order's kernel, or, above _KERNEL_MAX_ORDER or at a zero pivot, the
+    elimination loop with row swaps."""
+    if n <= _KERNEL_MAX_ORDER:
+        det = _bareiss(n)(*entries)
+        if det is not None:
+            return det
+    a = [entries[i * n:i * n + n] for i in range(n)]
     sign = prev = 1
     for k in range(n):
         if a[k][k] == 0:

@@ -36,9 +36,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        _require_int("vertex count", self.n)
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {self.n}")
+        _require_order(self.n)
         object.__setattr__(self, "adj", tuple(self.adj))
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
@@ -88,6 +86,13 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} is not an integer: {value!r}")
 
 
+def _require_order(n) -> None:
+    """Raise ValueError unless ``n`` is an integer vertex count in 1..MAX_VERTICES."""
+    _require_int("vertex count", n)
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -98,9 +103,15 @@ def _bits(mask: int) -> list[int]:
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    _require_int("vertex count", n)
+    """The graph on vertices 0..n-1 with the given edges.  The order is
+    checked before any edge is read, and each error names the edge at fault."""
+    _require_order(n)
     rows = [0] * n
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair of endpoints") from None
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge ({u}, {v}) has a non-integer endpoint")
         if not (0 <= u < n and 0 <= v < n):

@@ -2,11 +2,12 @@
 
 The eigensolver is a dependency-free cyclic Jacobi iteration, accurate for
 the symmetric integer matrices and sizes (n <= 64) used here.  For each
-order n <= 8 (``_KERNEL_MAX_ORDER``, the largest graph any ``verify`` suite
-reads) it runs a sweep function generated from one template: the upper
-triangle lives in locals ``a{i}_{j}``, the (p, q) pairs and the updates of
-each other row k are unrolled, and ``_rotate`` forms the angle and the new
-diagonal pair.  Each kernel is compiled on first use and kept; none is
+order n <= 8 (``exact._KERNEL_MAX_ORDER``, the largest graph any ``verify``
+suite reads) it runs a sweep function generated from one template: the
+upper triangle lives in locals ``a{i}_{j}``, the (p, q) pairs and the
+updates of each other row k are unrolled, and ``_rotate`` forms the angle
+and the new diagonal pair.  Each kernel is compiled on first use and kept
+by ``exact._generated``, the helper the Bareiss kernels share; none is
 compiled at import.  Larger orders walk a per-n cached tuple of
 (p, q, others) over a list of rows, because kernel source grows as n**3:
 compiling the n = 8 kernel took 11 ms, but the n = 32 one took 0.59 s and
@@ -36,7 +37,7 @@ from itertools import chain
 from math import sqrt
 from operator import mul
 
-from .exact import _check_square
+from .exact import _KERNEL_MAX_ORDER, _check_square, _generated
 from .graphs import DistanceProfile, Graph, conductance, distance_profile, triangle_count, wiener_indices
 from .matrices import IntMatrix, MatrixKind, build, mat_mul, trace
 
@@ -114,11 +115,7 @@ def _rotate(app: float, aqq: float, apq: float) -> tuple[float, float, float, fl
     return cc * app - scapq + ss * aqq, ss * app + scapq + cc * aqq, c, s
 
 
-# Orders that get an unrolled kernel: every graph the verify suites read.
-_KERNEL_MAX_ORDER = 8
-
-
-@lru_cache(maxsize=None)
+@_generated("Jacobi")
 def _kernel(n: int):
     """The sweep function for order n: ``f(threshold, max_sweeps, *upper)``,
     ``upper`` the row-major upper triangle.  It returns the diagonal once the
@@ -129,7 +126,7 @@ def _kernel(n: int):
 
     params = ["threshold", "max_sweeps"] + [a(i, j) for i in range(n) for j in range(i, n)]
     off = " + ".join(f"2.0 * {a(p, q)} * {a(p, q)}" for p, q, _ in _rotations(n)) or "0.0"
-    lines = [f"def sweeps({', '.join(params)}):",
+    lines = [f"def kernel({', '.join(params)}):",
              "    for sweep in range(max_sweeps + 1):",
              f"        if {off} < threshold:",
              "            break",
@@ -142,9 +139,7 @@ def _kernel(n: int):
         lines += [f"            {a(k, p)}, {a(k, q)} = c * {a(k, p)} - s * {a(k, q)}, s * {a(k, p)} + c * {a(k, q)}"
                   for k in others]
     lines.append(f"    return [{', '.join(a(i, i) for i in range(n))}]")
-    namespace = {"rotate": _rotate}
-    exec(compile("\n".join(lines), f"<Jacobi kernel, n = {n}>", "exec"), namespace)
-    return namespace["sweeps"]
+    return lines, {"rotate": _rotate}
 
 
 def _sweeps(a: list[list[float]], threshold: float, max_sweeps: int) -> list[float] | None:

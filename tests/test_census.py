@@ -70,8 +70,8 @@ def test_fingerprint_rejects_bad_input():
     kinds = (MatrixKind.Atr, MatrixKind.DdegPlus)
     assert _values(_coeffs, (c5, kinds))[1] == [(1, -30, 355, -2070, 5945, -6724),
                                                 (1, -10, 15, 10, -15, -8)]
-    assert _values(snf, (c5, kinds))[1] == [SnfResult((1, 1, 1, 41, 164), 0, 5),
-                                            SnfResult((1, 1, 1, 1, 8), 0, 5)]
+    assert _values(lambda kind, m: snf(m), (c5, kinds))[1] == [SnfResult((1, 1, 1, 41, 164), 0, 5),
+                                                               SnfResult((1, 1, 1, 1, 8), 0, 5)]
 
 
 def test_all_trees_share_distance_invariant_fingerprint():
@@ -168,7 +168,7 @@ def test_is_bipartite_from_distance_parity():
 def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     # AtrPlus and Q are fingerprinted as Atr and L on bipartite graphs;
     # every payload must equal the one computed from the kind's own matrix
-    def payloads(m):
+    def payloads(kind, m):
         return snf(m), charpoly(m).coeffs
 
     # the bipartite graphs with n <= 8 include the trees with n <= 8
@@ -181,9 +181,21 @@ def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
         assert _values(payloads, (g, ALL_KINDS)) == (g, list(full_fingerprints(g, ALL_KINDS)))
 
 
+def _k1_of_charpoly(coeffs: tuple[int, ...], row_sums_zero: bool) -> tuple[int, int, int]:
+    # trace M = -c1, Σ M_ij² = trace M² = c1² - 2 c2, and |det M| = |c_n|, or
+    # for L and DL, every cofactor of which is κ on a connected graph, the
+    # product of the nonzero invariant factors: κ = |c_{n-1}| / n
+    n = len(coeffs) - 1
+    c1, c2 = (list(coeffs[1:]) + [0])[:2]
+    if row_sums_zero:
+        assert abs(coeffs[-2]) % n == 0
+        return -c1, c1 * c1 - 2 * c2, abs(coeffs[-2]) // n
+    return -c1, c1 * c1 - 2 * c2, abs(coeffs[-1])
+
+
 def test_shifted_det_is_a_function_of_the_charpoly():
     rng = random.Random(11)
-    matrices = [build(g, kind) for n in range(1, 7) for g in generate_connected_graphs(n)
+    matrices = [(kind, build(g, kind)) for n in range(1, 7) for g in generate_connected_graphs(n)
                 for kind in ALL_KINDS]
     assert len(matrices) == 10 * (1 + 1 + 2 + 6 + 21 + 112)
     for _ in range(200):
@@ -192,17 +204,28 @@ def test_shifted_det_is_a_function_of_the_charpoly():
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.randint(-50, 50)
-        matrices.append(m)
-    for m in matrices:
+        matrices.append((MatrixKind.A, m))
+    for kind, m in matrices:
         coeffs = charpoly(m).coeffs
-        # K1: trace M = -c1, Σ M_ij² = trace M² = c1² - 2 c2 and |det M| = |c_n|
-        c1, c2 = (list(coeffs[1:]) + [0])[:2]
-        assert _first_key(m, snf(m)) == (-c1, c1 * c1 - 2 * c2, abs(coeffs[-1]))
+        row_sums_zero = kind in (MatrixKind.L, MatrixKind.DL)
+        assert _first_key(kind, m, snf(m)) == _k1_of_charpoly(coeffs, row_sums_zero)
         # det(M - x0 I) = (-1)^n p(x0) with p(x) = det(xI - M), at x0 = 4n + 1
         n = len(m)
         x0 = 4 * n + 1
         p = sum(c * x0 ** (n - k) for k, c in enumerate(coeffs))
-        assert _shifted_det(m) == (-1) ** n * p
+        assert _shifted_det(kind, m) == (-1) ** n * p
+    # On a bipartite graph Q is built as L and keyed by L's rule, which is
+    # still a function of Q's charpoly: there Q and L are cospectral, and no
+    # bipartite Q is cospectral with a non-bipartite one.
+    bipartite = [g for n in range(1, 7) for g in generate_connected_graphs(n)
+                 if _is_bipartite(g, distance_profile(g))]
+    assert len(bipartite) == 1 + 1 + 1 + 3 + 5 + 17
+    stream = partial(_stream_values, MODES)
+    for g in bipartite:
+        q = build(g, MatrixKind.Q)
+        [(k1, factors)] = _values(stream, (g, (MatrixKind.Q,)))[1]
+        assert k1 == hash(_k1_of_charpoly(charpoly(q).coeffs, True))
+        assert factors == snf(q).factors
 
 
 def test_filtered_census_matches_full_reference(monkeypatch):
@@ -210,7 +233,7 @@ def test_filtered_census_matches_full_reference(monkeypatch):
     # graph shares, and a charpoly only where that determinant is shared
     # too; its report must equal the one from every graph's full charpoly
     # and Smith form, tallied once per corpus for all kinds and modes.
-    # Spectral-only runs have no |det M| and start at the determinant; in
+    # Spectral-only runs have no Smith form and start at the determinant; in
     # (AtrPlus, Q) bipartite graphs build Atr and L in their place.
     calls = {build: 0, distance_profile: 0, charpoly: 0}
     for fn in calls:
@@ -230,11 +253,14 @@ def test_filtered_census_matches_full_reference(monkeypatch):
             assert run_census(graphs, kinds, modes) == expected
             if graphs is corpora[6] and modes == MODES and kinds == ALL_KINDS:
                 # Builds: 8442 in the stream (8530 matrices less the
-                # bipartite twins' shared builds), 3750 for determinants and
+                # bipartite twins' shared builds), 2565 for determinants and
                 # 539 for charpolys, one for each graph with a spectral mate
                 # (543) less the twins' shared builds.  Distance profiles: 853 in
-                # the stream and one per graph rebuilt at each level.
-                assert list(calls.values()) == [12731, 1912, 539]
+                # the stream and one per graph rebuilt at each level.  K1's
+                # third component for L and DL is κ, not their |det M| of 0,
+                # so 2584 slots share K1 rather than 3778 (3750 builds, 1912
+                # profiles); the charpoly count cannot move.
+                assert list(calls.values()) == [11546, 1910, 539]
 
 
 def test_census_parallel_matches_serial():

@@ -422,10 +422,12 @@ def test_import_does_not_load_multiprocessing():
 
 
 def test_import_compiles_no_jacobi_kernel():
-    # the eigensolver's kernels are compiled on first use, so commands that
-    # never take a spectrum pay nothing for them
+    # the eigensolver's and the determinant's kernels are compiled on first
+    # use, so commands that never take a spectrum or a determinant pay
+    # nothing for them
     src = Path(graphinv.__file__).resolve().parent.parent
-    code = "import graphinv.cli, graphinv.spectra as s; print(s._kernel.cache_info().currsize)"
+    code = ("import graphinv.cli, graphinv.exact as e, graphinv.spectra as s; "
+            "print(s._kernel.cache_info().currsize, e._bareiss.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "0\n"
+    assert done.stdout == "0 0\n"

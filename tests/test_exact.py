@@ -1,10 +1,13 @@
 import random
 import signal
+from itertools import chain
 from math import gcd
 
 import pytest
 
+from graphinv import exact
 from graphinv.cli import CLI_KINDS
+from graphinv.closedforms import det_tree_distance
 from graphinv.exact import SnfResult, charpoly, cokernel, determinant, snf
 from graphinv.generators import generate_connected_graphs, generate_trees
 from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, distance_profile, star_graph
@@ -338,6 +341,85 @@ def test_determinant_vs_invariant_factors():
             for f in res.factors:
                 prod *= f
             assert abs(d) == prod
+
+
+_KERNEL_ORDERS = exact._KERNEL_MAX_ORDER + 1
+
+
+def _det_oracle(m):
+    # cofactor expansion up to n = 6; past that, the reference charpoly's c_n
+    n = len(m)
+    return det_cofactor(m) if n <= 6 else (-1) ** n * charpoly_berkowitz_reference(m)[-1]
+
+
+def _kernel_cases(rng):
+    """Seeded matrices of every kernel order 0..8 (none symmetric but by
+    chance): dense with wide entries, sparse 0/+-1, and three that force the
+    fallback: a leading principal minor made singular midway, a repeated row
+    and a zero row."""
+    cases = []
+    for n in range(_KERNEL_ORDERS):
+        for bound in (1, 9, 1000):
+            cases += [_random_matrix(rng, n, bound) for _ in range(8)]
+        cases += [_sparse_unit_matrix(rng, n) for _ in range(8)]
+        if n >= 3:
+            m = _random_matrix(rng, n)
+            k = rng.randrange(1, n - 1)
+            m[k][:k + 1] = [sum(col) for col in zip(*(row[:k + 1] for row in m[:k]))]
+            cases.append(m)
+            m = _random_matrix(rng, n)
+            m[rng.randrange(1, n)] = list(m[0])
+            cases.append(m)
+            m = _random_matrix(rng, n)
+            m[rng.randrange(n)] = [0] * n
+            cases.append(m)
+    return cases
+
+
+def test_determinant_kernels_match_oracle_and_loop(monkeypatch):
+    # each order's kernel gives the determinant or None, and determinant()
+    # gives the oracle's value, the same as with every order on the loop
+    rng = random.Random(2026)
+    cases = _kernel_cases(rng)
+    fallbacks, kernel_dets = set(), 0
+    with_kernels = [determinant(m) for m in cases]
+    monkeypatch.setattr(exact, "_KERNEL_MAX_ORDER", -1)
+    for m, det in zip(cases, with_kernels):
+        assert det == _det_oracle(m) == determinant(m), m
+        kernel_det = exact._bareiss(len(m))(*chain.from_iterable(m))
+        assert kernel_det in (None, det), m
+        if kernel_det is None:
+            fallbacks.add(len(m))
+        kernel_dets += kernel_det is not None
+    assert fallbacks == set(range(2, _KERNEL_ORDERS))
+    assert kernel_dets > len(cases) // 2
+
+
+def test_determinant_kernel_falls_back_at_a_zero_pivot():
+    # a tree distance matrix has a zero first pivot
+    for t in generate_trees(8):
+        d = build(t, MatrixKind.D)
+        assert exact._bareiss(8)(*chain.from_iterable(d)) is None
+        assert determinant(d) == det_tree_distance(8)
+    # the second pivot a00 a11 - a10 a01 is zero, though the matrix is not singular
+    m = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    assert exact._bareiss(3)(*chain.from_iterable(m)) is None
+    assert determinant(m) == det_cofactor(m) == -1
+    # singular: the kernel's last step gives 0, or a zero pivot sends it to the loop
+    for m in ([[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[2, 1, 1], [2, 1, 1], [0, 0, 5]]):
+        assert exact._bareiss(len(m))(*chain.from_iterable(m)) in (None, 0)
+        assert determinant(m) == 0
+
+
+def test_each_determinant_kernel_is_compiled_once():
+    rng = random.Random(7)
+    exact._bareiss.cache_clear()
+    for _ in range(3):
+        for n in range(_KERNEL_ORDERS + 3):
+            m = _random_matrix(rng, n)
+            assert determinant(m) == _det_oracle(m)
+    info = exact._bareiss.cache_info()
+    assert (info.currsize, info.misses) == (_KERNEL_ORDERS, _KERNEL_ORDERS)
 
 
 def test_cokernel():

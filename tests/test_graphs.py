@@ -73,6 +73,23 @@ def test_graph_from_edges_rejects_endpoint_out_of_range():
             graph_from_edges(3, [(0, 1), edge])
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    # an edge record that is not a pair once raised a raw unpacking error
+    (3, [(0, 1, 2)], r"^edge \(0, 1, 2\) is not a pair of endpoints$"),
+    (3, [(0, 1), (2,)], r"^edge \(2,\) is not a pair of endpoints$"),
+    (3, [0], r"^edge 0 is not a pair of endpoints$"),
+    (3, [None], r"^edge None is not a pair of endpoints$"),
+    # an order out of range once blamed the first edge
+    (0, [(0, 1)], r"^vertex count must be in 1\.\.64, got 0$"),
+    (-1, [(0, 1)], r"^vertex count must be in 1\.\.64, got -1$"),
+    (65, [(0, 1, 2)], r"^vertex count must be in 1\.\.64, got 65$"),
+    (0, [0], r"^vertex count must be in 1\.\.64, got 0$"),
+])
+def test_graph_from_edges_names_the_record_at_fault(n, edges, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_edges(n, edges)
+
+
 def test_parse_graph6_smallest():
     g = parse_graph6("@")
     assert g.n == 1 and g.edge_count() == 0
