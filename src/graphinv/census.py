@@ -14,53 +14,63 @@ on the invariant factors alone: every graph in the stream has the same
 order n, so the zero count is n less their number.  Isomorphism dedup is
 the generator's or ingester's contract, never re-tested here.
 
-``run_census`` computes a characteristic polynomial only where it can
-matter, behind a chain of cheaper exact keys of each matrix M.  Serial and
-parallel runs share the chain; they differ only in whether graphs are
-mapped in this process or on workers.
+``run_census`` takes each fingerprint only where it can matter, behind a
+chain of cheaper exact keys of each matrix M, one chain per mode:
 
-- K1 is ``(trace M, Σ M_ij², d)``, read in O(n²) during the stream, with
-  d read off the Smith form that the same kind's invariant slot computes
-  anyway.  d is |det M| (the product of the factors, or 0 when a factor is
-  zero), except for L = deg − A and DL = tr − D: their rows sum to 0, so
-  |det M| is 0 on every connected graph, and d is the product of the
-  nonzero factors, the value κ of every cofactor.  A census without that
-  slot skips K1.
+- invariant: d → the Smith form's invariant factors;
+- spectral: K1 → ``det(M − (4n+1)·I)`` → the charpoly coefficients.
+
+The first key of each chain is taken during the stream; each later key
+only for the graphs whose key at the level before another graph shares.
+Serial and parallel runs share the chain; they differ only in whether
+graphs are mapped in this process or on workers.
+
+- d is read by ``exact``'s determinant, a straight-line kernel for
+  n <= 8 and the elimination loop above that.  For L = deg − A and
+  DL = tr − D it is κ, the determinant of the leading (n−1) principal
+  block: their rows sum to 0, so |det M| is 0 on every connected graph,
+  and every cofactor is κ.  For every other kind d is |det M|.
+- K1 is ``(trace M, Σ M_ij², d)``, read in O(n²), with d the value the
+  same kind's invariant slot takes.  A census without an invariant mode
+  skips K1.
 - The second key is ``det(M − (4n+1)·I)``, by Bareiss elimination in
-  O(n³), on M's flattened entries with the shift taken on the diagonal;
-  for n <= 8 it runs ``exact``'s straight-line kernel for the order.  It
-  is taken for the graphs whose K1 another graph shares, or during the
-  stream where K1 is skipped.
-- The charpoly is taken for the graphs whose second key another graph
-  shares.
+  O(n³), on M's flattened entries with the shift taken on the diagonal.
+  It is taken during the stream where K1 is skipped.
+
+d is a function of the Smith form: the product of the factors, or 0 when
+a factor is zero, and for L and DL (rank n−1 on a connected graph) the
+product of the nonzero factors, which is the gcd of the (n−1)-minors, |κ|.
+So a graph alone with its d has no coinvariant mate.
 
 For a symmetric M with ``p(x) = det(xI − M) = x^n + c1·x^(n-1) + ... +
 cn``: ``trace M = -c1``, ``Σ M_ij² = trace M² = c1² - 2·c2``,
 ``|det M| = |cn|``, ``κ = |c(n-1)|/n`` for L and DL on a connected graph
 (the sum of the n principal cofactors) and ``det(M − x0·I) =
-(−1)^n·p(x0)``.  So each key is a function of the charpoly, cospectral
-matrices share it, and a graph whose key no other graph at its level
-shares has no cospectral mate: dropping it keeps the report exact.
+(−1)^n·p(x0)``.  So each spectral key is a function of the charpoly,
+cospectral matrices share it, and a graph whose key no other graph at its
+level shares has no cospectral mate: dropping it keeps the report exact.
 ``p(x0)`` determines p once x0 is large enough (Kronecker substitution),
 and x0 = 4n+1 already leaves just the graphs with a true spectral mate,
 for all ten kinds over the connected graphs with n <= 8.  K1 stays in
 front because it is cheaper and, for the four new kinds, no two trees
 with n <= 14 share it.
 
-K1's rule for d goes by the kind built, never by testing a matrix's row
-sums.  K_n's ``Ddeg`` equals L(K_n), so a row-sum test would key it by κ,
-while a cospectral ``Ddeg`` whose rows do not sum to 0 would key 0: the
-two would part, and a mate would be lost.  On a bipartite graph Q is
-built as L and keyed by L's rule.  That is still a function of Q's
-charpoly: there Q and L are cospectral, and a bipartite Q is never
-cospectral with a non-bipartite one (only the former has eigenvalue 0).
+d's rule goes by the kind built, never by testing a matrix's row sums.
+K_n's ``Ddeg`` equals L(K_n), so a row-sum test would key it by κ, while a
+cospectral ``Ddeg`` whose rows do not sum to 0 would key 0: the two would
+part, and a mate would be lost.  On a bipartite graph Q is built as L and
+keyed by L's rule.  That is still a function of Q's charpoly: there Q and
+L are cospectral, and a bipartite Q is never cospectral with a
+non-bipartite one (only the former has eigenvalue 0).
 
 Each level counts the keys of the graphs still in the chain, then builds
-again only the graphs whose key is shared, to take the next key.  K1
-enters the count as its hash, which is just as much a function of the
-charpoly: a hash collision only costs work.  It hashes ints only, since
-the hash of None, str or bytes can differ between processes, and workers
-hash keys that the parent compares.
+again only the graphs whose key is shared, once per graph for all the
+slots that want it, to take the next key.  K1 enters the count as its
+hash, which is just as much a function of the charpoly: a hash collision
+only costs work.  It hashes ints only, since the hash of None, str or
+bytes can differ between processes, and workers hash keys that the parent
+compares.  Kinds travel by their position in ``MatrixKind``, so no table
+hashes a member (``Enum.__hash__`` is Python code).
 """
 
 from __future__ import annotations
@@ -70,12 +80,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
-from math import prod
+from itertools import chain, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .exact import SnfResult, _determinant, charpoly, snf
+from .exact import _determinant, charpoly, snf
 from .generators import TREE_MAX_VERTICES, generate_connected_graphs, generate_trees
 from .graphs import DistanceProfile, Graph, _require_int, complete_graph, distance_profile
 from .matrices import RECIPES, IntMatrix, MatrixKind, build
@@ -87,27 +96,34 @@ MODES = ("spectral", "invariant")
 
 
 # The kinds whose diagonal is the row sums of the negated off-diagonal part,
-# L = deg - A and DL = tr - D: K1 keys them by κ (module docstring).
-_ROW_SUM_KINDS = frozenset(kind for kind, recipe in RECIPES.items()
-                           if recipe in (("deg", -1, "A"), ("tr", -1, "D")))
+# L = deg - A and DL = tr - D: d is κ for them (module docstring).  A tuple,
+# so that a membership test compares identities instead of hashing a member.
+_ROW_SUM_KINDS = tuple(kind for kind, recipe in RECIPES.items()
+                       if recipe in (("deg", -1, "A"), ("tr", -1, "D")))
 
 
-def _coeffs(kind: MatrixKind, m: IntMatrix) -> tuple[int, ...]:
-    return charpoly(m).coeffs
+def _det_key(kind: MatrixKind, m: IntMatrix) -> int:
+    """d of a matrix M of ``kind``, the first key of its invariant chain:
+    κ, the determinant of M's leading (n−1) principal block, for a kind in
+    _ROW_SUM_KINDS, and |det M| for any other (module docstring)."""
+    n = len(m)
+    if kind in _ROW_SUM_KINDS:
+        n -= 1
+        m = [row[:n] for row in m[:n]]
+    return abs(_determinant(n, list(chain.from_iterable(m))))
 
 
-def _first_key(kind: MatrixKind, m: IntMatrix, invariants: SnfResult) -> tuple[int, int, int]:
-    """K1 of a symmetric matrix M of ``kind``: ``(trace M, Σ M_ij², d)``,
-    with d read off M's Smith form ``invariants``: the product of the
-    nonzero factors for a kind in _ROW_SUM_KINDS, |det M| for any other."""
+def _first_key(m: IntMatrix, d: int) -> tuple[int, int, int]:
+    """K1 of a symmetric matrix M: ``(trace M, Σ M_ij², d)``, with d M's
+    ``_det_key``."""
     flat = list(chain.from_iterable(m))
-    d = prod(invariants.factors) if not invariants.zeros or kind in _ROW_SUM_KINDS else 0
     return sum(flat[::len(m) + 1]), sum(map(mul, flat, flat)), d
 
 
 def _shifted_det(kind: MatrixKind, m: IntMatrix) -> int:
-    """``det(M − (4n+1)·I)``, the chain's second key (module docstring),
-    with the shift taken on the diagonal of M's flattened entries."""
+    """``det(M − (4n+1)·I)``, the spectral chain's second key (module
+    docstring), with the shift taken on the diagonal of M's flattened
+    entries."""
     n = len(m)
     x0 = 4 * n + 1
     entries = list(chain.from_iterable(m))
@@ -115,16 +131,36 @@ def _shifted_det(kind: MatrixKind, m: IntMatrix) -> int:
     return _determinant(n, entries)
 
 
+def _factors(kind: MatrixKind, m: IntMatrix) -> tuple[int, ...]:
+    return snf(m).factors
+
+
+def _coeffs(kind: MatrixKind, m: IntMatrix) -> tuple[int, ...]:
+    return charpoly(m).coeffs
+
+
 def _stream_values(modes: tuple[str, ...], kind: MatrixKind, m: IntMatrix) -> tuple:
-    """One built matrix's census values, one per mode: its invariant
-    factors, or the first key of the chain that M can take (K1's hash, or
-    the second key where there is no Smith form to read K1 from).  The
-    Smith form is computed once and serves both."""
-    invariants = snf(m) if "invariant" in modes else None
-    return tuple(invariants.factors if mode == "invariant"
-                 else _shifted_det(kind, m) if invariants is None
-                 else hash(_first_key(kind, m, invariants))
-                 for mode in modes)
+    """One built matrix's census values, one per mode: the first key of
+    each chain.  An invariant slot takes d, and a spectral slot K1's hash,
+    built on the same d, or the second key in a census with no invariant
+    mode."""
+    if "invariant" not in modes:
+        return (_shifted_det(kind, m),)
+    d = _det_key(kind, m)
+    return tuple(d if mode == "invariant" else hash(_first_key(m, d)) for mode in modes)
+
+
+def _level_key(level: dict[str, Callable[[MatrixKind, IntMatrix], object]], mode: str,
+               kind: MatrixKind, m: IntMatrix) -> object:
+    """One built matrix's key for ``mode`` at a chain ``level`` (mode ->
+    key function)."""
+    return level[mode](kind, m)
+
+
+# The chain's levels after the stream (module docstring): with an invariant
+# mode, and spectral only.
+_LEVELS = ({"invariant": _factors, "spectral": _shifted_det}, {"spectral": _coeffs})
+_SPECTRAL_LEVELS = ({"spectral": _coeffs},)
 
 
 @dataclass(frozen=True)
@@ -170,36 +206,62 @@ def _is_bipartite(g: Graph, profile: DistanceProfile) -> bool:
     return not any(row & (odd if (odd >> u) & 1 else even) for u, row in enumerate(g.adj))
 
 
-def _values(fn: Callable[[MatrixKind, IntMatrix], object], item: tuple[Graph, tuple[MatrixKind, ...]]
-            ) -> tuple[Graph, list]:
-    """``(g, [fn(kind, build(g, kind)) for kind in kinds])`` for ``item =
-    (g, kinds)``, with ``fn`` applied once per matrix built.  On a bipartite
-    graph a kind in ``BIPARTITE_TWINS`` is built as its twin, and ``fn``
-    gets the twin as the kind."""
-    g, kinds = item
+# Kinds travel by their position here (module docstring).
+_KINDS = tuple(MatrixKind)
+# Per position: the position of the kind built in its place on a bipartite graph.
+_TWINS = tuple(_KINDS.index(BIPARTITE_TWINS.get(kind, kind)) for kind in _KINDS)
+
+# What a census asks of one graph: per kind, its position and an argument
+# for the value function (the modes of the stream, or a level's one mode).
+_Wants = tuple[tuple[int, object], ...]
+_ValueFn = Callable[[object, MatrixKind, IntMatrix], object]
+
+
+def _values(fn: _ValueFn, item: tuple[Graph, _Wants]) -> tuple[Graph, list]:
+    """``(g, [fn(arg, kind, build(g, kind)) for kind, arg in wants])`` for
+    ``item = (g, wants)``, each kind given by its position in ``_KINDS``,
+    with each kind built once and ``fn`` applied once per kind and
+    argument.  On a bipartite graph a kind in ``BIPARTITE_TWINS`` is built
+    as its twin, and ``fn`` gets the twin as the kind."""
+    g, wants = item
     profile = distance_profile(g)  # also rejects disconnected input
-    twins = BIPARTITE_TWINS if _is_bipartite(g, profile) else {}
-    sources = [twins.get(kind, kind) for kind in kinds]
-    values = {source: fn(source, build(g, source, profile)) for source in dict.fromkeys(sources)}
-    return g, [values[source] for source in sources]
+    if _is_bipartite(g, profile):
+        wants = [(_TWINS[k], arg) for k, arg in wants]
+    matrices = {k: build(g, _KINDS[k], profile) for k in dict.fromkeys(k for k, _ in wants)}
+    values = {want: fn(want[1], _KINDS[want[0]], matrices[want[0]]) for want in dict.fromkeys(wants)}
+    return g, [values[want] for want in wants]
 
 
-def _mapped(pool: WorkerPool | None, fn: Callable[[MatrixKind, IntMatrix], object],
-            items: Iterable[tuple[Graph, tuple[MatrixKind, ...]]]) -> Iterator[tuple[Graph, list]]:
+def _mapped(pool: WorkerPool | None, fn: _ValueFn,
+            items: Iterable[tuple[Graph, _Wants]]) -> Iterator[tuple[Graph, list]]:
     """``_values(fn, item)`` per item, computed here or, in any order, on
     the pool's workers."""
     task = partial(_values, fn)
     return map(task, items) if pool is None else pool.imap_unordered(task, items, chunksize=16)
 
 
+def _level_keys(pool: WorkerPool | None, level: dict[str, Callable], slots: Sequence[tuple[int, str]],
+                wanted: dict[Graph, list[int]]) -> Iterator[tuple[Graph, int, object]]:
+    """``(graph, slot, key)`` for each graph in ``wanted`` and each of its
+    slots (indices into ``slots``, each a kind position and a mode), with
+    the key taken at chain ``level``.  Each graph is built once for all its
+    slots, and each key taken once per kind built and mode."""
+    items = ((h, tuple(slots[i] for i in where)) for h, where in wanted.items())
+    for h, keys in _mapped(pool, partial(_level_key, level), items):
+        yield from zip(repeat(h), wanted[h], keys)
+
+
 def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
     """A pool of ``jobs`` processes, or a null context for ``jobs == 1``,
     once the arguments pass the checks that every census shares: an integer
-    worker count of at least 1, known modes and at least one kind and one mode,
-    none repeated."""
+    worker count of at least 1, known kinds and modes and at least one kind
+    and one mode, none repeated."""
     _require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for kind in kinds:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown matrix kind {kind!r}")
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -223,51 +285,46 @@ def run_census(
 ) -> CensusReport:
     """Count graphs with a cospectral/coinvariant mate, per kind and mode.
 
-    Raises on a non-integer worker count or one below 1, an empty or
-    repeated kind or mode list, an empty stream or mixed orders.  Spectral
-    buckets are tallied only among graphs whose keys another graph shares
-    (module docstring).
+    Raises on a non-integer worker count or one below 1, an unknown, empty
+    or repeated kind or mode list, an empty stream or mixed orders.  Each
+    slot's buckets are tallied only among graphs whose keys another graph
+    shares (module docstring).
     """
     kinds, modes = tuple(kinds), tuple(modes)
-    slots = [(kind, mode) for kind in kinds for mode in modes]
-    tallies = [Counter() for _ in slots]
-    seen: list[Graph] = []
-    # Per spectral slot: the graphs still in the chain and their keys at
-    # the current level, in the same order.
-    chains = {i: (seen, []) for i, (_, mode) in enumerate(slots) if mode == "spectral"}
-    levels = (_shifted_det, _coeffs) if "invariant" in modes else (_coeffs,)
     with _workers(kinds, modes, jobs) as pool:
-        for g, values in _mapped(pool, partial(_stream_values, modes), ((h, kinds) for h in graphs)):
+        wants = tuple((_KINDS.index(kind), modes) for kind in kinds)
+        slots = [(k, mode) for k, _ in wants for mode in modes]
+        seen: list[Graph] = []
+        # Per slot: the graphs still in its chain and their keys at the
+        # current level, in the same order.
+        chains = [(seen, []) for _ in slots]
+        for g, values in _mapped(pool, _stream_values, ((h, wants) for h in graphs)):
             if seen and g.n != seen[0].n:
                 raise ValueError("census stream mixes vertex counts")
             seen.append(g)
-            for i, value in enumerate(chain.from_iterable(values)):
-                if i in chains:
-                    chains[i][1].append(value)
-                else:
-                    tallies[i][value] += 1
+            for (_, keys), value in zip(chains, chain.from_iterable(values)):
+                keys.append(value)
         if not seen:
             raise ValueError("census stream is empty")
-        for fn in levels:
-            # graph -> the slots where another graph shares its key
+        for level in _LEVELS if "invariant" in modes else _SPECTRAL_LEVELS:
+            # graph -> its slots at this level where another graph shares its key
             wanted: dict[Graph, list[int]] = {}
-            for i, (held, keys) in chains.items():
-                counts = Counter(keys)
-                for h, key in zip(held, keys):
-                    if counts[key] > 1:
-                        wanted.setdefault(h, []).append(i)
-            chains = {i: ([], []) for i in chains}
-            items = ((h, tuple(slots[i][0] for i in where)) for h, where in wanted.items())
-            for h, values in _mapped(pool, fn, items):
-                for i, value in zip(wanted[h], values):
-                    chains[i][0].append(h)
-                    chains[i][1].append(value)
-    for i, (_, keys) in chains.items():
-        tallies[i].update(keys)
-    mates = {slot: sum(c for c in tally.values() if c >= 2) for slot, tally in zip(slots, tallies)}
-    entries = tuple(CensusEntry(kind, mode, mates[(kind, mode)], len(seen))
-                    for kind in MatrixKind for mode in MODES if (kind, mode) in mates)
-    return CensusReport(g.n, len(seen), entries)
+            for i, (_, mode) in enumerate(slots):
+                if mode in level:
+                    held, keys = chains[i]
+                    counts = Counter(keys)
+                    for h, key in zip(held, keys):
+                        if counts[key] > 1:
+                            wanted.setdefault(h, []).append(i)
+                    chains[i] = ([], [])
+            for h, i, key in _level_keys(pool, level, slots, wanted):
+                chains[i][0].append(h)
+                chains[i][1].append(key)
+    mates = {slot: sum(c for c in Counter(keys).values() if c >= 2)
+             for slot, (_, keys) in zip(slots, chains)}
+    entries = tuple(CensusEntry(kind, mode, mates[k, mode], len(seen))
+                    for k, kind in enumerate(_KINDS) for mode in MODES if (k, mode) in mates)
+    return CensusReport(seen[0].n, len(seen), entries)
 
 
 def tree_census(
@@ -286,18 +343,27 @@ def tree_census(
 def completeness_check(n: int, kinds: Sequence[MatrixKind]) -> tuple[bool, ...]:
     """One bool per kind in ``kinds``, in that order: True iff the complete
     graph is the only connected graph on n vertices (1 <= n <= 8) with its
-    Smith normal form for that kind.  Each graph is built through
-    ``_values`` and keyed by the census's invariant value, so one distance
-    profile serves every kind."""
+    Smith normal form for that kind.  It runs the census's invariant
+    chain: every graph's d for each kind, then the Smith form only of the
+    graphs whose d equals the complete graph's, one distance profile per
+    graph at each step."""
     _require_int("n", n)
     kinds = tuple(kinds)
     _workers(kinds, MODES, 1)  # the census's checks on the kind list; serial, so no pool
-    invariants = partial(_stream_values, ("invariant",))
-    _, target = _values(invariants, (complete_graph(n), kinds))
-    matches = Counter()
-    for _, values in _mapped(None, invariants, ((g, kinds) for g in generate_connected_graphs(n))):
-        matches.update(i for i, value in enumerate(values) if value == target[i])
-    return tuple(matches[i] == 1 for i in range(len(kinds)))
+    slots = [(_KINDS.index(kind), "invariant") for kind in kinds]
+    every = range(len(slots))
+    k_n = complete_graph(n)
+    # graph -> its slots where each key so far equals the complete graph's
+    matching = dict.fromkeys(generate_connected_graphs(n), every)
+    for level in ({"invariant": _det_key}, _LEVELS[0]):
+        target = {i: key for _, i, key in _level_keys(None, level, slots, {k_n: every})}
+        wanted: dict[Graph, list[int]] = {}
+        for g, i, key in _level_keys(None, level, slots, matching):
+            if key == target[i]:
+                wanted.setdefault(g, []).append(i)
+        matching = wanted
+    counts = Counter(chain.from_iterable(matching.values()))
+    return tuple(counts[i] == 1 for i in every)
 
 
 def report_tsv(report: CensusReport) -> str:

@@ -1,13 +1,18 @@
 import random
 from functools import partial
+from math import prod
 
 import pytest
 
 from graphinv import census
 from graphinv.census import (
+    _KINDS,
+    BIPARTITE_TWINS,
     MODES,
     CensusReport,
     _coeffs,
+    _det_key,
+    _factors,
     _first_key,
     _is_bipartite,
     _shifted_det,
@@ -28,7 +33,7 @@ from graphinv.graphs import (
     graph_from_edges,
     path_graph,
 )
-from graphinv.exact import SnfResult, charpoly, snf
+from graphinv.exact import SnfResult, charpoly, determinant, snf
 from graphinv.matrices import MatrixKind, build
 from oracles import full_fingerprints, mate_counts_reference, permuted
 
@@ -36,42 +41,56 @@ NEW_KINDS = (MatrixKind.Atr, MatrixKind.AtrPlus, MatrixKind.Ddeg, MatrixKind.Dde
 ALL_KINDS = tuple(MatrixKind[k] for k in CLI_KINDS)
 
 
+def kind_values(fn, g, kinds):
+    # [fn(kind, m) per kind] through census._values, which builds a kind's
+    # bipartite twin in its place on a bipartite graph
+    wants = tuple((_KINDS.index(kind), ()) for kind in kinds)
+    return _values(lambda modes, kind, m: fn(kind, m), (g, wants))[1]
+
+
+def stream_values(g, kinds, modes=MODES):
+    wants = tuple((_KINDS.index(kind), modes) for kind in kinds)
+    return _values(_stream_values, (g, wants))[1]
+
+
 def test_fingerprint_isomorphism_invariance():
-    # every key of the census chain, for all ten kinds: the stream values
-    # (Smith form factors and K1's hash), the second key and the charpoly
-    keys = (partial(_stream_values, MODES), _shifted_det, _coeffs)
+    # every key of the census chains, for all ten kinds: the stream values
+    # (d and K1's hash), the Smith form factors, the second key and the
+    # charpoly
+    keys = [partial(stream_values, kinds=ALL_KINDS)]
+    keys += [partial(kind_values, fn, kinds=ALL_KINDS) for fn in (_factors, _shifted_det, _coeffs)]
     rng = random.Random(2)
     trials = 0
     for g in list(generate_connected_graphs(6))[::7]:
-        base = [_values(fn, (g, ALL_KINDS))[1] for fn in keys]
+        base = [fn(g) for fn in keys]
         for _ in range(12):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = permuted(g, perm)
             for fn, values in zip(keys, base):
-                assert _values(fn, (h, ALL_KINDS))[1] == values
+                assert fn(h) == values
                 trials += len(values)
     assert trials >= 5000
 
 
 def test_fingerprint_separates_k3_p3():
-    a = _values(_coeffs, (complete_graph(3), (MatrixKind.A,)))
-    b = _values(_coeffs, (path_graph(3), (MatrixKind.A,)))
-    assert a[1] != b[1]
+    a = kind_values(_coeffs, complete_graph(3), (MatrixKind.A,))
+    b = kind_values(_coeffs, path_graph(3), (MatrixKind.A,))
+    assert a != b
 
 
 def test_fingerprint_rejects_bad_input():
     with pytest.raises(ValueError, match="^mode must be one of"):
         run_census([path_graph(3)], [MatrixKind.A], ["nope"])
     with pytest.raises(ValueError, match="^graph not connected$"):
-        _values(_coeffs, (graph_from_edges(3, [(0, 1)]), (MatrixKind.A,)))
+        kind_values(_coeffs, graph_from_edges(3, [(0, 1)]), (MatrixKind.A,))
     # C5's charpoly coefficients and Smith forms (factors, zero count, order)
     c5 = cycle_graph(5)
     kinds = (MatrixKind.Atr, MatrixKind.DdegPlus)
-    assert _values(_coeffs, (c5, kinds))[1] == [(1, -30, 355, -2070, 5945, -6724),
-                                                (1, -10, 15, 10, -15, -8)]
-    assert _values(lambda kind, m: snf(m), (c5, kinds))[1] == [SnfResult((1, 1, 1, 41, 164), 0, 5),
-                                                               SnfResult((1, 1, 1, 1, 8), 0, 5)]
+    assert kind_values(_coeffs, c5, kinds) == [(1, -30, 355, -2070, 5945, -6724),
+                                               (1, -10, 15, 10, -15, -8)]
+    assert kind_values(lambda kind, m: snf(m), c5, kinds) == [SnfResult((1, 1, 1, 41, 164), 0, 5),
+                                                              SnfResult((1, 1, 1, 1, 8), 0, 5)]
 
 
 def test_all_trees_share_distance_invariant_fingerprint():
@@ -178,7 +197,7 @@ def test_graph_payloads_match_direct_payloads_on_bipartite_graphs():
     graphs += [t for n in range(9, 13) for t in generate_trees(n)]
     assert len(graphs) == 254 + 47 + 106 + 235 + 551
     for g in graphs:
-        assert _values(payloads, (g, ALL_KINDS)) == (g, list(full_fingerprints(g, ALL_KINDS)))
+        assert kind_values(payloads, g, ALL_KINDS) == list(full_fingerprints(g, ALL_KINDS))
 
 
 def _k1_of_charpoly(coeffs: tuple[int, ...], row_sums_zero: bool) -> tuple[int, int, int]:
@@ -208,7 +227,7 @@ def test_shifted_det_is_a_function_of_the_charpoly():
     for kind, m in matrices:
         coeffs = charpoly(m).coeffs
         row_sums_zero = kind in (MatrixKind.L, MatrixKind.DL)
-        assert _first_key(kind, m, snf(m)) == _k1_of_charpoly(coeffs, row_sums_zero)
+        assert _first_key(m, _det_key(kind, m)) == _k1_of_charpoly(coeffs, row_sums_zero)
         # det(M - x0 I) = (-1)^n p(x0) with p(x) = det(xI - M), at x0 = 4n + 1
         n = len(m)
         x0 = 4 * n + 1
@@ -220,22 +239,62 @@ def test_shifted_det_is_a_function_of_the_charpoly():
     bipartite = [g for n in range(1, 7) for g in generate_connected_graphs(n)
                  if _is_bipartite(g, distance_profile(g))]
     assert len(bipartite) == 1 + 1 + 1 + 3 + 5 + 17
-    stream = partial(_stream_values, MODES)
     for g in bipartite:
         q = build(g, MatrixKind.Q)
-        [(k1, factors)] = _values(stream, (g, (MatrixKind.Q,)))[1]
+        [(k1, d)] = stream_values(g, (MatrixKind.Q,))
         assert k1 == hash(_k1_of_charpoly(charpoly(q).coeffs, True))
-        assert factors == snf(q).factors
+        assert k1 == hash(_first_key(q, d))
+
+
+def _d_of_smith_form(invariants: SnfResult, row_sums_zero: bool) -> int:
+    # the product of the factors, or 0 with a zero factor; for L and DL
+    # (rank n - 1 on a connected graph) the product of the nonzero factors
+    return 0 if invariants.zeros and not row_sums_zero else prod(invariants.factors)
+
+
+def test_det_key_is_a_function_of_the_smith_form():
+    # d, the invariant chain's first key, must be a function of the Smith
+    # form, or a graph alone with its d could still have a coinvariant mate
+    rng = random.Random(29)
+    matrices = [(kind, build(g, kind)) for n in range(1, 7) for g in generate_connected_graphs(n)
+                for kind in ALL_KINDS]
+    assert len(matrices) == 10 * (1 + 1 + 2 + 6 + 21 + 112)
+    other_kinds = [kind for kind in ALL_KINDS if kind not in (MatrixKind.L, MatrixKind.DL)]
+    for i in range(200):
+        n = rng.randint(1, 9)
+        bound = 50 if i % 2 else 2  # small entries give singular matrices too
+        m = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(r, n):
+                m[r][c] = m[c][r] = rng.randint(-bound, bound)
+        if i % 4 == 0 and n > 1:  # the last row and column repeat the first
+            for r in range(n):
+                m[r][-1] = m[-1][r] = m[r][0]
+            m[-1][-1] = m[0][0]
+        matrices.append((other_kinds[i % len(other_kinds)], m))
+    assert sum(1 for _, m in matrices[-200:] if snf(m).zeros) >= 20
+    for kind, m in matrices:
+        row_sums_zero = kind in (MatrixKind.L, MatrixKind.DL)
+        assert _det_key(kind, m) == _d_of_smith_form(snf(m), row_sums_zero)
+    # on a bipartite graph Q is built as L and takes L's rule, which is a
+    # function of Q's own Smith form, the same as L's there
+    bipartite = [g for n in range(1, 7) for g in generate_connected_graphs(n)
+                 if _is_bipartite(g, distance_profile(g))]
+    for g in bipartite:
+        [(d,)] = stream_values(g, (MatrixKind.Q,), ("invariant",))
+        assert d == _d_of_smith_form(snf(build(g, MatrixKind.Q)), True)
+        assert d != _d_of_smith_form(snf(build(g, MatrixKind.Q)), False)
 
 
 def test_filtered_census_matches_full_reference(monkeypatch):
-    # run_census takes det(M - (4n+1) I) only for graphs whose K1 another
-    # graph shares, and a charpoly only where that determinant is shared
-    # too; its report must equal the one from every graph's full charpoly
-    # and Smith form, tallied once per corpus for all kinds and modes.
-    # Spectral-only runs have no Smith form and start at the determinant; in
-    # (AtrPlus, Q) bipartite graphs build Atr and L in their place.
-    calls = {build: 0, distance_profile: 0, charpoly: 0}
+    # run_census takes the Smith form only for graphs whose d another graph
+    # shares, det(M - (4n+1) I) only for graphs whose K1 another graph
+    # shares, and a charpoly only where that determinant is shared too; its
+    # report must equal the one from every graph's full charpoly and Smith
+    # form, tallied once per corpus for all kinds and modes.  Spectral-only
+    # runs have no d and start at the determinant; in (AtrPlus, Q)
+    # bipartite graphs build Atr and L in their place.
+    calls = {build: 0, distance_profile: 0, charpoly: 0, snf: 0}
     for fn in calls:
         def counted(*args, fn=fn):
             calls[fn] += 1
@@ -253,14 +312,20 @@ def test_filtered_census_matches_full_reference(monkeypatch):
             assert run_census(graphs, kinds, modes) == expected
             if graphs is corpora[6] and modes == MODES and kinds == ALL_KINDS:
                 # Builds: 8442 in the stream (8530 matrices less the
-                # bipartite twins' shared builds), 2565 for determinants and
-                # 539 for charpolys, one for each graph with a spectral mate
-                # (543) less the twins' shared builds.  Distance profiles: 853 in
-                # the stream and one per graph rebuilt at each level.  K1's
-                # third component for L and DL is κ, not their |det M| of 0,
-                # so 2584 slots share K1 rather than 3778 (3750 builds, 1912
-                # profiles); the charpoly count cannot move.
-                assert list(calls.values()) == [11546, 1910, 539]
+                # bipartite twins' shared builds), 3891 at the second level
+                # and 539 for charpolys, one for each graph with a spectral
+                # mate (543) less the twins' shared builds.  The second
+                # level takes the Smith form of the 3928 slots whose d is
+                # shared and the determinant of the 2584 whose K1 is shared;
+                # K1 holds d, so every such matrix is built for its Smith
+                # form anyway: 3891 builds and Smith forms, the 3928 slots
+                # less the twins' shared builds.  Distance profiles:
+                # 853 in the stream and one per graph rebuilt at each level;
+                # A's d is shared by all 853.  When the stream took every
+                # Smith form (8442) the second level rebuilt only for the
+                # determinant: 11546 builds and 1910 profiles.  The charpoly
+                # count cannot move.
+                assert list(calls.values()) == [12872, 1917, 539, 3891]
 
 
 def test_census_parallel_matches_serial():
@@ -272,9 +337,9 @@ def test_census_parallel_matches_serial():
     # so both levels rebuild graphs on the workers
     graphs = list(generate_connected_graphs(7))
     assert run_census(graphs, ALL_KINDS, jobs=2) == run_census(graphs, ALL_KINDS, jobs=1)
-    spectral = ("spectral",)
-    serial = run_census(graphs, ALL_KINDS, spectral, jobs=1)
-    assert run_census(graphs, ALL_KINDS, spectral, jobs=2) == serial
+    for modes in (("spectral",), ("invariant",)):
+        serial = run_census(graphs, ALL_KINDS, modes, jobs=1)
+        assert run_census(graphs, ALL_KINDS, modes, jobs=2) == serial
 
 
 def test_tree_census_range():
@@ -292,6 +357,40 @@ def test_completeness_small():
     for n in range(2, 7):
         expected = tuple(not (n == 3 and kind is MatrixKind.DdegPlus) for kind in NEW_KINDS)
         assert completeness_check(n, NEW_KINDS) == expected
+
+
+def _d_by_determinant(kind, m):
+    # |det M|, or for L and DL the leading (n-1) principal minor
+    if kind in (MatrixKind.L, MatrixKind.DL):
+        m = [row[:-1] for row in m[:-1]]
+    return abs(determinant(m))
+
+
+def test_completeness_check_takes_smith_forms_only_where_d_matches(monkeypatch):
+    # every kind's d is taken for every graph, and the Smith form only for
+    # the complete graph and for each built kind of a graph whose d equals
+    # the complete graph's; the result is the one that every Smith form gives
+    taken = []
+    monkeypatch.setattr(census, "snf", lambda m: taken.append(m) or snf(m))
+    for n in range(1, 7):
+        graphs = list(generate_connected_graphs(n))
+        k_n = complete_graph(n)
+        expected = []
+        for kind in ALL_KINDS:
+            target = snf(build(k_n, kind))
+            expected.append(sum(snf(build(g, kind)) == target for g in graphs) == 1)
+        wanted = 0
+        for g in [k_n] + graphs:
+            twins = BIPARTITE_TWINS if _is_bipartite(g, distance_profile(g)) else {}
+            wanted += len({twins.get(kind, kind) for kind in ALL_KINDS
+                           if _d_by_determinant(twins.get(kind, kind), build(g, twins.get(kind, kind)))
+                           == _d_by_determinant(kind, build(k_n, kind))})
+        taken.clear()
+        assert completeness_check(n, ALL_KINDS) == tuple(expected)
+        assert len(taken) == wanted
+        if n == 6:
+            # K6 twice (as the target and in the corpus) and 7 other matrices
+            assert wanted == 27
 
 
 def test_completeness_check_rejects_an_empty_or_repeated_kind_list(monkeypatch):
