@@ -69,8 +69,8 @@ slots that want it, to take the next key.  K1 enters the count as its
 hash, which is just as much a function of the charpoly: a hash collision
 only costs work.  It hashes ints only, since the hash of None, str or
 bytes can differ between processes, and workers hash keys that the parent
-compares.  Kinds travel by their position in ``MatrixKind``, so no table
-hashes a member (``Enum.__hash__`` is Python code).
+compares.  For the same reason no value a worker hashes for the parent may
+contain a kind: ``MatrixKind`` hashes by identity.
 """
 
 from __future__ import annotations
@@ -96,8 +96,7 @@ MODES = ("spectral", "invariant")
 
 
 # The kinds whose diagonal is the row sums of the negated off-diagonal part,
-# L = deg - A and DL = tr - D: d is κ for them (module docstring).  A tuple,
-# so that a membership test compares identities instead of hashing a member.
+# L = deg - A and DL = tr - D: d is κ for them (module docstring).
 _ROW_SUM_KINDS = tuple(kind for kind, recipe in RECIPES.items()
                        if recipe in (("deg", -1, "A"), ("tr", -1, "D")))
 
@@ -206,29 +205,26 @@ def _is_bipartite(g: Graph, profile: DistanceProfile) -> bool:
     return not any(row & (odd if (odd >> u) & 1 else even) for u, row in enumerate(g.adj))
 
 
-# Kinds travel by their position here (module docstring).
-_KINDS = tuple(MatrixKind)
-# Per position: the position of the kind built in its place on a bipartite graph.
-_TWINS = tuple(_KINDS.index(BIPARTITE_TWINS.get(kind, kind)) for kind in _KINDS)
-
-# What a census asks of one graph: per kind, its position and an argument
-# for the value function (the modes of the stream, or a level's one mode).
-_Wants = tuple[tuple[int, object], ...]
+# What a census asks of one graph: pairs of a kind and an argument for the
+# value function (the modes of the stream, or a level's one mode).
+_Wants = Sequence[tuple[MatrixKind, object]]
+# A slot, a kind and a mode, is a want at a chain level and keys its chain.
+_Slot = tuple[MatrixKind, str]
 _ValueFn = Callable[[object, MatrixKind, IntMatrix], object]
 
 
 def _values(fn: _ValueFn, item: tuple[Graph, _Wants]) -> tuple[Graph, list]:
     """``(g, [fn(arg, kind, build(g, kind)) for kind, arg in wants])`` for
-    ``item = (g, wants)``, each kind given by its position in ``_KINDS``,
-    with each kind built once and ``fn`` applied once per kind and
-    argument.  On a bipartite graph a kind in ``BIPARTITE_TWINS`` is built
-    as its twin, and ``fn`` gets the twin as the kind."""
+    ``item = (g, wants)``, with each kind built once and ``fn`` applied
+    once per kind and argument.  On a bipartite graph a kind in
+    ``BIPARTITE_TWINS`` is built as its twin, and ``fn`` gets the twin as
+    the kind."""
     g, wants = item
     profile = distance_profile(g)  # also rejects disconnected input
     if _is_bipartite(g, profile):
-        wants = [(_TWINS[k], arg) for k, arg in wants]
-    matrices = {k: build(g, _KINDS[k], profile) for k in dict.fromkeys(k for k, _ in wants)}
-    values = {want: fn(want[1], _KINDS[want[0]], matrices[want[0]]) for want in dict.fromkeys(wants)}
+        wants = [(BIPARTITE_TWINS.get(kind, kind), arg) for kind, arg in wants]
+    matrices = {kind: build(g, kind, profile) for kind in dict.fromkeys(kind for kind, _ in wants)}
+    values = {(kind, arg): fn(arg, kind, matrices[kind]) for kind, arg in dict.fromkeys(wants)}
     return g, [values[want] for want in wants]
 
 
@@ -240,14 +236,12 @@ def _mapped(pool: WorkerPool | None, fn: _ValueFn,
     return map(task, items) if pool is None else pool.imap_unordered(task, items, chunksize=16)
 
 
-def _level_keys(pool: WorkerPool | None, level: dict[str, Callable], slots: Sequence[tuple[int, str]],
-                wanted: dict[Graph, list[int]]) -> Iterator[tuple[Graph, int, object]]:
+def _level_keys(pool: WorkerPool | None, level: dict[str, Callable],
+                wanted: dict[Graph, list[_Slot]]) -> Iterator[tuple[Graph, _Slot, object]]:
     """``(graph, slot, key)`` for each graph in ``wanted`` and each of its
-    slots (indices into ``slots``, each a kind position and a mode), with
-    the key taken at chain ``level``.  Each graph is built once for all its
-    slots, and each key taken once per kind built and mode."""
-    items = ((h, tuple(slots[i] for i in where)) for h, where in wanted.items())
-    for h, keys in _mapped(pool, partial(_level_key, level), items):
+    slots, with the key taken at chain ``level``.  Each graph is built once
+    for all its slots, and each key taken once per kind built and mode."""
+    for h, keys in _mapped(pool, partial(_level_key, level), wanted.items()):
         yield from zip(repeat(h), wanted[h], keys)
 
 
@@ -260,7 +254,7 @@ def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for kind in kinds:
-        if kind not in _KINDS:
+        if not isinstance(kind, MatrixKind):
             raise ValueError(f"unknown matrix kind {kind!r}")
     for mode in modes:
         if mode not in MODES:
@@ -292,38 +286,35 @@ def run_census(
     """
     kinds, modes = tuple(kinds), tuple(modes)
     with _workers(kinds, modes, jobs) as pool:
-        wants = tuple((_KINDS.index(kind), modes) for kind in kinds)
-        slots = [(k, mode) for k, _ in wants for mode in modes]
+        wants = tuple((kind, modes) for kind in kinds)
         seen: list[Graph] = []
         # Per slot: the graphs still in its chain and their keys at the
         # current level, in the same order.
-        chains = [(seen, []) for _ in slots]
+        chains = {(kind, mode): (seen, []) for kind in kinds for mode in modes}
         for g, values in _mapped(pool, _stream_values, ((h, wants) for h in graphs)):
             if seen and g.n != seen[0].n:
                 raise ValueError("census stream mixes vertex counts")
             seen.append(g)
-            for (_, keys), value in zip(chains, chain.from_iterable(values)):
+            for (_, keys), value in zip(chains.values(), chain.from_iterable(values)):
                 keys.append(value)
         if not seen:
             raise ValueError("census stream is empty")
         for level in _LEVELS if "invariant" in modes else _SPECTRAL_LEVELS:
             # graph -> its slots at this level where another graph shares its key
-            wanted: dict[Graph, list[int]] = {}
-            for i, (_, mode) in enumerate(slots):
-                if mode in level:
-                    held, keys = chains[i]
+            wanted: dict[Graph, list[_Slot]] = {}
+            for slot, (held, keys) in chains.items():
+                if slot[1] in level:
                     counts = Counter(keys)
                     for h, key in zip(held, keys):
                         if counts[key] > 1:
-                            wanted.setdefault(h, []).append(i)
-                    chains[i] = ([], [])
-            for h, i, key in _level_keys(pool, level, slots, wanted):
-                chains[i][0].append(h)
-                chains[i][1].append(key)
-    mates = {slot: sum(c for c in Counter(keys).values() if c >= 2)
-             for slot, (_, keys) in zip(slots, chains)}
-    entries = tuple(CensusEntry(kind, mode, mates[k, mode], len(seen))
-                    for k, kind in enumerate(_KINDS) for mode in MODES if (k, mode) in mates)
+                            wanted.setdefault(h, []).append(slot)
+                    chains[slot] = ([], [])
+            for h, slot, key in _level_keys(pool, level, wanted):
+                chains[slot][0].append(h)
+                chains[slot][1].append(key)
+    mates = {slot: sum(c for c in Counter(keys).values() if c >= 2) for slot, (_, keys) in chains.items()}
+    entries = tuple(CensusEntry(kind, mode, mates[kind, mode], len(seen))
+                    for kind in MatrixKind for mode in MODES if (kind, mode) in mates)
     return CensusReport(seen[0].n, len(seen), entries)
 
 
@@ -350,20 +341,19 @@ def completeness_check(n: int, kinds: Sequence[MatrixKind]) -> tuple[bool, ...]:
     _require_int("n", n)
     kinds = tuple(kinds)
     _workers(kinds, MODES, 1)  # the census's checks on the kind list; serial, so no pool
-    slots = [(_KINDS.index(kind), "invariant") for kind in kinds]
-    every = range(len(slots))
+    slots = [(kind, "invariant") for kind in kinds]
     k_n = complete_graph(n)
     # graph -> its slots where each key so far equals the complete graph's
-    matching = dict.fromkeys(generate_connected_graphs(n), every)
+    matching = dict.fromkeys(generate_connected_graphs(n), slots)
     for level in ({"invariant": _det_key}, _LEVELS[0]):
-        target = {i: key for _, i, key in _level_keys(None, level, slots, {k_n: every})}
-        wanted: dict[Graph, list[int]] = {}
-        for g, i, key in _level_keys(None, level, slots, matching):
-            if key == target[i]:
-                wanted.setdefault(g, []).append(i)
+        target = {slot: key for _, slot, key in _level_keys(None, level, {k_n: slots})}
+        wanted: dict[Graph, list[_Slot]] = {}
+        for g, slot, key in _level_keys(None, level, matching):
+            if key == target[slot]:
+                wanted.setdefault(g, []).append(slot)
         matching = wanted
     counts = Counter(chain.from_iterable(matching.values()))
-    return tuple(counts[i] == 1 for i in every)
+    return tuple(counts[slot] == 1 for slot in slots)
 
 
 def report_tsv(report: CensusReport) -> str:

@@ -31,6 +31,10 @@ IntMatrix = list[list[int]]
 
 
 class MatrixKind(Enum):
+    # Members are singletons and compare by identity, so hash them by identity
+    # too: a C-level hash in place of Enum.__hash__, which is Python code.
+    __hash__ = object.__hash__
+
     A = "A"
     L = "L"
     Q = "Q"

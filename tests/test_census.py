@@ -6,7 +6,6 @@ import pytest
 
 from graphinv import census
 from graphinv.census import (
-    _KINDS,
     BIPARTITE_TWINS,
     MODES,
     CensusReport,
@@ -44,12 +43,12 @@ ALL_KINDS = tuple(MatrixKind[k] for k in CLI_KINDS)
 def kind_values(fn, g, kinds):
     # [fn(kind, m) per kind] through census._values, which builds a kind's
     # bipartite twin in its place on a bipartite graph
-    wants = tuple((_KINDS.index(kind), ()) for kind in kinds)
+    wants = tuple((kind, ()) for kind in kinds)
     return _values(lambda modes, kind, m: fn(kind, m), (g, wants))[1]
 
 
 def stream_values(g, kinds, modes=MODES):
-    wants = tuple((_KINDS.index(kind), modes) for kind in kinds)
+    wants = tuple((kind, modes) for kind in kinds)
     return _values(_stream_values, (g, wants))[1]
 
 
@@ -146,6 +145,40 @@ def test_census_rejects_repeated_names():
         run_census(graphs, [MatrixKind.Atr, MatrixKind.Atr], ["invariant"])
     with pytest.raises(ValueError, match="spectral given twice"):
         run_census(graphs, [MatrixKind.A], ["spectral", "invariant", "spectral"])
+
+
+def test_unknown_kind_is_rejected_before_the_stream_is_touched(monkeypatch):
+    # a kind's name or position is not a kind; no graph is taken first
+    taken = []
+
+    def stream(n):
+        for g in generate_connected_graphs(n):
+            taken.append(g)
+            yield g
+
+    monkeypatch.setattr(census, "generate_trees", stream)
+    monkeypatch.setattr(census, "generate_connected_graphs", stream)
+    for bad in ("Atr", 6):
+        message = f"^unknown matrix kind {bad!r}$"
+        with pytest.raises(ValueError, match=message):
+            run_census(stream(4), [MatrixKind.A, bad])
+        with pytest.raises(ValueError, match=message):
+            tree_census(5, [bad], ["invariant"])
+        with pytest.raises(ValueError, match=message):
+            completeness_check(4, [MatrixKind.Atr, bad])
+    assert taken == []
+
+
+def test_report_does_not_depend_on_the_order_of_kinds_and_modes():
+    # entries come in MatrixKind order, spectral first, in any input order
+    assert MODES == ("spectral", "invariant")
+    graphs = list(generate_connected_graphs(6))
+    usual = run_census(graphs, ALL_KINDS)
+    assert [(e.kind, e.mode) for e in usual.entries] == [(k, m) for k in MatrixKind for m in MODES]
+    for jobs in (1, 2):
+        report = run_census(graphs, ALL_KINDS[::-1], ("invariant", "spectral"), jobs)
+        assert report == usual
+        assert report_tsv(report) == report_tsv(usual)
 
 
 def test_census_rejects_worker_count_below_one():

@@ -1,7 +1,9 @@
+import enum
 import random
 
 import pytest
 
+from graphinv import verify
 from graphinv.graphs import (
     complete_graph,
     cricket_graph,
@@ -10,7 +12,7 @@ from graphinv.graphs import (
     graph_from_edges,
 )
 from graphinv.generators import generate_connected_graphs, generate_trees
-from graphinv.census import BIPARTITE_TWINS
+from graphinv.census import BIPARTITE_TWINS, completeness_check, run_census
 from graphinv.matrices import RECIPES, MatrixKind, build, mat_mul
 from oracles import build_reference, is_symmetric, mat_add, mat_mul_reference, permuted, row_sums
 
@@ -136,3 +138,20 @@ def test_mat_mul_matches_triple_loop():
         a = [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(rows)]
         b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(inner)]
         assert mat_mul(a, b) == mat_mul_reference(a, b)
+
+
+def test_no_kind_hash_runs_python_code(monkeypatch):
+    # Enum.__hash__ is Python code; a kind hashes by identity instead, in
+    # build, in the census's tables and in GraphSpectra's caches
+    hashed = []
+    enum_hash = enum.Enum.__hash__
+    monkeypatch.setattr(enum.Enum, "__hash__", lambda self: hashed.append(type(self)) or enum_hash(self))
+    probe = enum.Enum("Probe", "X")
+    hash(probe.X)  # an Enum that inherits the hash is counted
+    assert hashed == [probe]
+    run_census(generate_connected_graphs(6), ALL_KINDS)
+    assert MatrixKind not in hashed
+    completeness_check(5, ALL_KINDS)
+    assert MatrixKind not in hashed
+    verify.run(["bounds", "sandpile", "moments"], 5)
+    assert MatrixKind not in hashed
