@@ -25,8 +25,8 @@ only for the graphs whose key at the level before another graph shares.
 Serial and parallel runs share the chain; they differ only in whether
 graphs are mapped in this process or on workers.
 
-- d is read by ``exact``'s determinant, a straight-line kernel for
-  n <= 8 and the elimination loop above that.  For L = deg − A and
+- d is read by ``exact``'s determinant on the upper triangle, with a
+  straight-line kernel for n <= 8 and row kernels above.  For L = deg − A and
   DL = tr − D it is κ, the determinant of the leading (n−1) principal
   block: their rows sum to 0, so |det M| is 0 on every connected graph,
   and every cofactor is κ.  For every other kind d is |det M|.

@@ -6,14 +6,18 @@ is decided by comparing characteristic polynomial coefficients and
 coinvariance by comparing invariant factors, so no floating point or
 tolerance enters any census.
 
-The determinant of an order n <= 8 (``_KERNEL_MAX_ORDER``) runs a
-straight-line Bareiss function generated for that order: the entries are
-locals and every update is unrolled.  It does not pivot, so it returns
-None at a zero pivot and the determinant falls back to the elimination
-loop with row swaps, which every larger order takes.  ``_generated`` is
-the package's one way to build such kernels: it compiles an order's source
-on first use and keeps the function, so nothing is compiled at import.
-The Jacobi sweeps in ``spectra`` use it too.
+A symmetric matrix's determinant keeps the upper triangle only, as a Bareiss
+step ``(a_ij·p − a_ki·a_kj) / q`` keeps the trailing block symmetric.  Each
+order n <= 8 (``_KERNEL_MAX_ORDER``) has a straight-line kernel, which gives
+up at a zero pivot; then, and above n = 8, each row length has a generated
+``_row_update``, and a zero pivot k is mended (``_mend``): row and column m
+are added to row and column k, for the first m > k that makes the pivot
+``2·a_km + a_mm`` nonzero.  That determinant-1 congruence fixes the leading
+blocks before k, so it applies in place to the bordered minors the rows
+hold, which are bilinear in their bordering row and column.  A pivot no m
+mends, and a matrix that is not symmetric, take the elimination loop with
+row swaps.  ``_generated`` compiles each kernel on first use and keeps it,
+so nothing is compiled at import; the Jacobi sweeps in ``spectra`` use it too.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain
 from math import gcd, prod
-from operator import mul
+from operator import add, mul
 from typing import Callable
 
 from .matrices import IntMatrix
@@ -193,8 +197,8 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-# Orders that get a generated kernel: every graph the census generates and
-# every graph the verify suites read.
+# Orders with a straight-line determinant kernel: every graph the census and
+# the verify suites read.  A larger one costs too much memory to compile.
 _KERNEL_MAX_ORDER = 8
 
 
@@ -216,9 +220,9 @@ def _generated(label: str):
 
 @_generated("Bareiss")
 def _bareiss(n: int):
-    """Fraction-free elimination of an order-n matrix without pivoting:
-    ``f(*entries)``, ``entries`` row-major, returns the determinant, or None
-    at a zero pivot.  Step k divides by step k-1's pivot, and step 0 by 1."""
+    """Fraction-free elimination of a symmetric order-n matrix's upper
+    triangle: ``f(*entries)``, ``entries`` row-major, returns the determinant,
+    or None at a zero pivot.  Step k divides by step k-1's pivot, and step 0 by 1."""
     def a(i: int, j: int) -> str:
         return f"a{i}_{j}"
 
@@ -227,27 +231,71 @@ def _bareiss(n: int):
         lines += [f"    if not {a(k, k)}:",
                   "        return None"]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                update = f"{a(i, j)} * {a(k, k)} - {a(i, k)} * {a(k, j)}"
+            for j in range(i, n):
+                update = f"{a(i, j)} * {a(k, k)} - {a(k, i)} * {a(k, j)}"
                 lines.append(f"    {a(i, j)} = " + (f"({update}) // {a(k - 1, k - 1)}" if k else update))
     lines.append(f"    return {a(n - 1, n - 1) if n else 1}")
     return lines, {}
 
 
+@_generated("Bareiss row")
+def _row_update(n: int):
+    """A Bareiss step on an upper-triangle row of length n: ``f(r, t, p, q)``,
+    with t the pivot row from r's column on (``t[0]`` is r's lead), p the
+    pivot and q the one before, returns the row's new entries."""
+    r, t = [f"r{j}" for j in range(n)], [f"t{j}" for j in range(n)]
+    return ["def kernel(r, t, p, q):",
+            f"    {', '.join(r)}, = r",
+            f"    {', '.join(t)}, = t",
+            "    if not t0:",
+            f"        return r if p == q else [{', '.join(f'{x} * p // q' for x in r)}]",
+            f"    return [{', '.join(f'({x} * p - t0 * {y}) // q' for x, y in zip(r, t))}]"], {}
+
+
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = _check_square(m)
-    return _determinant(n, list(chain.from_iterable(m)))
+    symmetric = list(zip(*m)) == list(map(tuple, m))
+    return (_determinant if symmetric else _eliminate)(n, list(chain.from_iterable(m)))
 
 
 def _determinant(n: int, entries: list[int]) -> int:
-    """The determinant of the order-n matrix with row-major ``entries``: the
-    order's kernel, or, above _KERNEL_MAX_ORDER or at a zero pivot, the
-    elimination loop with row swaps."""
+    """The determinant of a symmetric order-n matrix from its row-major ``entries``."""
     if n <= _KERNEL_MAX_ORDER:
         det = _bareiss(n)(*entries)
         if det is not None:
             return det
+    updates = [None] + [_row_update(n - i) for i in range(1, n)]
+    rows = [entries[i * n + i:i * n + n] for i in range(n)]
+    prev = 1
+    for k in range(n - 1):
+        pivot = rows[k][0] or _mend(rows, k)
+        if not pivot:
+            return _eliminate(n, entries)
+        pivot_row = rows[k]
+        for i in range(k + 1, n):
+            rows[i] = updates[i](rows[i], pivot_row[i - k:], pivot, prev)
+        prev = pivot
+    return rows[-1][0] if n else 1
+
+
+def _mend(rows: list[list[int]], k: int) -> int:
+    """Add row and column m to row and column k of ``rows``, whose pivot at
+    step k is zero, for the first m that gives a nonzero pivot (module
+    docstring), and return it, or 0 if no m does."""
+    row = rows[k]
+    for m in range(k + 1, len(rows)):
+        pivot = 2 * row[m - k] + rows[m][0]
+        if pivot:
+            column = [rows[j][m - j] for j in range(k + 1, m)] + rows[m]
+            rows[k] = [pivot, *map(add, row[1:], column)]
+            return pivot
+    return 0
+
+
+def _eliminate(n: int, entries: list[int]) -> int:
+    """The determinant of any order-n matrix with row-major ``entries``:
+    fraction-free elimination with row swaps."""
     a = [entries[i * n:i * n + n] for i in range(n)]
     sign = prev = 1
     for k in range(n):

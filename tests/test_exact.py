@@ -5,12 +5,19 @@ from math import gcd
 
 import pytest
 
-from graphinv import exact
+from graphinv import census, exact
 from graphinv.cli import CLI_KINDS
 from graphinv.closedforms import det_tree_distance
 from graphinv.exact import SnfResult, charpoly, cokernel, determinant, snf
 from graphinv.generators import generate_connected_graphs, generate_trees
-from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, distance_profile, star_graph
+from graphinv.graphs import (
+    complete_graph,
+    cricket_graph,
+    cycle_graph,
+    distance_profile,
+    graph_from_edges,
+    star_graph,
+)
 from graphinv.matrices import MatrixKind, build, mat_mul
 from graphinv.sandpile import cone_graph
 
@@ -376,23 +383,74 @@ def _kernel_cases(rng):
     return cases
 
 
+def _symmetrized(m):
+    """The symmetric matrix with ``m``'s upper triangle."""
+    return [[m[min(i, j)][max(i, j)] for j in range(len(m))] for i in range(len(m))]
+
+
+def _symmetric_kernel_cases(rng):
+    """Seeded symmetric matrices of every kernel order 0..8: dense with wide
+    entries, sparse 0/+-1, and three that force the fallback: a leading
+    principal minor made singular midway, a repeated row and column, and a
+    zero row and column."""
+    cases = []
+    for n in range(_KERNEL_ORDERS):
+        for bound in (1, 9, 1000):
+            cases += [_symmetrized(_random_matrix(rng, n, bound)) for _ in range(8)]
+        cases += [_symmetrized(_sparse_unit_matrix(rng, n)) for _ in range(8)]
+        if n >= 3:
+            # row k of the leading (k+1) block becomes the sum of the rows above
+            m = _symmetrized(_random_matrix(rng, n))
+            k = rng.randrange(1, n - 1)
+            sums = [sum(col) for col in zip(*(row[:k] for row in m[:k]))]
+            for j, v in enumerate(sums):
+                m[k][j] = m[j][k] = v
+            m[k][k] = sum(sums)
+            cases.append(m)
+            m = _symmetrized(_random_matrix(rng, n))
+            r = rng.randrange(1, n)
+            m[r] = list(m[0])
+            for row in m:
+                row[r] = row[0]
+            cases.append(m)
+            m = _symmetrized(_random_matrix(rng, n))
+            r = rng.randrange(n)
+            m[r] = [0] * n
+            for row in m:
+                row[r] = 0
+            cases.append(m)
+    return cases
+
+
+def _scrambled_lower(rng, m):
+    """``m`` with every entry below the diagonal replaced at random."""
+    return [[x if j >= i else rng.randint(-99, 99) for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
 def test_determinant_kernels_match_oracle_and_loop(monkeypatch):
-    # each order's kernel gives the determinant or None, and determinant()
-    # gives the oracle's value, the same as with every order on the loop
+    # on a symmetric matrix each order's kernel gives the determinant or None
+    # from the upper triangle alone, and determinant() gives the oracle's
+    # value, the same as with every order on the row updates and as the
+    # general loop; a matrix that is not symmetric takes the general loop
     rng = random.Random(2026)
-    cases = _kernel_cases(rng)
+    cases = _symmetric_kernel_cases(rng)
+    assert all(m == _symmetrized(m) for m in cases)
     fallbacks, kernel_dets = set(), 0
     with_kernels = [determinant(m) for m in cases]
     monkeypatch.setattr(exact, "_KERNEL_MAX_ORDER", -1)
     for m, det in zip(cases, with_kernels):
-        assert det == _det_oracle(m) == determinant(m), m
-        kernel_det = exact._bareiss(len(m))(*chain.from_iterable(m))
+        entries = list(chain.from_iterable(m))
+        assert det == _det_oracle(m) == determinant(m) == exact._eliminate(len(m), entries), m
+        kernel_det = exact._bareiss(len(m))(*chain.from_iterable(_scrambled_lower(rng, m)))
         assert kernel_det in (None, det), m
         if kernel_det is None:
             fallbacks.add(len(m))
         kernel_dets += kernel_det is not None
     assert fallbacks == set(range(2, _KERNEL_ORDERS))
     assert kernel_dets > len(cases) // 2
+    monkeypatch.undo()
+    for m in _kernel_cases(rng):
+        assert determinant(m) == _det_oracle(m), m
 
 
 def test_determinant_kernel_falls_back_at_a_zero_pivot():
@@ -405,21 +463,96 @@ def test_determinant_kernel_falls_back_at_a_zero_pivot():
     m = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
     assert exact._bareiss(3)(*chain.from_iterable(m)) is None
     assert determinant(m) == det_cofactor(m) == -1
-    # singular: the kernel's last step gives 0, or a zero pivot sends it to the loop
-    for m in ([[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[2, 1, 1], [2, 1, 1], [0, 0, 5]]):
+    # singular: the kernel's last step gives 0, or a zero pivot sends it to the row updates
+    for m in ([[1, 2], [2, 4]], [[1, 2, 3], [2, 5, 8], [3, 8, 13]], [[2, 2, 1], [2, 2, 1], [1, 1, 5]]):
         assert exact._bareiss(len(m))(*chain.from_iterable(m)) in (None, 0)
+        assert determinant(m) == 0
+    # singular and not symmetric: the general loop
+    for m in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[2, 1, 1], [2, 1, 1], [0, 0, 5]]):
         assert determinant(m) == 0
 
 
 def test_each_determinant_kernel_is_compiled_once():
+    # every order's kernel and every row length's update compiles on its first
+    # use only; a zero diagonal sends each order to the row updates
     rng = random.Random(7)
     exact._bareiss.cache_clear()
+    exact._row_update.cache_clear()
+    orders = range(_KERNEL_ORDERS + 3)
     for _ in range(3):
-        for n in range(_KERNEL_ORDERS + 3):
-            m = _random_matrix(rng, n)
+        for n in orders:
+            for m in (_random_matrix(rng, n), _symmetrized(_random_matrix(rng, n))):
+                assert determinant(m) == _det_oracle(m)
+            m = _symmetrized(_random_matrix(rng, n))
+            for i in range(n):
+                m[i][i] = 0
             assert determinant(m) == _det_oracle(m)
     info = exact._bareiss.cache_info()
     assert (info.currsize, info.misses) == (_KERNEL_ORDERS, _KERNEL_ORDERS)
+    info = exact._row_update.cache_info()
+    assert (info.currsize, info.misses) == (max(orders) - 1, max(orders) - 1)
+
+
+def _random_connected_graph(rng, n):
+    """A seeded connected graph on n vertices: a random spanning tree plus
+    each other edge with a probability drawn from [0.1, 0.6]."""
+    p = rng.uniform(0.1, 0.6)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+    return graph_from_edges(n, edges)
+
+
+def test_symmetric_determinant_matches_the_loop_above_the_kernels(monkeypatch):
+    # every d input (the L and DL leading blocks among them) and every second
+    # key input of seeded connected graphs with 9 <= n <= 24 in all ten kinds,
+    # as the census passes them: the row updates give the general loop's and
+    # the oracle's value, and the upper triangle alone unless they give way to
+    # the loop; between them they take every way out of a zero pivot
+    rng = random.Random(31)
+    inputs = []
+    monkeypatch.setattr(census, "_determinant", lambda n, entries: inputs.append((n, entries)) or 0)
+    for n in range(_KERNEL_ORDERS, 25):
+        g = _random_connected_graph(rng, n)
+        for kind in MatrixKind:
+            m = build(g, kind)
+            census._det_key(kind, m)
+            census._shifted_det(kind, m)
+    assert len(inputs) == 2 * 10 * (25 - _KERNEL_ORDERS)
+    # a zero pivot that no row mends: 2 a_0m + a_mm = 0 for every m
+    m = _symmetrized(_random_matrix(rng, 11))
+    m[0] = [0] + [1] * 10
+    for i in range(1, 11):
+        m[i][0], m[i][i] = 1, -2
+    inputs.append((11, list(chain.from_iterable(m))))
+    mends, loops, eliminate = [], [], exact._eliminate
+    monkeypatch.setattr(exact, "_mend", lambda rows, k, mend=exact._mend: mends.append(k) or mend(rows, k))
+    monkeypatch.setattr(exact, "_eliminate", lambda n, entries: loops.append(n) or eliminate(n, entries))
+    for n, entries in inputs:
+        m = [entries[i * n:i * n + n] for i in range(n)]
+        assert m == _symmetrized(m)
+        loop, looped = eliminate(n, entries), len(loops)
+        assert exact._determinant(n, entries) == loop == _det_oracle(m), m
+        if len(loops) > looped:
+            continue
+        assert exact._determinant(n, list(chain.from_iterable(_scrambled_lower(rng, m)))) == loop, m
+    assert 0 in mends and any(mends)
+    assert 11 in loops and len(loops) < len(mends)
+    # A and D have a zero diagonal, so each mends its first pivot
+    for kind in (MatrixKind.A, MatrixKind.D):
+        mends.clear()
+        m = build(g, kind)
+        assert exact._determinant(g.n, list(chain.from_iterable(m))) == _det_oracle(m)
+        assert mends[0] == 0
+
+
+def test_determinant_reads_a_matrix_that_is_not_symmetric_whole():
+    # a matrix whose upper triangle is a symmetric matrix's, below and above the kernel orders
+    rng = random.Random(5)
+    for n in (5, 12):
+        s = _symmetrized(_random_matrix(rng, n))
+        m = [list(row) for row in s]
+        m[n - 1][0] += 1
+        assert determinant(m) == _det_oracle(m) != determinant(s) == _det_oracle(s)
 
 
 def test_cokernel():
