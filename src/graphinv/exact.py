@@ -8,16 +8,18 @@ tolerance enters any census.
 
 A symmetric matrix's determinant keeps the upper triangle only, as a Bareiss
 step ``(a_ij·p − a_ki·a_kj) / q`` keeps the trailing block symmetric.  Each
-order n <= 8 (``_KERNEL_MAX_ORDER``) has a straight-line kernel, which gives
-up at a zero pivot; then, and above n = 8, each row length has a generated
-``_row_update``, and a zero pivot k is mended (``_mend``): row and column m
-are added to row and column k, for the first m > k that makes the pivot
-``2·a_km + a_mm`` nonzero.  That determinant-1 congruence fixes the leading
-blocks before k, so it applies in place to the bordered minors the rows
-hold, which are bilinear in their bordering row and column.  A pivot no m
-mends, and a matrix that is not symmetric, take the elimination loop with
-row swaps.  ``_generated`` compiles each kernel on first use and keeps it,
-so nothing is compiled at import; the Jacobi sweeps in ``spectra`` use it too.
+order n <= 8 (``_KERNEL_MAX_ORDER``) with a nonzero first entry tries a
+straight-line kernel, which gives up at a zero pivot.  Otherwise the trailing
+block's rows take one generated ``_step`` call per step at orders <= 16
+(``_STEP_MAX_ORDER``), and one ``_row_update`` call per row above.  A zero
+row k makes the determinant 0; any other zero pivot k is mended (``_mend``)
+by adding row and column m to row and column k for the first m > k with
+``2·a_km + a_mm ≠ 0``, or else subtracting them for the first m with
+``a_mm − 2·a_km ≠ 0``, which exists as some ``a_km ≠ 0``.  Either
+determinant-1 congruence fixes the leading blocks, so it applies in place to
+the bordered minors the rows hold, bilinear in their bordering row and column.
+Only a non-symmetric matrix takes the loop with row swaps.  ``_generated``
+compiles each kernel on first use (none at import); ``spectra`` uses it too.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain
 from math import gcd, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable
 
 from .matrices import IntMatrix
@@ -200,6 +202,8 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
 # Orders with a straight-line determinant kernel: every graph the census and
 # the verify suites read.  A larger one costs too much memory to compile.
 _KERNEL_MAX_ORDER = 8
+# Trailing orders with a step kernel; compiling 17..63 too would take 2 s, 14 MB.
+_STEP_MAX_ORDER = 16
 
 
 def _generated(label: str):
@@ -252,6 +256,16 @@ def _row_update(n: int):
             f"    return [{', '.join(f'({x} * p - t0 * {y}) // q' for x, y in zip(r, t))}]"], {}
 
 
+@_generated("Bareiss step")
+def _step(s: int):
+    """A Bareiss step on the upper-triangle rows of an order-s block: ``f(rows, q)``,
+    with pivot ``rows[0][0]`` and q the one before, returns the next block's rows."""
+    targets = ", ".join(f"({''.join(f'a{i}_{j}, ' for j in range(i, s))})" for i in range(s))
+    rows = (", ".join(f"(a{i}_{j} * a0_0 - a0_{i} * a0_{j}) // q" for j in range(i, s)) for i in range(1, s))
+    return ["def kernel(rows, q):", f"    {targets}, = rows",
+            f"    return [{', '.join(f'[{row}]' for row in rows)}]"], {}
+
+
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = _check_square(m)
@@ -261,35 +275,34 @@ def determinant(m: IntMatrix) -> int:
 
 def _determinant(n: int, entries: list[int]) -> int:
     """The determinant of a symmetric order-n matrix from its row-major ``entries``."""
-    if n <= _KERNEL_MAX_ORDER:
+    if 0 < n <= _KERNEL_MAX_ORDER and entries[0]:
         det = _bareiss(n)(*entries)
         if det is not None:
             return det
-    updates = [None] + [_row_update(n - i) for i in range(1, n)]
     rows = [entries[i * n + i:i * n + n] for i in range(n)]
     prev = 1
-    for k in range(n - 1):
-        pivot = rows[k][0] or _mend(rows, k)
+    while (s := len(rows)) > 1:
+        pivot = rows[0][0] or _mend(rows)
         if not pivot:
-            return _eliminate(n, entries)
-        pivot_row = rows[k]
-        for i in range(k + 1, n):
-            rows[i] = updates[i](rows[i], pivot_row[i - k:], pivot, prev)
+            return 0
+        rows = (_step(s)(rows, prev) if s <= _STEP_MAX_ORDER else
+                [_row_update(s - i)(rows[i], rows[0][i:], pivot, prev) for i in range(1, s)])
         prev = pivot
-    return rows[-1][0] if n else 1
+    return rows[0][0] if n else 1
 
 
-def _mend(rows: list[list[int]], k: int) -> int:
-    """Add row and column m to row and column k of ``rows``, whose pivot at
-    step k is zero, for the first m that gives a nonzero pivot (module
-    docstring), and return it, or 0 if no m does."""
-    row = rows[k]
-    for m in range(k + 1, len(rows)):
-        pivot = 2 * row[m - k] + rows[m][0]
-        if pivot:
-            column = [rows[j][m - j] for j in range(k + 1, m)] + rows[m]
-            rows[k] = [pivot, *map(add, row[1:], column)]
-            return pivot
+def _mend(rows: list[list[int]]) -> int:
+    """Mend the zero pivot ``rows[0][0]`` (module docstring) and return the
+    new pivot, or 0 if row 0 is zero."""
+    row = rows[0]
+    if any(row):
+        for twice, op in ((2, add), (-2, sub)):
+            for m in range(1, len(rows)):
+                pivot = twice * row[m] + rows[m][0]
+                if pivot:
+                    column = [rows[j][m - j] for j in range(1, m)] + rows[m]
+                    rows[0] = [pivot, *map(op, row[1:], column)]
+                    return pivot
     return 0
 
 

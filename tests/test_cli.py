@@ -428,7 +428,7 @@ def test_import_compiles_no_jacobi_kernel():
     src = Path(graphinv.__file__).resolve().parent.parent
     code = ("import graphinv.cli, graphinv.exact as e, graphinv.spectra as s; "
             "print(s._kernel.cache_info().currsize, e._bareiss.cache_info().currsize, "
-            "e._row_update.cache_info().currsize)")
+            "e._step.cache_info().currsize, e._row_update.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "0 0 0\n"
+    assert done.stdout == "0 0 0 0\n"

@@ -407,19 +407,27 @@ def _symmetric_kernel_cases(rng):
                 m[k][j] = m[j][k] = v
             m[k][k] = sum(sums)
             cases.append(m)
-            m = _symmetrized(_random_matrix(rng, n))
-            r = rng.randrange(1, n)
-            m[r] = list(m[0])
-            for row in m:
-                row[r] = row[0]
-            cases.append(m)
-            m = _symmetrized(_random_matrix(rng, n))
-            r = rng.randrange(n)
-            m[r] = [0] * n
-            for row in m:
-                row[r] = 0
-            cases.append(m)
+            cases.append(_repeated_row(rng, _symmetrized(_random_matrix(rng, n))))
+            cases.append(_zero_row(rng, _symmetrized(_random_matrix(rng, n))))
     return cases
+
+
+def _repeated_row(rng, m):
+    """``m`` with a random row and column past the first set to row and column 0."""
+    r = rng.randrange(1, len(m))
+    m[r] = list(m[0])
+    for row in m:
+        row[r] = row[0]
+    return m
+
+
+def _zero_row(rng, m):
+    """``m`` with a random row and column set to 0."""
+    r = rng.randrange(len(m))
+    m[r] = [0] * len(m)
+    for row in m:
+        row[r] = 0
+    return m
 
 
 def _scrambled_lower(rng, m):
@@ -473,12 +481,14 @@ def test_determinant_kernel_falls_back_at_a_zero_pivot():
 
 
 def test_each_determinant_kernel_is_compiled_once():
-    # every order's kernel and every row length's update compiles on its first
-    # use only; a zero diagonal sends each order to the row updates
+    # every order's kernel, every block order's step and every row length's
+    # update compiles on its first use only; a zero diagonal skips the
+    # straight-line kernel, and orders above _STEP_MAX_ORDER take row updates
     rng = random.Random(7)
     exact._bareiss.cache_clear()
+    exact._step.cache_clear()
     exact._row_update.cache_clear()
-    orders = range(_KERNEL_ORDERS + 3)
+    orders = range(exact._STEP_MAX_ORDER + 3)
     for _ in range(3):
         for n in orders:
             for m in (_random_matrix(rng, n), _symmetrized(_random_matrix(rng, n))):
@@ -488,9 +498,58 @@ def test_each_determinant_kernel_is_compiled_once():
                 m[i][i] = 0
             assert determinant(m) == _det_oracle(m)
     info = exact._bareiss.cache_info()
-    assert (info.currsize, info.misses) == (_KERNEL_ORDERS, _KERNEL_ORDERS)
+    assert (info.currsize, info.misses) == (_KERNEL_ORDERS - 1, _KERNEL_ORDERS - 1)
+    info = exact._step.cache_info()
+    assert (info.currsize, info.misses) == (exact._STEP_MAX_ORDER - 1, exact._STEP_MAX_ORDER - 1)
     info = exact._row_update.cache_info()
     assert (info.currsize, info.misses) == (max(orders) - 1, max(orders) - 1)
+
+
+def _symmetric_step_cases(rng, n):
+    """Seeded symmetric matrices of order n: dense with wide entries, sparse
+    0/+-1, zero-diagonal, and singular by a repeated row and column or by a
+    zero row and column."""
+    cases = [_symmetrized(_random_matrix(rng, n, bound)) for bound in (1, 9, 1000)]
+    cases.append(_symmetrized(_sparse_unit_matrix(rng, n)))
+    m = _symmetrized(_random_matrix(rng, n, 3))
+    for i in range(n):
+        m[i][i] = 0
+    cases.append(m)
+    if n >= 2:
+        cases.append(_repeated_row(rng, _symmetrized(_random_matrix(rng, n))))
+        cases.append(_zero_row(rng, _symmetrized(_random_matrix(rng, n))))
+    return cases
+
+
+def test_determinant_steps_match_the_loop_across_the_hand_over(monkeypatch):
+    # orders 0..20 cross the hand-over from row updates to step kernels at
+    # _STEP_MAX_ORDER: the upper triangle alone gives the general loop's and
+    # the oracle's value; a zero first entry skips the straight-line kernel
+    rng = random.Random(32)
+    tried, bareiss = [], exact._bareiss
+    monkeypatch.setattr(exact, "_bareiss", lambda n: tried.append(n) or bareiss(n))
+    for n in range(21):
+        for m in _symmetric_step_cases(rng, n):
+            assert m == _symmetrized(m)
+            det = exact._eliminate(n, list(chain.from_iterable(m)))
+            tried.clear()
+            assert exact._determinant(n, list(chain.from_iterable(m))) == det == _det_oracle(m), m
+            assert tried == ([n] if 0 < n <= exact._KERNEL_MAX_ORDER and m[0][0] else []), m
+            scrambled = list(chain.from_iterable(_scrambled_lower(rng, m)))
+            assert exact._determinant(n, scrambled) == det, m
+
+
+def test_large_determinant_compiles_no_step_kernel_above_the_cap(monkeypatch):
+    # a 20x20 determinant runs row updates until its block shrinks to
+    # _STEP_MAX_ORDER, so no larger step kernel is asked for or kept
+    rng = random.Random(20)
+    m = _symmetrized(_random_matrix(rng, 20))
+    exact._step.cache_clear()
+    asked, step = [], exact._step
+    monkeypatch.setattr(exact, "_step", lambda s: asked.append(s) or step(s))
+    assert determinant(m) == _det_oracle(m)
+    assert sorted(asked) == list(range(2, exact._STEP_MAX_ORDER + 1))
+    assert step.cache_info().currsize == exact._STEP_MAX_ORDER - 1
 
 
 def _random_connected_graph(rng, n):
@@ -505,9 +564,10 @@ def _random_connected_graph(rng, n):
 def test_symmetric_determinant_matches_the_loop_above_the_kernels(monkeypatch):
     # every d input (the L and DL leading blocks among them) and every second
     # key input of seeded connected graphs with 9 <= n <= 24 in all ten kinds,
-    # as the census passes them: the row updates give the general loop's and
-    # the oracle's value, and the upper triangle alone unless they give way to
-    # the loop; between them they take every way out of a zero pivot
+    # as the census passes them: the step kernels and row updates give the
+    # general loop's and the oracle's value from the upper triangle alone,
+    # never reach the loop, and between them take every way out of a zero
+    # pivot
     rng = random.Random(31)
     inputs = []
     monkeypatch.setattr(census, "_determinant", lambda n, entries: inputs.append((n, entries)) or 0)
@@ -518,31 +578,42 @@ def test_symmetric_determinant_matches_the_loop_above_the_kernels(monkeypatch):
             census._det_key(kind, m)
             census._shifted_det(kind, m)
     assert len(inputs) == 2 * 10 * (25 - _KERNEL_ORDERS)
-    # a zero pivot that no row mends: 2 a_0m + a_mm = 0 for every m
+    # a zero pivot that adding no row mends: 2 a_0m + a_mm = 0 for every m
     m = _symmetrized(_random_matrix(rng, 11))
     m[0] = [0] + [1] * 10
     for i in range(1, 11):
         m[i][0], m[i][i] = 1, -2
     inputs.append((11, list(chain.from_iterable(m))))
-    mends, loops, eliminate = [], [], exact._eliminate
-    monkeypatch.setattr(exact, "_mend", lambda rows, k, mend=exact._mend: mends.append(k) or mend(rows, k))
+    # a repeated row and column: a zero row once the first step is taken
+    m = _repeated_row(rng, _symmetrized(_random_matrix(rng, 11)))
+    inputs.append((11, list(chain.from_iterable(m))))
+    mends, loops, eliminate, mend = [], [], exact._eliminate, exact._mend
+
+    def recorded_mend(rows):
+        # n is the order of the input being taken, so n - len(rows) is the step
+        adds = any(2 * rows[0][j] + rows[j][0] for j in range(1, len(rows)))
+        pivot = mend(rows)
+        mends.append((n - len(rows), "zero row" if not pivot else "add" if adds else "subtract"))
+        return pivot
+
+    monkeypatch.setattr(exact, "_mend", recorded_mend)
     monkeypatch.setattr(exact, "_eliminate", lambda n, entries: loops.append(n) or eliminate(n, entries))
     for n, entries in inputs:
         m = [entries[i * n:i * n + n] for i in range(n)]
         assert m == _symmetrized(m)
-        loop, looped = eliminate(n, entries), len(loops)
+        loop = eliminate(n, entries)
         assert exact._determinant(n, entries) == loop == _det_oracle(m), m
-        if len(loops) > looped:
-            continue
         assert exact._determinant(n, list(chain.from_iterable(_scrambled_lower(rng, m)))) == loop, m
-    assert 0 in mends and any(mends)
-    assert 11 in loops and len(loops) < len(mends)
+    assert loops == []
+    assert 0 in {k for k, _ in mends} and any(k for k, _ in mends)
+    assert {how for _, how in mends} == {"add", "subtract", "zero row"}
     # A and D have a zero diagonal, so each mends its first pivot
     for kind in (MatrixKind.A, MatrixKind.D):
         mends.clear()
         m = build(g, kind)
-        assert exact._determinant(g.n, list(chain.from_iterable(m))) == _det_oracle(m)
-        assert mends[0] == 0
+        n = g.n
+        assert exact._determinant(n, list(chain.from_iterable(m))) == _det_oracle(m)
+        assert mends[0][0] == 0
 
 
 def test_determinant_reads_a_matrix_that_is_not_symmetric_whole():
