@@ -67,12 +67,18 @@ non-bipartite one (only the former has eigenvalue 0).
 
 Each level counts the keys of the graphs still in the chain, then builds
 again only the graphs whose key is shared, once per graph for all the
-slots that want it, to take the next key.  K1 enters the count as its
-hash, which is just as much a function of the charpoly: a hash collision
-only costs work.  It hashes ints only, since the hash of None, str or
-bytes can differ between processes, and workers hash keys that the parent
-compares.  For the same reason no value a worker hashes for the parent may
-contain a kind: ``MatrixKind`` hashes by identity.
+slots that want it, to take the next key.  A build, in the stream or in
+a level rebuild, takes a distance profile only where a wanted kind reads
+it: a kind whose recipe reads transmissions or distances, or a bipartite
+twin's key, whose parity test reads one.  A graph wanted only for A or L
+is checked for connectivity by ``Graph.is_connected`` instead.
+
+K1 enters the count as its hash, which is just as much a function of the
+charpoly: a hash collision only costs work.  It hashes ints only, since
+the hash of None, str or bytes can differ between processes, and workers
+hash keys that the parent compares.  For the same reason no value a
+worker hashes for the parent may contain a kind: ``MatrixKind`` hashes by
+identity.
 """
 
 from __future__ import annotations
@@ -89,7 +95,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 from .exact import _determinant, charpoly, snf
 from .generators import TREE_MAX_VERTICES, generate_connected_graphs, generate_trees
 from .graphs import DistanceProfile, Graph, _require_int, complete_graph, distance_profile
-from .matrices import RECIPES, IntMatrix, MatrixKind, build
+from .matrices import RECIPES, IntMatrix, MatrixKind, build_kinds
 
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool as WorkerPool
@@ -199,6 +205,13 @@ polynomial and its Smith normal form.
 """
 
 
+# The kinds for which ``_values`` takes a distance profile: those whose
+# recipe reads transmissions or distances, and the bipartite twins' keys,
+# whose parity test reads the profile.
+_PROFILE_KINDS = frozenset(kind for kind, (diagonal, _, off) in RECIPES.items()
+                           if diagonal == "tr" or off == "D").union(BIPARTITE_TWINS)
+
+
 def _is_bipartite(g: Graph, profile: DistanceProfile) -> bool:
     """Whether the connected graph ``g`` is bipartite: iff no edge joins two
     vertices whose distances from vertex 0 have the same parity."""
@@ -220,12 +233,19 @@ def _values(fn: _ValueFn, item: tuple[Graph, _Wants]) -> tuple[Graph, list]:
     ``item = (g, wants)``, with each kind built once and ``fn`` applied
     once per kind and argument.  On a bipartite graph a kind in
     ``BIPARTITE_TWINS`` is built as its twin, and ``fn`` gets the twin as
-    the kind."""
+    the kind.  A distance profile is taken only if a wanted kind reads
+    one; a disconnected graph is rejected either way."""
     g, wants = item
-    profile = distance_profile(g)  # also rejects disconnected input
-    if _is_bipartite(g, profile):
-        wants = [(BIPARTITE_TWINS.get(kind, kind), arg) for kind, arg in wants]
-    matrices = {kind: build(g, kind, profile) for kind in dict.fromkeys(kind for kind, _ in wants)}
+    if _PROFILE_KINDS.isdisjoint(kind for kind, _ in wants):
+        profile = None
+        if not g.is_connected():
+            raise ValueError("graph not connected")
+    else:
+        profile = distance_profile(g)  # also rejects disconnected input
+        if _is_bipartite(g, profile):
+            wants = [(BIPARTITE_TWINS.get(kind, kind), arg) for kind, arg in wants]
+    sources = list(dict.fromkeys(kind for kind, _ in wants))
+    matrices = dict(zip(sources, build_kinds(g, sources, profile)))
     values = {(kind, arg): fn(arg, kind, matrices[kind]) for kind, arg in dict.fromkeys(wants)}
     return g, [values[want] for want in wants]
 
@@ -339,7 +359,7 @@ def completeness_check(n: int, kinds: Sequence[MatrixKind]) -> tuple[bool, ...]:
     Smith normal form for that kind.  It runs the census's invariant
     chain: every graph's d for each kind, then the Smith form only of the
     graphs whose d equals the complete graph's, one distance profile per
-    graph at each step."""
+    graph at each step where a kind reads one."""
     _require_int("n", n)
     kinds = tuple(kinds)
     _workers(kinds, MODES, 1)  # the census's checks on the kind list; serial, so no pool

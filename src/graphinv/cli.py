@@ -73,8 +73,16 @@ def _census_input(path: str, n: int | None) -> Iterator[Graph]:
     """The graphs of a census input file, each yielded once it meets the
     census contract: one vertex count (``n`` if given), connected, and no
     record repeated exactly or up to isomorphism.  The first fault in file
-    order raises, and so does a file with no record, at its end."""
-    seen: dict[tuple[int, int], tuple[int, Graph]] = {}
+    order raises, and so does a file with no record, at its end.
+
+    A record's canonical key is taken only once another record has its
+    sorted degree sequence, since isomorphic graphs share that sequence;
+    the first record with a sequence is keyed when the second arrives."""
+    # sorted degree sequence -> the first record with it, (line, graph),
+    # until a second record shares it and the first is keyed; then None
+    unkeyed: dict[tuple[int, ...], tuple[int, Graph] | None] = {}
+    # canonical key -> the first keyed record with it
+    keyed: dict[tuple[int, int], tuple[int, Graph]] = {}
 
     def check(lineno: int, g: Graph) -> Graph:
         nonlocal n
@@ -83,13 +91,21 @@ def _census_input(path: str, n: int | None) -> Iterator[Graph]:
             raise ValueError(f"graph on {g.n} vertices, expected {n}")
         if not g.is_connected():
             raise ValueError("graph not connected")
-        first, earlier = seen.setdefault(canonical_key(g), (lineno, g))
+        record = (lineno, g)
+        degrees = tuple(sorted(g.degree_sequence()))
+        held = unkeyed.setdefault(degrees, record)
+        if held is record:
+            return g
+        if held is not None:
+            keyed[canonical_key(held[1])] = held
+            unkeyed[degrees] = None
+        first, earlier = keyed.setdefault(canonical_key(g), record)
         if first != lineno:
             raise ValueError(f"{'duplicate of' if g == earlier else 'isomorphic to'} line {first}")
         return g
 
     yield from _records(path, check)
-    if not seen:
+    if not unkeyed:
         raise ValueError(f"{path}: no graph6 records")
 
 

@@ -10,11 +10,13 @@ Every kind is an optional diagonal part plus or minus an off-diagonal part:
     Ddeg = deg - D      DdegPlus = deg + D
 
 ``RECIPES`` holds that split for each kind as a triple (diagonal source,
-sign, off-diagonal source), and ``build`` runs one code path for all of
-them.  The diagonal R = tr - deg of the paper's split Atr = L + R is no
-kind: ``DistanceProfile.r`` holds it.  A kind needs a ``DistanceProfile``,
-and so a connected graph, when its diagonal uses transmissions or its
-off-diagonal part uses distances; ``A``, ``L`` and ``Q`` work on any graph.
+sign, off-diagonal source), and ``build_kinds`` runs one code path for all
+of them, building any number of kinds of one graph at once; ``build`` is
+its one-kind case.  The diagonal R = tr - deg of the paper's split Atr =
+L + R is no kind: ``DistanceProfile.r`` holds it.  A kind needs a
+``DistanceProfile``, and so a connected graph, when its diagonal uses
+transmissions or its off-diagonal part uses distances; ``A``, ``L`` and
+``Q`` work on any graph.
 
 Entries are plain Python ints, so nothing ever overflows downstream in the
 Smith normal form or characteristic polynomial computations.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import mul, neg
+from typing import Sequence
 
 from .graphs import DistanceProfile, Graph, distance_profile
 
@@ -68,21 +71,38 @@ def build(g: Graph, kind: MatrixKind, profile: DistanceProfile | None = None) ->
     """Construct the requested matrix of ``g`` with exact integer entries.
 
     A precomputed ``profile`` skips the per-call BFS; callers looping over
-    kinds should supply one.
+    kinds should supply one, or call ``build_kinds``.
     """
-    recipe = RECIPES.get(kind)
-    if recipe is None:
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    diagonal, sign, off = recipe
-    if profile is None and (diagonal == "tr" or off == "D"):
+    return build_kinds(g, (kind,), profile)[0]
+
+
+def build_kinds(g: Graph, kinds: Sequence[MatrixKind],
+                profile: DistanceProfile | None = None) -> list[IntMatrix]:
+    """The matrices of ``g`` for ``kinds``, in that order, each with its own
+    row lists.  The 0/1 adjacency rows are extracted once for all the kinds
+    that read them, and a distance profile is taken, unless given, only if
+    some kind reads transmissions or distances."""
+    recipes = list(map(RECIPES.get, kinds))
+    if None in recipes:
+        raise ValueError(f"unknown matrix kind {kinds[recipes.index(None)]!r}")
+    if profile is None and any(diagonal == "tr" or off == "D" for diagonal, _, off in recipes):
         profile = distance_profile(g)  # raises on a disconnected graph
     n = g.n
-    rows = profile.dist if off == "D" else [[(a >> v) & 1 for v in range(n)] for a in g.adj]
-    m = [list(map(neg, row)) for row in rows] if sign < 0 else [list(row) for row in rows]
-    if diagonal is not None:
-        for u, x in enumerate(profile.tr if diagonal == "tr" else g.degree_sequence()):
-            m[u][u] = x
-    return m
+    adjacency = None
+    matrices = []
+    for diagonal, sign, off in recipes:
+        if off == "D":
+            rows = profile.dist
+        else:
+            if adjacency is None:
+                adjacency = [[(a >> v) & 1 for v in range(n)] for a in g.adj]
+            rows = adjacency
+        m = [list(map(neg, row)) for row in rows] if sign < 0 else [list(row) for row in rows]
+        if diagonal is not None:
+            for u, x in enumerate(profile.tr if diagonal == "tr" else g.degree_sequence()):
+                m[u][u] = x
+        matrices.append(m)
+    return matrices
 
 
 # ---------------------------------------------------------------------------

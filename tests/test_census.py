@@ -33,7 +33,7 @@ from graphinv.graphs import (
     path_graph,
 )
 from graphinv.exact import SnfResult, charpoly, determinant, snf
-from graphinv.matrices import MatrixKind, build
+from graphinv.matrices import MatrixKind, build, build_kinds
 from oracles import full_fingerprints, mate_counts_reference, permuted
 
 NEW_KINDS = (MatrixKind.Atr, MatrixKind.AtrPlus, MatrixKind.Ddeg, MatrixKind.DdegPlus)
@@ -327,10 +327,11 @@ def test_filtered_census_matches_full_reference(monkeypatch):
     # form, tallied once per corpus for all kinds and modes.  Spectral-only
     # runs have no d and start at the determinant; in (AtrPlus, Q)
     # bipartite graphs build Atr and L in their place.
-    calls = {build: 0, distance_profile: 0, charpoly: 0, snf: 0}
+    # Builds are counted in matrices made by census.build_kinds.
+    calls = {build_kinds: 0, distance_profile: 0, charpoly: 0, snf: 0}
     for fn in calls:
         def counted(*args, fn=fn):
-            calls[fn] += 1
+            calls[fn] += len(args[1]) if fn is build_kinds else 1
             return fn(*args)
         monkeypatch.setattr(census, fn.__name__, counted)
     corpora = [list(generate_connected_graphs(n)) for n in range(1, 8)]
@@ -353,12 +354,33 @@ def test_filtered_census_matches_full_reference(monkeypatch):
                 # K1 holds d, so every such matrix is built for its Smith
                 # form anyway: 3891 builds and Smith forms, the 3928 slots
                 # less the twins' shared builds.  Distance profiles:
-                # 853 in the stream and one per graph rebuilt at each level;
-                # A's d is shared by all 853.  When the stream took every
-                # Smith form (8442) the second level rebuilt only for the
-                # determinant: 11546 builds and 1910 profiles.  The charpoly
-                # count cannot move.
-                assert list(calls.values()) == [12872, 1917, 539, 3891]
+                # 853 in the stream and one per graph rebuilt at each level
+                # where a wanted kind reads one.  A's d is shared by all 853,
+                # so the second level rebuilds every graph, and a profile kind
+                # is wanted in each.  The charpoly level rebuilds 211 graphs,
+                # 69 of them wanted only for A or L (35 for A, 33 for L and
+                # one for both), which read no profile: 853 + 853 + 142 =
+                # 1848, where a profile for every rebuilt graph was 1917.
+                # When the stream took every Smith form (8442) the second
+                # level rebuilt only for the determinant: 11546 builds and
+                # 1910 profiles.  The charpoly count cannot move.
+                assert list(calls.values()) == [12872, 1848, 539, 3891]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kinds", [[MatrixKind.A], [MatrixKind.L], [MatrixKind.A, MatrixKind.L]],
+                         ids=["A", "L", "A,L"])
+def test_census_rejects_disconnected_graph_without_a_profile(kinds, jobs, monkeypatch):
+    # A and L read no distance profile, so the census must check
+    # connectivity without one
+    profiles = []
+    monkeypatch.setattr(census, "distance_profile", lambda g: profiles.append(g) or distance_profile(g))
+    graphs = [path_graph(4), graph_from_edges(4, [(0, 1), (2, 3)])]
+    for modes in (MODES, ("spectral",), ("invariant",)):
+        with pytest.raises(ValueError, match="^graph not connected$"):
+            run_census(graphs, kinds, modes, jobs)
+    if jobs == 1:  # a worker appends to its own copy of the list
+        assert profiles == []
 
 
 def test_census_parallel_matches_serial():

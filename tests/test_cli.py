@@ -1,15 +1,18 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import graphinv
-from graphinv import verify
+from graphinv import cli, verify
 from graphinv.cli import main
-from graphinv.graphs import cricket_graph, parse_graph6, write_graph6
+from graphinv.generators import canonical_key, generate_connected_graphs
+from graphinv.graphs import cricket_graph, graph_from_edges, parse_graph6, path_graph, write_graph6
 from oracles import permuted, triangular_and_chang_graphs
 
 
@@ -235,6 +238,68 @@ def test_census_input_on_cospectral_strongly_regular_graphs(tmp_path, capsys):
     path = _g6_file(tmp_path, *records, relabelled)
     assert main(["census", "--input", path, *argv]) == 1
     assert capsys.readouterr().err == f"error: {path}:5: isomorphic to line 1\n"
+
+
+# K_{3,3} and the triangular prism: connected, 3-regular on 6 vertices and
+# not isomorphic, so only a canonical key tells them apart
+K33 = graph_from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+PRISM = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+@pytest.mark.parametrize("records, fault", [
+    # the second record keys the first; the third, the second relabelled,
+    # matches the second's key
+    ((K33, PRISM, permuted(PRISM, [5, 3, 4, 0, 2, 1])), "isomorphic to line 2"),
+    ((K33, PRISM, K33), "duplicate of line 1"),
+    # P6's degrees are its own, so the first record is keyed only by the third
+    ((K33, path_graph(6), K33), "duplicate of line 1"),
+    ((K33, path_graph(6), permuted(K33, [1, 2, 3, 4, 5, 0])), "isomorphic to line 1"),
+], ids=["isomorphic-to-second", "duplicate-of-first", "first-keyed-late", "isomorphic-first-keyed-late"])
+def test_census_input_names_first_record_of_a_class(records, fault, tmp_path, capsys):
+    lines = [write_graph6(g) for g in records]
+    assert len(set(lines)) == len(lines) - fault.startswith("duplicate")
+    path = _g6_file(tmp_path, *lines)
+    assert main(["census", "--input", path, "--matrices", "A", "--jobs", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}:3: {fault}\n")
+
+
+def _degrees(g):
+    return tuple(sorted(g.degree_sequence()))
+
+
+def test_census_input_keys_only_records_whose_degrees_are_shared(tmp_path, capsys, monkeypatch):
+    # a record's canonical key is taken once another record has its sorted
+    # degrees, and then exactly once
+    keyed = []
+    monkeypatch.setattr(cli, "canonical_key", lambda g: keyed.append(g) or canonical_key(g))
+    rng = random.Random(11)
+    graphs = list(generate_connected_graphs(6))
+    rng.shuffle(graphs)
+    graphs = [permuted(g, rng.sample(range(6), 6)) for g in graphs]
+    apart = list({_degrees(g): g for g in graphs}.values())
+    argv = ["--matrices", "A", "--modes", "invariant", "--jobs", "1"]
+    for records in (apart, graphs[:40]):
+        keyed.clear()
+        path = _g6_file(tmp_path, *map(write_graph6, records))
+        assert main(["census", "--input", path, *argv]) == 0
+        capsys.readouterr()
+        shared = Counter(map(_degrees, records))
+        assert Counter(keyed) == Counter(g for g in records if shared[_degrees(g)] > 1)
+    assert 0 < len(keyed) < 40
+
+
+def test_census_input_keys_each_record_at_most_once(tmp_path, capsys, monkeypatch):
+    # most of the 853 connected graphs on 7 vertices share their sorted
+    # degrees with another
+    keyed = []
+    monkeypatch.setattr(cli, "canonical_key", lambda g: keyed.append(g) or canonical_key(g))
+    assert main(["gen", "--n", "7"]) == 0
+    records = capsys.readouterr().out.split()
+    path = _g6_file(tmp_path, *records)
+    assert main(["census", "--input", path, "--matrices", "A", "--modes", "invariant", "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(records) // 2 < len(keyed) <= len(records) == 853
+    assert set(Counter(keyed).values()) == {1}
 
 
 def test_per_record_commands_leave_no_partial_output(tmp_path, capsys):

@@ -13,7 +13,7 @@ from graphinv.graphs import (
 )
 from graphinv.generators import generate_connected_graphs, generate_trees
 from graphinv.census import BIPARTITE_TWINS, completeness_check, run_census
-from graphinv.matrices import RECIPES, MatrixKind, build, mat_mul
+from graphinv.matrices import RECIPES, MatrixKind, build, build_kinds, mat_mul
 from oracles import build_reference, is_symmetric, mat_add, mat_mul_reference, permuted, row_sums
 
 ALL_KINDS = list(MatrixKind)
@@ -122,6 +122,30 @@ def test_build_matches_reference():
             want = build_reference(g, kind)
             assert build(g, kind) == want
             assert build(g, kind, prof) == want
+
+
+def test_build_kinds_matches_reference_with_unshared_rows():
+    # one call builds any set of kinds, including the kinds a bipartite
+    # graph is built with in the census (its twins mapped, with and without
+    # the repeats), and every matrix it returns has row lists of its own
+    corpus = [g for n in range(1, 7) for g in generate_connected_graphs(n)]
+    corpus += [t for n in range(2, 10) for t in generate_trees(n)]
+    twin_mapped = [BIPARTITE_TWINS.get(kind, kind) for kind in ALL_KINDS]
+    kind_sets = [[kind] for kind in ALL_KINDS] + [ALL_KINDS, twin_mapped, list(dict.fromkeys(twin_mapped))]
+    for g in corpus:
+        prof = distance_profile(g)
+        for kinds in kind_sets:
+            want = [build_reference(g, kind) for kind in kinds]
+            built = build_kinds(g, kinds) + build_kinds(g, kinds, prof)
+            assert built == want + want
+            rows = [row for m in built for row in m]
+            assert len({id(row) for row in rows}) == len(rows)
+
+
+def test_build_kinds_rejects_an_unknown_kind_before_building():
+    # D would raise first on this disconnected graph if it were built
+    with pytest.raises(ValueError, match="^unknown matrix kind 'A'$"):
+        build_kinds(graph_from_edges(2, []), [MatrixKind.D, "A"])
 
 
 def test_build_matches_reference_on_disconnected_graph():
