@@ -25,13 +25,11 @@ only for the graphs whose key at the level before another graph shares.
 Serial and parallel runs share the chain; they differ only in whether
 graphs are mapped in this process or on workers.
 
-- d is read by ``exact``'s determinant on the upper triangle: a straight-line
-  kernel for n <= 8 with a nonzero first entry, else one step kernel per
-  Bareiss step up to order 16 and one row kernel per row above, with a zero
-  pivot mended by adding or subtracting a later row and column.  For
-  L = deg − A and DL = tr − D it is κ, the determinant of the leading (n−1)
-  principal block: their rows sum to 0, so |det M| is 0 on every connected
-  graph, and every cofactor is κ.  For every other kind d is |det M|.
+- d is read by ``exact``'s determinant on the upper triangle, by the
+  strategy ``exact``'s module docstring describes.  For L = deg − A and
+  DL = tr − D it is κ, the determinant of the leading (n−1) principal
+  block: their rows sum to 0, so |det M| is 0 on every connected graph,
+  and every cofactor is κ.  For every other kind d is |det M|.
 - K1 is ``(trace M, Σ M_ij², d)``, read in O(n²), with d the value the
   same kind's invariant slot takes.  A census without an invariant mode
   skips K1.

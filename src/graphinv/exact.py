@@ -1,17 +1,20 @@
 """Exact integer linear algebra: Smith normal form, division-free
 characteristic polynomial, determinant, and cokernel structure.
 
-Everything here stays in plain Python integers.  Cospectrality downstream
-is decided by comparing characteristic polynomial coefficients and
-coinvariance by comparing invariant factors, so no floating point or
-tolerance enters any census.
+Everything here stays in plain Python integers: ``snf``, ``charpoly`` and
+``determinant`` reject an entry that is not an ``int`` (a ``bool`` is not
+one), naming its (row, column).  Cospectrality downstream is decided by
+comparing characteristic polynomial coefficients and coinvariance by
+comparing invariant factors, so no floating point or tolerance enters any
+census.
 
 A symmetric matrix's determinant keeps the upper triangle only, as a Bareiss
 step ``(a_ij·p − a_ki·a_kj) / q`` keeps the trailing block symmetric.  Each
 order n <= 8 (``_KERNEL_MAX_ORDER``) with a nonzero first entry tries a
 straight-line kernel, which gives up at a zero pivot.  Otherwise the trailing
 block's rows take one generated ``_step`` call per step at orders <= 16
-(``_STEP_MAX_ORDER``), and one ``_row_update`` call per row above.  A zero
+(``_STEP_MAX_ORDER``), and above that one plain comprehension per row, as
+``spectra``'s Jacobi sweeps keep a plain loop above their kernels.  A zero
 row k makes the determinant 0; any other zero pivot k is mended (``_mend``)
 by adding row and column m to row and column k for the first m > k with
 ``2·a_km + a_mm ≠ 0``, or else subtracting them for the first m with
@@ -87,11 +90,16 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "trivial"
 
 
-def _check_square(m: IntMatrix) -> int:
+def _check_square(m: IntMatrix, integer: bool = True) -> int:
+    """The order of the square matrix ``m``; unless ``integer`` is false,
+    every entry must be an ``int`` too (a ``bool`` is not one)."""
     n = len(m)
     for row in m:
         if len(row) != n:
             raise ValueError("matrix must be square")
+    if integer and not {int}.issuperset(map(type, chain.from_iterable(m))):
+        i, j = next((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if type(x) is not int)
+        raise ValueError(f"entry ({i}, {j}) is not an integer: {m[i][j]!r}")
     return n
 
 
@@ -242,20 +250,6 @@ def _bareiss(n: int):
     return lines, {}
 
 
-@_generated("Bareiss row")
-def _row_update(n: int):
-    """A Bareiss step on an upper-triangle row of length n: ``f(r, t, p, q)``,
-    with t the pivot row from r's column on (``t[0]`` is r's lead), p the
-    pivot and q the one before, returns the row's new entries."""
-    r, t = [f"r{j}" for j in range(n)], [f"t{j}" for j in range(n)]
-    return ["def kernel(r, t, p, q):",
-            f"    {', '.join(r)}, = r",
-            f"    {', '.join(t)}, = t",
-            "    if not t0:",
-            f"        return r if p == q else [{', '.join(f'{x} * p // q' for x in r)}]",
-            f"    return [{', '.join(f'({x} * p - t0 * {y}) // q' for x, y in zip(r, t))}]"], {}
-
-
 @_generated("Bareiss step")
 def _step(s: int):
     """A Bareiss step on the upper-triangle rows of an order-s block: ``f(rows, q)``,
@@ -285,8 +279,9 @@ def _determinant(n: int, entries: list[int]) -> int:
         pivot = rows[0][0] or _mend(rows)
         if not pivot:
             return 0
+        top = rows[0]
         rows = (_step(s)(rows, prev) if s <= _STEP_MAX_ORDER else
-                [_row_update(s - i)(rows[i], rows[0][i:], pivot, prev) for i in range(1, s)])
+                [[(x * pivot - top[i] * y) // prev for x, y in zip(rows[i], top[i:])] for i in range(1, s)])
         prev = pivot
     return rows[0][0] if n else 1
 

@@ -2,7 +2,7 @@
 
 The eigensolver is a dependency-free cyclic Jacobi iteration, accurate for
 the symmetric integer matrices and sizes (n <= 64) used here.  For each
-order n <= 8 (``exact._KERNEL_MAX_ORDER``, the largest graph any ``verify``
+order n <= 8 (``_JACOBI_MAX_ORDER``, the largest graph any ``verify``
 suite reads) it runs a sweep function generated from one template: the
 upper triangle lives in locals ``a{i}_{j}``, the (p, q) pairs and the
 updates of each other row k are unrolled, and ``_rotate`` forms the angle
@@ -37,7 +37,7 @@ from itertools import chain
 from math import sqrt
 from operator import mul
 
-from .exact import _KERNEL_MAX_ORDER, _check_square, _generated
+from .exact import _check_square, _generated
 from .graphs import DistanceProfile, Graph, conductance, distance_profile, triangle_count, wiener_indices
 from .matrices import IntMatrix, MatrixKind, build, mat_mul, trace
 
@@ -94,6 +94,8 @@ def _eq_exact(name: str, left: int, right: int) -> InequalityRecord:
 # Jacobi converges quadratically: the default tolerances on every connected
 # graph with n <= 7 need at most 6 sweeps.
 JACOBI_MAX_SWEEPS = 100
+# Orders with a generated sweep function: every graph the verify suites read.
+_JACOBI_MAX_ORDER = 8
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +145,7 @@ def _kernel(n: int):
 
 
 def _sweeps(a: list[list[float]], threshold: float, max_sweeps: int) -> list[float] | None:
-    """The kernels' loop over a list of rows, for orders above _KERNEL_MAX_ORDER."""
+    """The kernels' loop over a list of rows, for orders above _JACOBI_MAX_ORDER."""
     n = len(a)
     for sweep in range(max_sweeps + 1):
         off = 0.0
@@ -178,12 +180,12 @@ def eigenvalues_symmetric(m: IntMatrix) -> Spectrum:
     handful of sweeps.  Raises ValueError if JACOBI_MAX_SWEEPS sweeps do
     not get there.
     """
-    n = _check_square(m)
+    n = _check_square(m, integer=False)
     if any(m[i][j] != m[j][i] for i in range(n) for j in range(i + 1, n)):
         raise ValueError("matrix not symmetric")
     tol = default_tol(m)
     threshold = tol * tol
-    if n <= _KERNEL_MAX_ORDER:
+    if n <= _JACOBI_MAX_ORDER:
         upper = [float(x) for i, row in enumerate(m) for x in row[i:]]
         diagonal = _kernel(n)(threshold, JACOBI_MAX_SWEEPS, *upper)
     else:

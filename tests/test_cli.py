@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import random
@@ -486,14 +487,17 @@ def test_import_does_not_load_multiprocessing():
     assert done.stdout == "[]\n"
 
 
-def test_import_compiles_no_jacobi_kernel():
-    # the eigensolver's and the determinant's kernels are compiled on first
-    # use, so commands that never take a spectrum or a determinant pay
-    # nothing for them
+def test_import_fills_no_lru_cache():
+    # the eigensolver's and the determinant's kernels, the Jacobi rotation
+    # tables and the generators' levels are made on first use, so commands
+    # that never take a spectrum, a determinant or a corpus pay nothing for
+    # them; every lru_cache of those modules is found and must be empty
     src = Path(graphinv.__file__).resolve().parent.parent
-    code = ("import graphinv.cli, graphinv.exact as e, graphinv.spectra as s; "
-            "print(s._kernel.cache_info().currsize, e._bareiss.cache_info().currsize, "
-            "e._step.cache_info().currsize, e._row_update.cache_info().currsize)")
+    code = ("import graphinv.cli, graphinv.exact, graphinv.spectra, graphinv.generators, sys; "
+            "print({m: sorted((f, v.cache_info().currsize) for f, v in vars(sys.modules[m]).items() "
+            "if hasattr(v, 'cache_info')) for m in ('graphinv.exact', 'graphinv.spectra', 'graphinv.generators')})")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "0 0 0 0\n"
+    caches = ast.literal_eval(done.stdout)
+    assert all(caches.values()), caches
+    assert {size for found in caches.values() for _, size in found} == {0}, caches

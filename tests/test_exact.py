@@ -1,5 +1,6 @@
 import random
 import signal
+from fractions import Fraction
 from itertools import chain
 from math import gcd
 
@@ -244,6 +245,22 @@ def test_snf_rejects_nonsquare():
         snf([[1, 2, 3], [4, 5, 6]])
 
 
+@pytest.mark.parametrize("f", [snf, charpoly, determinant, cokernel])
+@pytest.mark.parametrize("m, at", [
+    pytest.param([[1.5, 0, 0], [0, 1.5, 0], [0, 0, 1.5]], (0, 0), id="float-scalar"),
+    pytest.param([[2, 1, 0], [1, 2, 1], [0, 1, 2.5]], (2, 2), id="float-last"),
+    pytest.param([[2.5, 1], [1, 2]], (0, 0), id="float-first"),
+    pytest.param([[2, 1], [1, 2.0]], (1, 1), id="integral-float"),
+    pytest.param([[2, 1, 0], [1, True, 1], [0, 1, 2]], (1, 1), id="bool"),
+    pytest.param([[2, 1], [Fraction(1, 2), 2]], (1, 0), id="fraction"),
+])
+def test_exact_algebra_rejects_an_entry_that_is_not_an_int(f, m, at):
+    # the first three gave wrong values silently: determinant 3.0 for 3.375
+    # and 5.0 for 5.5, and snf factors (1, 4.0)
+    with pytest.raises(ValueError, match=rf"entry \({at[0]}, {at[1]}\) is not an integer"):
+        f(m)
+
+
 # ---------------------------------------------------------------------------
 # Characteristic polynomial
 
@@ -481,13 +498,12 @@ def test_determinant_kernel_falls_back_at_a_zero_pivot():
 
 
 def test_each_determinant_kernel_is_compiled_once():
-    # every order's kernel, every block order's step and every row length's
-    # update compiles on its first use only; a zero diagonal skips the
-    # straight-line kernel, and orders above _STEP_MAX_ORDER take row updates
+    # every order's kernel and every block order's step compiles on its first
+    # use only; a zero diagonal skips the straight-line kernel, and orders
+    # above _STEP_MAX_ORDER take plain row updates
     rng = random.Random(7)
     exact._bareiss.cache_clear()
     exact._step.cache_clear()
-    exact._row_update.cache_clear()
     orders = range(exact._STEP_MAX_ORDER + 3)
     for _ in range(3):
         for n in orders:
@@ -501,8 +517,6 @@ def test_each_determinant_kernel_is_compiled_once():
     assert (info.currsize, info.misses) == (_KERNEL_ORDERS - 1, _KERNEL_ORDERS - 1)
     info = exact._step.cache_info()
     assert (info.currsize, info.misses) == (exact._STEP_MAX_ORDER - 1, exact._STEP_MAX_ORDER - 1)
-    info = exact._row_update.cache_info()
-    assert (info.currsize, info.misses) == (max(orders) - 1, max(orders) - 1)
 
 
 def _symmetric_step_cases(rng, n):
@@ -522,34 +536,46 @@ def _symmetric_step_cases(rng, n):
 
 
 def test_determinant_steps_match_the_loop_across_the_hand_over(monkeypatch):
-    # orders 0..20 cross the hand-over from row updates to step kernels at
-    # _STEP_MAX_ORDER: the upper triangle alone gives the general loop's and
-    # the oracle's value; a zero first entry skips the straight-line kernel
+    # orders 0..20, 33 and 64 cross the hand-over from row updates to step
+    # kernels at _STEP_MAX_ORDER: the upper triangle alone gives the general
+    # loop's value, and up to 20 the oracle's; a zero first entry skips the
+    # straight-line kernel
     rng = random.Random(32)
     tried, bareiss = [], exact._bareiss
     monkeypatch.setattr(exact, "_bareiss", lambda n: tried.append(n) or bareiss(n))
-    for n in range(21):
+    for n in [*range(21), 33, 64]:
         for m in _symmetric_step_cases(rng, n):
             assert m == _symmetrized(m)
             det = exact._eliminate(n, list(chain.from_iterable(m)))
             tried.clear()
-            assert exact._determinant(n, list(chain.from_iterable(m))) == det == _det_oracle(m), m
+            assert exact._determinant(n, list(chain.from_iterable(m))) == det, m
+            assert n > 20 or det == _det_oracle(m), m
             assert tried == ([n] if 0 < n <= exact._KERNEL_MAX_ORDER and m[0][0] else []), m
             scrambled = list(chain.from_iterable(_scrambled_lower(rng, m)))
             assert exact._determinant(n, scrambled) == det, m
 
 
 def test_large_determinant_compiles_no_step_kernel_above_the_cap(monkeypatch):
-    # a 20x20 determinant runs row updates until its block shrinks to
-    # _STEP_MAX_ORDER, so no larger step kernel is asked for or kept
+    # a 20x20 or 64x64 determinant runs plain row updates until its block
+    # shrinks to _STEP_MAX_ORDER, so it compiles the step kernels of block
+    # orders 2.._STEP_MAX_ORDER and no other kernel
     rng = random.Random(20)
-    m = _symmetrized(_random_matrix(rng, 20))
-    exact._step.cache_clear()
-    asked, step = [], exact._step
-    monkeypatch.setattr(exact, "_step", lambda s: asked.append(s) or step(s))
-    assert determinant(m) == _det_oracle(m)
-    assert sorted(asked) == list(range(2, exact._STEP_MAX_ORDER + 1))
-    assert step.cache_info().currsize == exact._STEP_MAX_ORDER - 1
+    compiled = []
+
+    def recorded_compile(source, name, mode):
+        compiled.append(name)
+        return compile(source, name, mode)
+
+    monkeypatch.setattr(exact, "compile", recorded_compile, raising=False)
+    for n in (20, 64):
+        m = _symmetrized(_random_matrix(rng, n))
+        exact._bareiss.cache_clear()
+        exact._step.cache_clear()
+        compiled.clear()
+        det = determinant(m)
+        assert det == (_det_oracle(m) if n <= 20 else exact._eliminate(n, list(chain.from_iterable(m))))
+        assert compiled == [f"<Bareiss step kernel, n = {s}>" for s in range(exact._STEP_MAX_ORDER, 1, -1)]
+        assert exact._step.cache_info().currsize == exact._STEP_MAX_ORDER - 1
 
 
 def _random_connected_graph(rng, n):

@@ -69,6 +69,16 @@ def test_eigenvalues_reject_bad_input(monkeypatch):
     assert eigenvalues_symmetric(m).eigenvalues[0] > 0
 
 
+def test_eigenvalues_accept_entries_that_are_not_ints():
+    # exact's integer-entry check is not the eigensolver's: floats and bools
+    # pass, on the generated kernels and on the row loop alike
+    for n in (3, 12):
+        m = [[1.5 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        assert eigenvalues_symmetric(m).eigenvalues == (1.5,) * n
+        m = [[i == j for j in range(n)] for i in range(n)]
+        assert eigenvalues_symmetric(m).eigenvalues == (1.0,) * n
+
+
 BOUNDS_KINDS = (MatrixKind.A, MatrixKind.D, MatrixKind.L, MatrixKind.Atr, MatrixKind.Ddeg)
 
 
