@@ -83,12 +83,11 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain, repeat
+from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import _determinant, charpoly, snf
 from .generators import TREE_MAX_VERTICES, generate_connected_graphs, generate_trees
@@ -96,6 +95,7 @@ from .graphs import DistanceProfile, Graph, _require_int, complete_graph, distan
 from .matrices import RECIPES, IntMatrix, MatrixKind, build_kinds
 
 if TYPE_CHECKING:
+    from fractions import Fraction
     from multiprocessing.pool import Pool as WorkerPool
 
 MODES = ("spectral", "invariant")
@@ -168,8 +168,7 @@ _LEVELS = ({"invariant": _factors, "spectral": _shifted_det}, {"spectral": _coef
 _SPECTRAL_LEVELS = ({"spectral": _coeffs},)
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     kind: MatrixKind
     mode: str
     mate_count: int
@@ -177,11 +176,11 @@ class CensusEntry:
 
     @property
     def uncertainty(self) -> Fraction:
+        from fractions import Fraction  # here, so that importing the census does not import it
         return Fraction(self.mate_count, self.total)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     n: int
     total: int
     entries: tuple[CensusEntry, ...]
@@ -380,9 +379,10 @@ def report_tsv(report: CensusReport) -> str:
     """Render a census as TSV, one row per (kind, mode), spectral first."""
     lines = ["n\tmatrix\tmode\tmate_count\ttotal\tuncertainty_decimal\tuncertainty_rational"]
     for e in report.entries:
-        u = e.uncertainty
+        # mate_count / total, as float() and the lowest terms of e.uncertainty give it
+        g = gcd(e.mate_count, e.total)
         lines.append(
             f"{report.n}\t{e.kind.value}\t{e.mode}\t{e.mate_count}\t{e.total}"
-            f"\t{float(u):.6f}\t{u.numerator}/{u.denominator}"
+            f"\t{e.mate_count / e.total:.6f}\t{e.mate_count // g}/{e.total // g}"
         )
     return "\n".join(lines) + "\n"

@@ -27,18 +27,16 @@ compiles each kernel on first use (none at import); ``spectra`` uses it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import chain
 from math import gcd, prod
 from operator import add, mul, sub
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .matrices import IntMatrix
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Invariant factors of a square integer matrix.
 
     ``factors`` are the positive diagonal entries of the Smith normal form
@@ -58,8 +56,7 @@ class SnfResult:
         return self.factors + (0,) * self.zeros
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Monic integer polynomial, coefficients from x^degree down to x^0."""
 
     coeffs: tuple[int, ...]
@@ -69,8 +66,7 @@ class IntPolynomial:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple):
     """Finitely generated abelian group: torsion cyclic factors (in
     divisibility order, all >= 2) plus a free rank."""
 

@@ -9,10 +9,11 @@ here while keeping breadth-first searches and subset sweeps cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_VERTICES = 64
 
@@ -27,31 +28,40 @@ class Graph6ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple graph: ``adj[u]`` has bit v set iff u ~ v.  Any
-    sequence of int rows is accepted and stored as a tuple."""
-
+class _GraphFields(NamedTuple):
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self):
-        _require_order(self.n)
-        object.__setattr__(self, "adj", tuple(self.adj))
-        if len(self.adj) != self.n:
+
+class Graph(_GraphFields):
+    """Immutable simple graph: ``adj[u]`` has bit v set iff u ~ v.  Any
+    sequence of int rows is accepted and stored as a tuple.  Every way to
+    make one, unpickling and ``_replace`` included, runs the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, adj: Iterable[int]):
+        _require_order(n)
+        adj = tuple(adj)
+        if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for u, row in enumerate(adj):
             if type(row) is not int:
                 raise ValueError(f"adjacency row {u} is not an integer: {row!r}")
             if row & ~full:
                 raise ValueError(f"adjacency row {u} references vertices beyond n")
             if (row >> u) & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.adj[u] >> v) & 1 != (self.adj[v] >> u) & 1:
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (adj[u] >> v) & 1 != (adj[v] >> u) & 1:
                     raise ValueError(f"adjacency not symmetric at pair ({u}, {v})")
+        return tuple.__new__(cls, (n, adj))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Graph:
+        return cls(*fields)
 
     def neighbors(self, u: int) -> list[int]:
         return _bits(self.adj[u])
@@ -254,8 +264,7 @@ def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
 # ---------------------------------------------------------------------------
 # Distances and derived statistics.
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(NamedTuple):
     """All-pairs shortest-path distances plus the transmission and degree
     vectors they induce (tr[u] = sum of distances from u)."""
 
@@ -362,4 +371,5 @@ def conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
         if boundary * best_size < best_boundary * size:
             best_boundary, best_size = boundary, size
             best_set = mask
+    from fractions import Fraction  # here, so that only a caller of conductance imports it
     return Fraction(best_boundary, best_size), tuple(_bits(best_set))

@@ -10,7 +10,7 @@ the sandpile group of H, and their product counts H's spanning trees.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import AbelianGroup, SnfResult, cokernel, snf
 from .graphs import DistanceProfile, Graph, distance_profile, write_graph6
@@ -18,8 +18,7 @@ from .matrices import IntMatrix, MatrixKind, build
 from .spectra import GraphSpectra
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     """Undirected multigraph stored as a symmetric multiplicity matrix."""
 
     n: int

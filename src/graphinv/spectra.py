@@ -5,12 +5,14 @@ the symmetric integer matrices and sizes (n <= 64) used here.  For each
 order n <= 8 (``_JACOBI_MAX_ORDER``, the largest graph any ``verify``
 suite reads) it runs a sweep function generated from one template: the
 upper triangle lives in locals ``a{i}_{j}``, the (p, q) pairs and the
-updates of each other row k are unrolled, and ``_rotate`` forms the angle
-and the new diagonal pair.  Each kernel is compiled on first use and kept
+updates of each other row k are unrolled, and each rotation is inlined:
+the angle and the new diagonal pair are formed in line by ``_rotate``'s
+operations, so a rotation calls only ``abs`` and ``sqrt``, and ``_rotate``
+itself serves only ``_sweeps``.  Each kernel is compiled on first use and kept
 by ``exact._generated``, the helper the Bareiss kernels share; none is
 compiled at import.  Larger orders walk a per-n cached tuple of
 (p, q, others) over a list of rows, because kernel source grows as n**3:
-compiling the n = 8 kernel took 11 ms, but the n = 32 one took 0.59 s and
+compiling the n = 8 kernel took 10 ms, but the n = 32 one took 0.59 s and
 lifted the process peak from 16 to 115 MB (Python 3.11, 2-core x86_64).  Both
 paths do the float operations of the textbook loop in its order and
 association, so the eigenvalues are bit-identical to it.
@@ -31,11 +33,11 @@ weighted 3 and triangles subtracted as the algebraic expansion of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import sqrt
 from operator import mul
+from typing import NamedTuple
 
 from .exact import _check_square, _generated
 from .graphs import DistanceProfile, Graph, conductance, distance_profile, triangle_count, wiener_indices
@@ -47,16 +49,14 @@ def default_tol(m: IntMatrix) -> float:
     return 1e-9 * (1 + scale)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """All eigenvalues in ascending order, with the tolerance used."""
 
     eigenvalues: tuple[float, ...]
     tol: float
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
+class InequalityRecord(NamedTuple):
     name: str
     left: float
     right: float
@@ -69,8 +69,7 @@ class InequalityRecord:
         return self.right - self.left
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     checks: tuple[InequalityRecord, ...]
 
     def all_hold(self) -> bool:
@@ -106,7 +105,8 @@ def _rotations(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
 
 
 def _rotate(app: float, aqq: float, apq: float) -> tuple[float, float, float, float]:
-    """The rotation that zeroes a_pq (apq != 0): the new a_pp and a_qq, c, s."""
+    """The rotation that zeroes a_pq (apq != 0): the new a_pp and a_qq, c, s.
+    ``_sweeps`` calls it; each kernel inlines its body."""
     theta = (aqq - app) / (2.0 * apq)
     t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
     if theta < 0.0:
@@ -135,13 +135,22 @@ def _kernel(n: int):
              "        if sweep == max_sweeps:",
              "            return None"]
     for p, q, others in _rotations(n):
-        lines += [f"        if {a(p, q)} != 0.0:",
-                  f"            {a(p, p)}, {a(q, q)}, c, s = rotate({a(p, p)}, {a(q, q)}, {a(p, q)})",
-                  f"            {a(p, q)} = 0.0"]
+        app, aqq, apq = a(p, p), a(q, q), a(p, q)
+        # _rotate's body, in its operations and order
+        lines += [f"        if {apq} != 0.0:",
+                  f"            theta = ({aqq} - {app}) / (2.0 * {apq})",
+                  "            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))",
+                  "            if theta < 0.0:",
+                  "                t = -t",
+                  "            c = 1.0 / sqrt(t * t + 1.0)",
+                  "            s = t * c",
+                  f"            cc, ss, scapq = c * c, s * s, 2.0 * s * c * {apq}",
+                  f"            {app}, {aqq} = cc * {app} - scapq + ss * {aqq}, ss * {app} + scapq + cc * {aqq}",
+                  f"            {apq} = 0.0"]
         lines += [f"            {a(k, p)}, {a(k, q)} = c * {a(k, p)} - s * {a(k, q)}, s * {a(k, p)} + c * {a(k, q)}"
                   for k in others]
     lines.append(f"    return [{', '.join(a(i, i) for i in range(n))}]")
-    return lines, {"rotate": _rotate}
+    return lines, {"sqrt": sqrt}
 
 
 def _sweeps(a: list[list[float]], threshold: float, max_sweeps: int) -> list[float] | None:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import partial
 from math import prod
 
@@ -8,6 +9,7 @@ from graphinv import census
 from graphinv.census import (
     BIPARTITE_TWINS,
     MODES,
+    CensusEntry,
     CensusReport,
     _coeffs,
     _det_key,
@@ -476,3 +478,13 @@ def test_report_tsv_shape():
     ]
     assert lines[1] == "5\tAtr\tspectral\t2\t21\t0.095238\t2/21"
     assert lines[2] == "5\tAtr\tinvariant\t2\t21\t0.095238\t2/21"
+
+
+def test_report_tsv_uncertainty_columns_match_the_fraction():
+    # report_tsv renders mate_count / total from the two ints, without
+    # importing fractions; it must print what the Fraction gives
+    for total in range(1, 601):
+        entries = tuple(CensusEntry(MatrixKind.A, "spectral", m, total) for m in range(total + 1))
+        rows = report_tsv(CensusReport(1, total, entries)).splitlines()[1:]
+        assert rows == [f"1\tA\tspectral\t{m}\t{total}\t{float(u):.6f}\t{u.numerator}/{u.denominator}"
+                        for m in range(total + 1) for u in [Fraction(m, total)]], total

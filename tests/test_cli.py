@@ -478,13 +478,25 @@ def test_input_errors_name_path_and_line(tmp_path, capsys):
 
 def test_import_does_not_load_multiprocessing():
     # only a census with --jobs above 1 needs a worker pool, and importing
-    # multiprocessing costs every CLI start about 9 ms
+    # multiprocessing costs every CLI start about 9 ms; dataclasses (with
+    # inspect) and fractions (with decimal) cost it about 1.5 MB of peak RSS
+    # and 15 ms, so the records are tuples and only a caller of conductance
+    # or CensusEntry.uncertainty imports fractions: a serial census or tree
+    # census loads none of them either
     src = Path(graphinv.__file__).resolve().parent.parent
-    code = ("import sys, graphinv.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    code = ("import contextlib, io, sys, graphinv.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "                  ('multiprocessing', 'dataclasses', 'inspect', 'fractions', 'decimal'))\n"
+            "print(loaded())\n"
+            "for argv in (['census', '--n', '5'], ['trees', '--n', '6']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        kinds = ','.join(graphinv.cli.CLI_KINDS)\n"
+            "        assert graphinv.cli.main(argv + ['--matrices', kinds, '--jobs', '1']) == 0\n"
+            "    print(loaded())\n")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n[]\n"
 
 
 def test_import_fills_no_lru_cache():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -54,6 +55,33 @@ def test_graph_rejects_a_non_integer_order_or_bool_row():
                           (lambda: Graph(2, (2, True)), "adjacency row 1 is not an integer: True")):
         with pytest.raises(ValueError, match=message):
             make()
+
+
+@pytest.mark.parametrize("n, adj, message", [
+    (3.0, (6, 5, 3), "vertex count is not an integer: 3.0"),
+    (0, (), "vertex count must be in 1..64, got 0"),
+    (2, (1,), "adjacency row count does not match vertex count"),
+    (3, (6, 5, 3.0), "adjacency row 2 is not an integer: 3.0"),
+    (2, (4, 0), "adjacency row 0 references vertices beyond n"),
+    (1, (1,), "self-loop at vertex 0"),
+    (2, (2, 0), r"adjacency not symmetric at pair \(0, 1\)"),
+])
+def test_graph_checks_every_way_it_is_made(n, adj, message):
+    # Graph is a tuple, so a positional or keyword call, _make, _replace and
+    # unpickling (how --jobs workers receive graphs) must all run the checks
+    good = Graph(2, (2, 1))
+    made = (lambda: Graph(n, adj), lambda: Graph(n=n, adj=adj), lambda: Graph._make((n, adj)),
+            lambda: good._replace(n=n, adj=adj),
+            lambda: pickle.loads(pickle.dumps(tuple.__new__(Graph, (n, adj)))))
+    for make in made:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
+def test_graph_survives_a_pickle_round_trip():
+    for g in (path_graph(1), cricket_graph(), complete_graph(64)):
+        back = pickle.loads(pickle.dumps(g))
+        assert type(back) is Graph and back == g and hash(back) == hash(g)
 
 
 def test_graph_from_edges_rejects_a_non_integer_endpoint():

@@ -87,3 +87,54 @@ def test_entry_points_reject_a_non_integer_order(call, good, name):
     for bad in (float(good), True):
         with pytest.raises(ValueError, match=f"^{name} is not an integer: {bad!r}$"):
             call(bad)
+
+
+# One instance of each public record, its repr as the frozen dataclasses
+# that the records once were printed it, and its field names in order.
+RECORDS = [
+    ("path_graph(3)", "Graph(n=3, adj=(2, 5, 2))", ("n", "adj")),
+    ("distance_profile(path_graph(3))",
+     "DistanceProfile(dist=((0, 1, 2), (1, 0, 1), (2, 1, 0)), tr=(3, 2, 3), deg=(1, 2, 1))",
+     ("dist", "tr", "deg")),
+    ("snf([[2, 0], [0, 0]])", "SnfResult(factors=(2,), zeros=1, n=2)", ("factors", "zeros", "n")),
+    ("charpoly([[0, 1], [1, 0]])", "IntPolynomial(coeffs=(1, 0, -1))", ("coeffs",)),
+    ("sandpile_group(cycle_graph(5))[0]", "AbelianGroup(torsion=(41, 164), free_rank=0)",
+     ("torsion", "free_rank")),
+    ("cone_graph(path_graph(3))",
+     "Multigraph(n=4, mult=((0, 1, 0, 2), (1, 0, 1, 0), (0, 1, 0, 2), (2, 0, 2, 0)))", ("n", "mult")),
+    ("run_census(generate_connected_graphs(3), [MatrixKind.Atr]).entries[0]",
+     "CensusEntry(kind=<MatrixKind.Atr: 'Atr'>, mode='spectral', mate_count=0, total=2)",
+     ("kind", "mode", "mate_count", "total")),
+    ("run_census(generate_connected_graphs(3), [MatrixKind.Atr], ['invariant'])",
+     "CensusReport(n=3, total=2, entries=(CensusEntry(kind=<MatrixKind.Atr: 'Atr'>, mode='invariant', "
+     "mate_count=0, total=2),))", ("n", "total", "entries")),
+    ("eigenvalues_symmetric([[2, 1], [1, 2]])",
+     "Spectrum(eigenvalues=(0.9999999999999998, 2.999999999999999), tol=3.0000000000000004e-09)",
+     ("eigenvalues", "tol")),
+    ("InequalityRecord(name='x', left=1, right=2.5, tol=0.0, holds=True)",
+     "InequalityRecord(name='x', left=1, right=2.5, tol=0.0, holds=True, applicable=True)",
+     ("name", "left", "right", "tol", "holds", "applicable")),
+    ("check_lambda1_bracket(GraphSpectra(path_graph(2)))",
+     "BoundReport(checks=(InequalityRecord(name='min(tr - deg) <= min_eig(Atr)', left=0, right=0.0, "
+     "tol=2e-09, holds=True, applicable=True), InequalityRecord(name='min_eig(Atr) <= mean(tr - deg)', "
+     "left=0.0, right=0.0, tol=2e-09, holds=True, applicable=True)))", ("checks",)),
+]
+
+
+@pytest.mark.parametrize("expr, text, names", RECORDS, ids=[text.split("(")[0] for _, text, _ in RECORDS])
+def test_records_keep_the_contracts_of_frozen_dataclasses(expr, text, names):
+    # the records are tuples, so they also equal a plain tuple of their
+    # fields and support len, iteration and ordering (README)
+    import graphinv
+
+    namespace = vars(graphinv).copy()
+    record = eval(expr, namespace)
+    fields = tuple(getattr(record, name) for name in names)
+    assert repr(record) == text
+    assert type(record)._fields == names
+    assert hash(record) == hash(fields)
+    assert record == fields and tuple(record) == fields
+    assert type(record)(**dict(zip(names, fields))) == record
+    for name in (names[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, fields[0])

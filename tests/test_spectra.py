@@ -118,6 +118,9 @@ def test_eigenvalues_bit_identical_to_reference_on_random_matrices():
         assert eigenvalues_symmetric(m) == eigenvalues_symmetric_reference(m), m
     # orders 0..8 ran on unrolled kernels, and the larger ones on the row loop
     assert spectra._kernel.cache_info().currsize == 9
+    # each kernel inlines its rotations: no call per rotation but abs and sqrt
+    for n in range(2, 9):
+        assert set(spectra._kernel(n).__code__.co_names) <= {"range", "abs", "sqrt"}, n
 
 
 def test_sweep_cap_stops_like_reference(monkeypatch):
