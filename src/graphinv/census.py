@@ -25,8 +25,9 @@ only for the graphs whose key at the level before another graph shares.
 Serial and parallel runs share the chain; they differ only in whether
 graphs are mapped in this process or on workers.
 
-- d is read by ``exact``'s determinant on the upper triangle, by the
-  strategy ``exact``'s module docstring describes.  For L = deg − A and
+- d is read by ``exact``'s determinant from M's upper-triangle rows, which
+  it takes two Bareiss steps per generated call, by the strategy
+  ``exact``'s module docstring describes.  For L = deg − A and
   DL = tr − D it is κ, the determinant of the leading (n−1) principal
   block: their rows sum to 0, so |det M| is 0 on every connected graph,
   and every cofactor is κ.  For every other kind d is |det M|.
@@ -34,7 +35,7 @@ graphs are mapped in this process or on workers.
   same kind's invariant slot takes.  A census without an invariant mode
   skips K1.
 - The second key is ``det(M − (4n+1)·I)``, by Bareiss elimination in
-  O(n³), on M's flattened entries with the shift taken on the diagonal.
+  O(n³), on M's upper-triangle rows with the shift taken on the diagonal.
   It is taken during the stream where K1 is skipped.
 
 d is a function of the Smith form: the product of the factors, or 0 when
@@ -99,6 +100,9 @@ if TYPE_CHECKING:
     from multiprocessing.pool import Pool as WorkerPool
 
 MODES = ("spectral", "invariant")
+# The widest worker pool a census takes: a wider one would ask the host for
+# that many processes, with no gain past its cores.
+MAX_JOBS = 64
 
 
 # The kinds whose diagonal is the row sums of the negated off-diagonal part,
@@ -111,11 +115,8 @@ def _det_key(kind: MatrixKind, m: IntMatrix) -> int:
     """d of a matrix M of ``kind``, the first key of its invariant chain:
     κ, the determinant of M's leading (n−1) principal block, for a kind in
     _ROW_SUM_KINDS, and |det M| for any other (module docstring)."""
-    n = len(m)
-    if kind in _ROW_SUM_KINDS:
-        n -= 1
-        m = [row[:n] for row in m[:n]]
-    return abs(_determinant(n, list(chain.from_iterable(m))))
+    n = len(m) - (kind in _ROW_SUM_KINDS)
+    return abs(_determinant([row[i:n] for i, row in enumerate(m[:n])]))
 
 
 def _first_key(m: IntMatrix, d: int) -> tuple[int, int, int]:
@@ -127,13 +128,10 @@ def _first_key(m: IntMatrix, d: int) -> tuple[int, int, int]:
 
 def _shifted_det(kind: MatrixKind, m: IntMatrix) -> int:
     """``det(M − (4n+1)·I)``, the spectral chain's second key (module
-    docstring), with the shift taken on the diagonal of M's flattened
-    entries."""
-    n = len(m)
-    x0 = 4 * n + 1
-    entries = list(chain.from_iterable(m))
-    entries[::n + 1] = [v - x0 for v in entries[::n + 1]]
-    return _determinant(n, entries)
+    docstring), with the shift taken on the diagonal of M's upper-triangle
+    rows."""
+    x0 = 4 * len(m) + 1
+    return _determinant([[row[i] - x0, *row[i + 1:]] for i, row in enumerate(m)])
 
 
 def _factors(kind: MatrixKind, m: IntMatrix) -> tuple[int, ...]:
@@ -267,11 +265,13 @@ def _level_keys(pool: WorkerPool | None, level: dict[str, Callable],
 def _workers(kinds: Sequence[MatrixKind], modes: Sequence[str], jobs: int):
     """A pool of ``jobs`` processes, or a null context for ``jobs == 1``,
     once the arguments pass the checks that every census shares: an integer
-    worker count of at least 1, known kinds and modes and at least one kind
-    and one mode, none repeated."""
+    worker count from 1 to MAX_JOBS, known kinds and modes and at least one
+    kind and one mode, none repeated."""
     _require_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs must be <= {MAX_JOBS}, got {jobs}")
     for kind in kinds:
         if not isinstance(kind, MatrixKind):
             raise ValueError(f"unknown matrix kind {kind!r}")
@@ -298,10 +298,10 @@ def run_census(
 ) -> CensusReport:
     """Count graphs with a cospectral/coinvariant mate, per kind and mode.
 
-    Raises on a non-integer worker count or one below 1, an unknown, empty
-    or repeated kind or mode list, an empty stream or mixed orders.  Each
-    slot's buckets are tallied only among graphs whose keys another graph
-    shares (module docstring).
+    Raises on a non-integer worker count or one outside 1..MAX_JOBS, an
+    unknown, empty or repeated kind or mode list, an empty stream or mixed
+    orders.  Each slot's buckets are tallied only among graphs whose keys
+    another graph shares (module docstring).
     """
     kinds, modes = tuple(kinds), tuple(modes)
     with _workers(kinds, modes, jobs) as pool:

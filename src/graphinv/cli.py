@@ -23,7 +23,7 @@ from contextlib import nullcontext
 from typing import Callable, Iterator, TypeVar
 
 from . import verify
-from .census import MODES, report_tsv, run_census, tree_census
+from .census import MAX_JOBS, MODES, report_tsv, run_census, tree_census
 from .exact import charpoly, snf
 from .generators import (CONNECTED_MAX_VERTICES, TREE_MAX_VERTICES, canonical_key,
                          generate_connected_graphs, generate_trees)
@@ -120,6 +120,8 @@ def _census_options(args, parser) -> tuple[list[MatrixKind], list[str]]:
     ``--matrices`` and ``--modes`` pass their usage checks."""
     if args.jobs < 1:
         parser.error(f"--jobs needs N >= 1, got {args.jobs}")
+    if args.jobs > MAX_JOBS:
+        parser.error(f"--jobs needs N <= {MAX_JOBS}, got {args.jobs}")
     kinds = [MatrixKind[k] for k in _parse_names(args.matrices, CLI_KINDS, "matrix kind", parser)]
     return kinds, _parse_names(args.modes, MODES, "mode", parser)
 
@@ -227,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     census_options = argparse.ArgumentParser(add_help=False)
     census_options.add_argument("--matrices", required=True, help="comma-separated matrix kinds")
     census_options.add_argument("--modes", default="spectral,invariant", help="comma-separated modes")
-    census_options.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker pool width")
+    census_options.add_argument("--jobs", type=int, default=min(os.cpu_count() or 1, MAX_JOBS),
+                                 help=f"worker pool width, 1..{MAX_JOBS}")
 
     p = sub.add_parser("census", parents=[census_options], help="mate counts over connected graphs")
     p.add_argument("--n", type=int, help="vertex count for the built-in corpus")

@@ -11,18 +11,28 @@ census.
 A symmetric matrix's determinant keeps the upper triangle only, as a Bareiss
 step ``(a_ij·p − a_ki·a_kj) / q`` keeps the trailing block symmetric.  Each
 order n <= 8 (``_KERNEL_MAX_ORDER``) with a nonzero first entry tries a
-straight-line kernel, which gives up at a zero pivot.  Otherwise the trailing
-block's rows take one generated ``_step`` call per step at orders <= 16
-(``_STEP_MAX_ORDER``), and above that one plain comprehension per row, as
-``spectra``'s Jacobi sweeps keep a plain loop above their kernels.  A zero
-row k makes the determinant 0; any other zero pivot k is mended (``_mend``)
-by adding row and column m to row and column k for the first m > k with
-``2·a_km + a_mm ≠ 0``, or else subtracting them for the first m with
-``a_mm − 2·a_km ≠ 0``, which exists as some ``a_km ≠ 0``.  Either
-determinant-1 congruence fixes the leading blocks, so it applies in place to
-the bordered minors the rows hold, bilinear in their bordering row and column.
-Only a non-symmetric matrix takes the loop with row swaps.  ``_generated``
-compiles each kernel on first use (none at import); ``spectra`` uses it too.
+straight-line kernel, which gives up at a zero pivot.  Otherwise a trailing
+block of order s <= 16 (``_STEP_MAX_ORDER``) whose leading 2x2 minor
+``c0 = a00·a11 − a01²`` is nonzero takes two steps in one generated
+``_step2(s)`` call (Bareiss's two-step form).  With q the pivot before the
+block, Sylvester's identity makes each entry two orders down the 3x3 minor
+on rows and columns 0, 1, i and 0, 1, j over q², that is
+``(a_ij·c0 − a_0i·x_j − a_1i·y_j) / q²`` with ``x_j = a_0j·a11 − a01·a_1j``
+and ``y_j = a00·a_1j − a_0j·a01``, and the next q is ``c0 / q``.  Every
+block entry is a bordered minor of the input (with q the leading minor it
+borders), so both divisions are exact, and a00 may be 0.  A block of order 2
+gives ``c0 / q``, the determinant.  A block with c0 = 0, or of order above
+16, takes one single step as one plain comprehension per row, as
+``spectra``'s Jacobi sweeps keep a plain loop above their kernels.  Before
+that step a zero row k makes the determinant 0; any other zero pivot k is
+mended (``_mend``) by adding row and column m to row and column k for the
+first m > k with ``2·a_km + a_mm ≠ 0``, or else subtracting them for the
+first m with ``a_mm − 2·a_km ≠ 0``, which exists as some ``a_km ≠ 0``.
+Either determinant-1 congruence fixes the leading blocks, so it applies in
+place to the bordered minors the rows hold, bilinear in their bordering row
+and column.  Only a non-symmetric matrix takes the loop with row swaps.
+``_generated`` compiles each kernel on first use (none at import);
+``spectra`` uses it too.
 """
 
 from __future__ import annotations
@@ -206,7 +216,8 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
 # Orders with a straight-line determinant kernel: every graph the census and
 # the verify suites read.  A larger one costs too much memory to compile.
 _KERNEL_MAX_ORDER = 8
-# Trailing orders with a step kernel; compiling 17..63 too would take 2 s, 14 MB.
+# Trailing orders with a two-step kernel (3..16); compiling 17..64 too would
+# take 0.7 s and 21 MB.
 _STEP_MAX_ORDER = 16
 
 
@@ -226,15 +237,22 @@ def _generated(label: str):
     return decorate
 
 
+def _unpacked(n: int) -> str:
+    """A kernel line that unpacks the upper-triangle ``rows`` of an order-n
+    block into the locals ``a{i}_{j}``."""
+    targets = (f"({''.join(f'a{i}_{j}, ' for j in range(i, n))})" for i in range(n))
+    return f"    [{', '.join(targets)}] = rows"
+
+
 @_generated("Bareiss")
 def _bareiss(n: int):
-    """Fraction-free elimination of a symmetric order-n matrix's upper
-    triangle: ``f(*entries)``, ``entries`` row-major, returns the determinant,
-    or None at a zero pivot.  Step k divides by step k-1's pivot, and step 0 by 1."""
+    """Fraction-free elimination of a symmetric order-n matrix: ``f(rows)``,
+    ``rows`` its upper-triangle rows, returns the determinant, or None at a
+    zero pivot.  Step k divides by step k-1's pivot, and step 0 by 1."""
     def a(i: int, j: int) -> str:
         return f"a{i}_{j}"
 
-    lines = [f"def kernel({', '.join(a(i, j) for i in range(n) for j in range(n))}):"]
+    lines = ["def kernel(rows):", _unpacked(n)]
     for k in range(n - 1):
         lines += [f"    if not {a(k, k)}:",
                   "        return None"]
@@ -246,39 +264,53 @@ def _bareiss(n: int):
     return lines, {}
 
 
-@_generated("Bareiss step")
-def _step(s: int):
-    """A Bareiss step on the upper-triangle rows of an order-s block: ``f(rows, q)``,
-    with pivot ``rows[0][0]`` and q the one before, returns the next block's rows."""
-    targets = ", ".join(f"({''.join(f'a{i}_{j}, ' for j in range(i, s))})" for i in range(s))
-    rows = (", ".join(f"(a{i}_{j} * a0_0 - a0_{i} * a0_{j}) // q" for j in range(i, s)) for i in range(1, s))
-    return ["def kernel(rows, q):", f"    {targets}, = rows",
-            f"    return [{', '.join(f'[{row}]' for row in rows)}]"], {}
+@_generated("Bareiss two-step")
+def _step2(s: int):
+    """Two Bareiss steps on the upper-triangle rows of an order-s block:
+    ``f(rows, q, c0)``, with q the pivot before the block and c0 its nonzero
+    leading 2x2 minor, returns the rows of the block two orders down."""
+    lines = ["def kernel(rows, q, c0):", _unpacked(s), "    qq = q * q"]
+    for j in range(2, s):
+        lines.append(f"    x{j} = a0_{j} * a1_1 - a0_1 * a1_{j}; y{j} = a0_0 * a1_{j} - a0_{j} * a0_1")
+    rows = (", ".join(f"(a{i}_{j} * c0 - a0_{i} * x{j} - a1_{i} * y{j}) // qq" for j in range(i, s))
+            for i in range(2, s))
+    lines.append(f"    return [{', '.join(f'[{row}]' for row in rows)}]")
+    return lines, {}
 
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = _check_square(m)
-    symmetric = list(zip(*m)) == list(map(tuple, m))
-    return (_determinant if symmetric else _eliminate)(n, list(chain.from_iterable(m)))
+    if list(zip(*m)) == list(map(tuple, m)):
+        return _determinant([row[i:] for i, row in enumerate(m)])
+    return _eliminate(n, list(chain.from_iterable(m)))
 
 
-def _determinant(n: int, entries: list[int]) -> int:
-    """The determinant of a symmetric order-n matrix from its row-major ``entries``."""
-    if 0 < n <= _KERNEL_MAX_ORDER and entries[0]:
-        det = _bareiss(n)(*entries)
+def _determinant(rows: list[list[int]]) -> int:
+    """The determinant of a symmetric matrix from its upper-triangle
+    ``rows``: row i holds the entries (i, i), (i, i+1), ...; ``rows`` may
+    be mended in place."""
+    n = len(rows)
+    if 0 < n <= _KERNEL_MAX_ORDER and rows[0][0]:
+        det = _bareiss(n)(rows)
         if det is not None:
             return det
-    rows = [entries[i * n + i:i * n + n] for i in range(n)]
-    prev = 1
+    q = 1
     while (s := len(rows)) > 1:
-        pivot = rows[0][0] or _mend(rows)
+        top = rows[0]
+        if s <= _STEP_MAX_ORDER:
+            c0 = top[0] * rows[1][0] - top[1] * top[1]
+            if s == 2:
+                return c0 // q
+            if c0:
+                rows, q = _step2(s)(rows, q, c0), c0 // q
+                continue
+        pivot = top[0] or _mend(rows)
         if not pivot:
             return 0
         top = rows[0]
-        rows = (_step(s)(rows, prev) if s <= _STEP_MAX_ORDER else
-                [[(x * pivot - top[i] * y) // prev for x, y in zip(rows[i], top[i:])] for i in range(1, s)])
-        prev = pivot
+        rows = [[(x * pivot - top[i] * y) // q for x, y in zip(rows[i], top[i:])] for i in range(1, s)]
+        q = pivot
     return rows[0][0] if n else 1
 
 

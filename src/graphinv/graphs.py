@@ -344,6 +344,14 @@ def conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
     Exhaustive over all admissible subsets, so limited to n <= 20.  Returns
     the exact ratio together with one minimising subset.
     """
+    boundary, size, mask = _conductance(g)
+    from fractions import Fraction  # here, so that only a caller of conductance imports it
+    return Fraction(boundary, size), tuple(_bits(mask))
+
+
+def _conductance(g: Graph) -> tuple[int, int, int]:
+    """``conductance`` as ``(boundary, size, mask)``: the least ratio is
+    boundary / size, taken first by the subset with bitmask ``mask``."""
     if g.n > CONDUCTANCE_MAX_VERTICES:
         raise ValueError(f"conductance requires n <= {CONDUCTANCE_MAX_VERTICES}")
     if g.n < 2:
@@ -371,5 +379,4 @@ def conductance(g: Graph) -> tuple[Fraction, tuple[int, ...]]:
         if boundary * best_size < best_boundary * size:
             best_boundary, best_size = boundary, size
             best_set = mask
-    from fractions import Fraction  # here, so that only a caller of conductance imports it
-    return Fraction(best_boundary, best_size), tuple(_bits(best_set))
+    return best_boundary, best_size, best_set

@@ -40,7 +40,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .exact import _check_square, _generated
-from .graphs import DistanceProfile, Graph, conductance, distance_profile, triangle_count, wiener_indices
+from .graphs import DistanceProfile, Graph, _conductance, distance_profile, triangle_count, wiener_indices
 from .matrices import IntMatrix, MatrixKind, build, mat_mul, trace
 
 
@@ -293,12 +293,13 @@ def check_conductance_bracket(ctx: GraphSpectra) -> BoundReport:
     """
     if ctx.g.n < 2:
         raise ValueError("second eigenvalue needs at least two vertices")
-    phi, _ = conductance(ctx.g)
+    boundary, size, _ = _conductance(ctx.g)
+    phi = boundary / size  # correctly rounded, so float(conductance(g)[0]) bit for bit
     atr = ctx[MatrixKind.Atr]
     lam2 = atr.eigenvalues[1]
     r = ctx.profile.r
-    lower = float(phi) ** 2 / (2 * max(ctx.profile.deg)) + min(r)
-    upper = 2 * float(phi) + max(r)
+    lower = phi ** 2 / (2 * max(ctx.profile.deg)) + min(r)
+    upper = 2 * phi + max(r)
     return BoundReport((
         _leq("phi^2/(2*max_deg) + min(tr - deg) < eig_2(Atr)", lower, lam2, atr.tol),
         _leq("eig_2(Atr) <= 2*phi + max(tr - deg)", lam2, upper, atr.tol),

@@ -2,17 +2,17 @@
 
 Deliberately naive implementations (Laplace cofactor expansion, explicit
 minor enumeration, Floyd-Warshall, subset sweeps, the triple-loop matrix
-product, the plain-loop Berkowitz recurrence, the full-column Smith normal
-form loop, the plain Jacobi rotation loop, the per-kind matrix builder, the
-unpruned graph generators and their canonical search) that
-share no code with the library paths they check, beyond the distance
-profile the builder reads, the Smith form's square check and result type,
-the Jacobi tolerance, sweep cap and result type, and the ``Graph`` type and
-tree certificate the generators use.  The census reference tallies full
-fingerprints from the library's ``build``, ``snf`` and ``charpoly``, which
-have oracles of their own here, and checks only the census's key chain and
-bipartite twins.  The edge test, the relabelling that tests apply to graphs
-and the reduced Laplacian of a cone live here too.
+product, the plain-loop Berkowitz recurrence, elimination over a prime
+field, the full-column Smith normal form loop, the plain Jacobi rotation
+loop, the per-kind matrix builder, the unpruned graph generators and their
+canonical search) that share no code with the library paths they check,
+beyond the distance profile the builder reads, the Smith form's square
+check and result type, the Jacobi tolerance, sweep cap and result type, and
+the ``Graph`` type and tree certificate the generators use.  The census
+reference tallies full fingerprints from the library's ``build``, ``snf``
+and ``charpoly``, which have oracles of their own here, and checks only the
+census's key chain and bipartite twins.  The edge test, the relabelling that
+tests apply to graphs and the reduced Laplacian of a cone live here too.
 """
 
 from __future__ import annotations
@@ -209,6 +209,32 @@ def det_cofactor(m) -> int:
             term = m[0][j] * det_cofactor(minor)
             total += -term if j % 2 else term
     return total
+
+
+# Exponents e of Mersenne primes 2^e - 1.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423)
+
+
+def det_modular(m) -> int:
+    """det m by Gaussian elimination over GF(p), with p the least Mersenne
+    prime above twice Hadamard's bound on |det m|, so the residue read in
+    (-p/2, p/2) is the determinant itself."""
+    bound = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in m)
+    p = next(q for e in _MERSENNE_EXPONENTS if (q := (1 << e) - 1) > 2 * bound)
+    a = [[x % p for x in row] for row in m]
+    det = 1
+    for k in range(len(a)):
+        r = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if r is None:
+            return 0
+        a[k], a[r] = a[r], a[k]
+        top = a[k]
+        det = (det if r == k else -det) * top[k] % p
+        inverse = pow(top[k], -1, p)
+        for i in range(k + 1, len(a)):
+            f = a[i][k] * inverse % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], top)]
+    return det - p if det > p // 2 else det
 
 
 def minor_gcd(m, k: int) -> int:

@@ -8,6 +8,7 @@ import pytest
 from graphinv import census
 from graphinv.census import (
     BIPARTITE_TWINS,
+    MAX_JOBS,
     MODES,
     CensusEntry,
     CensusReport,
@@ -189,6 +190,22 @@ def test_census_rejects_worker_count_below_one():
         run_census(generate_connected_graphs(4), [MatrixKind.A], ["spectral"], jobs=-5)
     with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
         tree_census(5, [MatrixKind.A], ["spectral"], jobs=0)
+
+
+def test_census_rejects_worker_count_above_the_cap(monkeypatch):
+    # any wider pool once went to multiprocessing.Pool, so jobs=100000 asked
+    # the host for 100000 processes; the check comes first, and no pool starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    for jobs in (MAX_JOBS + 1, 100000):
+        with pytest.raises(ValueError, match=f"jobs must be <= {MAX_JOBS}, got {jobs}"):
+            run_census(generate_connected_graphs(4), [MatrixKind.A], ["spectral"], jobs=jobs)
+        with pytest.raises(ValueError, match=f"jobs must be <= {MAX_JOBS}, got {jobs}"):
+            tree_census(5, [MatrixKind.A], ["spectral"], jobs=jobs)
+    with pytest.raises(AssertionError, match="a worker pool was started"):
+        run_census(generate_connected_graphs(4), [MatrixKind.A], ["spectral"], jobs=MAX_JOBS)
 
 
 def test_census_rejects_non_integer_order_and_worker_count():

@@ -447,6 +447,34 @@ def test_jobs_below_one_exit_2(capsys):
         assert f"--jobs needs N >= 1, got {jobs}" in err
 
 
+def test_jobs_above_the_cap_exit_2(monkeypatch, capsys):
+    # a pool width above MAX_JOBS once went to multiprocessing.Pool as it
+    # stood; now it is a usage error, and no pool starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    census = ["census", "--n", "4", "--matrices", "A", "--modes", "spectral"]
+    trees = ["trees", "--n", "5", "--matrices", "A", "--modes", "spectral"]
+    for argv, jobs in ((census, str(cli.MAX_JOBS + 1)), (census, "100000"), (trees, "100000")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", jobs])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--jobs needs N <= {cli.MAX_JOBS}, got {jobs}" in err
+
+
+@pytest.mark.parametrize("cores, width", [(None, 1), (2, 2), (cli.MAX_JOBS, cli.MAX_JOBS),
+                                          (cli.MAX_JOBS + 1, cli.MAX_JOBS), (100000, cli.MAX_JOBS)])
+def test_jobs_default_is_the_core_count_up_to_the_cap(monkeypatch, cores, width):
+    # os.cpu_count() is the default width, so a host with more cores than
+    # MAX_JOBS would have failed its own default
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    args = cli._build_parser().parse_args(["census", "--n", "4", "--matrices", "A"])
+    assert args.jobs == width
+
+
 def test_repeated_names_exit_2(capsys):
     # a repeated name once tallied each graph twice: mate_count 42 of total 21
     for argv, name in ((["census", "--n", "5", "--matrices", "A,A", "--modes", "spectral"], "'A'"),
@@ -482,21 +510,23 @@ def test_import_does_not_load_multiprocessing():
     # inspect) and fractions (with decimal) cost it about 1.5 MB of peak RSS
     # and 15 ms, so the records are tuples and only a caller of conductance
     # or CensusEntry.uncertainty imports fractions: a serial census or tree
-    # census loads none of them either
+    # census loads none of them either, nor does the bounds suite, whose
+    # conductance check reads the least ratio as a float of two ints
     src = Path(graphinv.__file__).resolve().parent.parent
     code = ("import contextlib, io, sys, graphinv.cli\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] in\n"
             "                  ('multiprocessing', 'dataclasses', 'inspect', 'fractions', 'decimal'))\n"
             "print(loaded())\n"
-            "for argv in (['census', '--n', '5'], ['trees', '--n', '6']):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        kinds = ','.join(graphinv.cli.CLI_KINDS)\n"
-            "        assert graphinv.cli.main(argv + ['--matrices', kinds, '--jobs', '1']) == 0\n"
+            "kinds = ['--matrices', ','.join(graphinv.cli.CLI_KINDS), '--jobs', '1']\n"
+            "for argv in (['census', '--n', '5', *kinds], ['trees', '--n', '6', *kinds],\n"
+            "             ['verify', '--suite', 'bounds', '--n-max', '5']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert graphinv.cli.main(argv) == 0\n"
             "    print(loaded())\n")
     done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n[]\n[]\n"
+    assert done.stdout == "[]\n[]\n[]\n[]\n"
 
 
 def test_import_fills_no_lru_cache():

@@ -26,6 +26,7 @@ from oracles import (
     charpoly_berkowitz_reference,
     charpoly_cofactor,
     det_cofactor,
+    det_modular,
     identity_matrix,
     minor_gcd,
     poly_eval,
@@ -371,9 +372,17 @@ _KERNEL_ORDERS = exact._KERNEL_MAX_ORDER + 1
 
 
 def _det_oracle(m):
-    # cofactor expansion up to n = 6; past that, the reference charpoly's c_n
+    # cofactor expansion up to n = 6, the reference charpoly's c_n up to 24,
+    # and elimination over a prime field past that
     n = len(m)
-    return det_cofactor(m) if n <= 6 else (-1) ** n * charpoly_berkowitz_reference(m)[-1]
+    if n <= 6:
+        return det_cofactor(m)
+    return (-1) ** n * charpoly_berkowitz_reference(m)[-1] if n <= 24 else det_modular(m)
+
+
+def _upper(m):
+    """The upper-triangle rows of ``m``, as the symmetric determinant takes them."""
+    return [list(row[i:]) for i, row in enumerate(m)]
 
 
 def _kernel_cases(rng):
@@ -447,14 +456,9 @@ def _zero_row(rng, m):
     return m
 
 
-def _scrambled_lower(rng, m):
-    """``m`` with every entry below the diagonal replaced at random."""
-    return [[x if j >= i else rng.randint(-99, 99) for j, x in enumerate(row)] for i, row in enumerate(m)]
-
-
 def test_determinant_kernels_match_oracle_and_loop(monkeypatch):
     # on a symmetric matrix each order's kernel gives the determinant or None
-    # from the upper triangle alone, and determinant() gives the oracle's
+    # from the upper-triangle rows, and determinant() gives the oracle's
     # value, the same as with every order on the row updates and as the
     # general loop; a matrix that is not symmetric takes the general loop
     rng = random.Random(2026)
@@ -466,7 +470,7 @@ def test_determinant_kernels_match_oracle_and_loop(monkeypatch):
     for m, det in zip(cases, with_kernels):
         entries = list(chain.from_iterable(m))
         assert det == _det_oracle(m) == determinant(m) == exact._eliminate(len(m), entries), m
-        kernel_det = exact._bareiss(len(m))(*chain.from_iterable(_scrambled_lower(rng, m)))
+        kernel_det = exact._bareiss(len(m))(_upper(m))
         assert kernel_det in (None, det), m
         if kernel_det is None:
             fallbacks.add(len(m))
@@ -482,15 +486,15 @@ def test_determinant_kernel_falls_back_at_a_zero_pivot():
     # a tree distance matrix has a zero first pivot
     for t in generate_trees(8):
         d = build(t, MatrixKind.D)
-        assert exact._bareiss(8)(*chain.from_iterable(d)) is None
+        assert exact._bareiss(8)(_upper(d)) is None
         assert determinant(d) == det_tree_distance(8)
     # the second pivot a00 a11 - a10 a01 is zero, though the matrix is not singular
     m = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
-    assert exact._bareiss(3)(*chain.from_iterable(m)) is None
+    assert exact._bareiss(3)(_upper(m)) is None
     assert determinant(m) == det_cofactor(m) == -1
     # singular: the kernel's last step gives 0, or a zero pivot sends it to the row updates
     for m in ([[1, 2], [2, 4]], [[1, 2, 3], [2, 5, 8], [3, 8, 13]], [[2, 2, 1], [2, 2, 1], [1, 1, 5]]):
-        assert exact._bareiss(len(m))(*chain.from_iterable(m)) in (None, 0)
+        assert exact._bareiss(len(m))(_upper(m)) in (None, 0)
         assert determinant(m) == 0
     # singular and not symmetric: the general loop
     for m in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[2, 1, 1], [2, 1, 1], [0, 0, 5]]):
@@ -498,12 +502,12 @@ def test_determinant_kernel_falls_back_at_a_zero_pivot():
 
 
 def test_each_determinant_kernel_is_compiled_once():
-    # every order's kernel and every block order's step compiles on its first
-    # use only; a zero diagonal skips the straight-line kernel, and orders
-    # above _STEP_MAX_ORDER take plain row updates
+    # every order's kernel and every block order's two-step kernel (3..16)
+    # compiles on its first use only; a zero diagonal skips the straight-line
+    # kernel, and orders above _STEP_MAX_ORDER take plain row updates
     rng = random.Random(7)
     exact._bareiss.cache_clear()
-    exact._step.cache_clear()
+    exact._step2.cache_clear()
     orders = range(exact._STEP_MAX_ORDER + 3)
     for _ in range(3):
         for n in orders:
@@ -515,50 +519,85 @@ def test_each_determinant_kernel_is_compiled_once():
             assert determinant(m) == _det_oracle(m)
     info = exact._bareiss.cache_info()
     assert (info.currsize, info.misses) == (_KERNEL_ORDERS - 1, _KERNEL_ORDERS - 1)
-    info = exact._step.cache_info()
-    assert (info.currsize, info.misses) == (exact._STEP_MAX_ORDER - 1, exact._STEP_MAX_ORDER - 1)
+    info = exact._step2.cache_info()
+    assert (info.currsize, info.misses) == (exact._STEP_MAX_ORDER - 2, exact._STEP_MAX_ORDER - 2)
 
 
 def _symmetric_step_cases(rng, n):
     """Seeded symmetric matrices of order n: dense with wide entries, sparse
-    0/+-1, zero-diagonal, and singular by a repeated row and column or by a
-    zero row and column."""
+    0/+-1, zero-diagonal, 0/1 with a zero diagonal (as A is), singular by a
+    repeated row and column or by a zero row and column, and one whose first
+    leading 2x2 minor c0 is 0 as a00 = a01 = 0."""
     cases = [_symmetrized(_random_matrix(rng, n, bound)) for bound in (1, 9, 1000)]
     cases.append(_symmetrized(_sparse_unit_matrix(rng, n)))
-    m = _symmetrized(_random_matrix(rng, n, 3))
-    for i in range(n):
-        m[i][i] = 0
-    cases.append(m)
+    for entries in (range(-3, 4), (0, 1)):
+        m = _symmetrized([[rng.choice(entries) for _ in range(n)] for _ in range(n)])
+        for i in range(n):
+            m[i][i] = 0
+        cases.append(m)
     if n >= 2:
         cases.append(_repeated_row(rng, _symmetrized(_random_matrix(rng, n))))
         cases.append(_zero_row(rng, _symmetrized(_random_matrix(rng, n))))
+        m = _symmetrized(_random_matrix(rng, n))
+        m[0][0] = m[0][1] = m[1][0] = 0
+        cases.append(m)
     return cases
 
 
+def _singular_leading_block(rng, n, k):
+    """A seeded symmetric order-n matrix whose leading (k+1) block has row
+    and column k the sum of the rows and columns above, so that minor is 0."""
+    m = _symmetrized(_random_matrix(rng, n))
+    sums = [sum(col) for col in zip(*(row[:k] for row in m[:k]))]
+    for j, v in enumerate(sums):
+        m[k][j] = m[j][k] = v
+    m[k][k] = sum(sums)
+    return m
+
+
 def test_determinant_steps_match_the_loop_across_the_hand_over(monkeypatch):
-    # orders 0..20, 33 and 64 cross the hand-over from row updates to step
-    # kernels at _STEP_MAX_ORDER: the upper triangle alone gives the general
-    # loop's value, and up to 20 the oracle's; a zero first entry skips the
-    # straight-line kernel
+    # orders 0..20, 33 and 64 cross the hand-over from row updates to
+    # two-step kernels at _STEP_MAX_ORDER: the upper triangle alone gives the
+    # general loop's and the oracle's value; a zero first entry skips the
+    # straight-line kernel, no two-step kernel outside 3.._STEP_MAX_ORDER is
+    # asked for, and a block whose leading 2x2 minor c0 is 0, at step 0 or
+    # midway, takes a single step instead
     rng = random.Random(32)
     tried, bareiss = [], exact._bareiss
     monkeypatch.setattr(exact, "_bareiss", lambda n: tried.append(n) or bareiss(n))
+    orders, step2 = [], exact._step2
+    monkeypatch.setattr(exact, "_step2", lambda s: orders.append(s) or step2(s))
     for n in [*range(21), 33, 64]:
-        for m in _symmetric_step_cases(rng, n):
+        # the step at which the two-step blocks start, once the blocks above 16 are stepped down
+        start = max(0, n - exact._STEP_MAX_ORDER)
+        cases = _symmetric_step_cases(rng, n)
+        c0_at_0 = len(cases) - 1
+        if n - start >= 5:
+            # c0 = 0 at a later two-step block: its leading minor of order t + 2 is 0
+            t = rng.randrange(start + 2, n - 2, 2)
+            cases.append(_singular_leading_block(rng, n, t + 1))
+        asked = []
+        for m in cases:
             assert m == _symmetrized(m)
             det = exact._eliminate(n, list(chain.from_iterable(m)))
             tried.clear()
-            assert exact._determinant(n, list(chain.from_iterable(m))) == det, m
-            assert n > 20 or det == _det_oracle(m), m
+            orders.clear()
+            assert exact._determinant(_upper(m)) == det == _det_oracle(m), m
+            asked.append(list(orders))
             assert tried == ([n] if 0 < n <= exact._KERNEL_MAX_ORDER and m[0][0] else []), m
-            scrambled = list(chain.from_iterable(_scrambled_lower(rng, m)))
-            assert exact._determinant(n, scrambled) == det, m
+            assert determinant(m) == det, m
+            assert all(3 <= s <= exact._STEP_MAX_ORDER for s in orders), m
+        if 3 <= n <= exact._STEP_MAX_ORDER:
+            assert cases[c0_at_0][0][:2] == [0, 0] and n not in asked[c0_at_0]
+        if n - start >= 5:
+            assert n - t + 2 in asked[-1] and n - t not in asked[-1], (n, t, asked[-1])
 
 
 def test_large_determinant_compiles_no_step_kernel_above_the_cap(monkeypatch):
     # a 20x20 or 64x64 determinant runs plain row updates until its block
-    # shrinks to _STEP_MAX_ORDER, so it compiles the step kernels of block
-    # orders 2.._STEP_MAX_ORDER and no other kernel
+    # shrinks to _STEP_MAX_ORDER, then two steps per call, so it compiles the
+    # two-step kernels of block orders _STEP_MAX_ORDER, _STEP_MAX_ORDER - 2,
+    # ..., 4 and no other kernel (order 2 is taken inline)
     rng = random.Random(20)
     compiled = []
 
@@ -570,12 +609,13 @@ def test_large_determinant_compiles_no_step_kernel_above_the_cap(monkeypatch):
     for n in (20, 64):
         m = _symmetrized(_random_matrix(rng, n))
         exact._bareiss.cache_clear()
-        exact._step.cache_clear()
+        exact._step2.cache_clear()
         compiled.clear()
         det = determinant(m)
-        assert det == (_det_oracle(m) if n <= 20 else exact._eliminate(n, list(chain.from_iterable(m))))
-        assert compiled == [f"<Bareiss step kernel, n = {s}>" for s in range(exact._STEP_MAX_ORDER, 1, -1)]
-        assert exact._step.cache_info().currsize == exact._STEP_MAX_ORDER - 1
+        assert det == _det_oracle(m) == exact._eliminate(n, list(chain.from_iterable(m)))
+        orders = range(exact._STEP_MAX_ORDER, 3, -2)
+        assert compiled == [f"<Bareiss two-step kernel, n = {s}>" for s in orders]
+        assert exact._step2.cache_info().currsize == len(orders)
 
 
 def _random_connected_graph(rng, n):
@@ -590,29 +630,46 @@ def _random_connected_graph(rng, n):
 def test_symmetric_determinant_matches_the_loop_above_the_kernels(monkeypatch):
     # every d input (the L and DL leading blocks among them) and every second
     # key input of seeded connected graphs with 9 <= n <= 24 in all ten kinds,
-    # as the census passes them: the step kernels and row updates give the
+    # as the census passes them: the two-step kernels and row updates give the
     # general loop's and the oracle's value from the upper triangle alone,
     # never reach the loop, and between them take every way out of a zero
     # pivot
     rng = random.Random(31)
-    inputs = []
-    monkeypatch.setattr(census, "_determinant", lambda n, entries: inputs.append((n, entries)) or 0)
+    inputs, kinds = [], []
+    monkeypatch.setattr(census, "_determinant", lambda rows: inputs.append(rows) or 0)
     for n in range(_KERNEL_ORDERS, 25):
         g = _random_connected_graph(rng, n)
         for kind in MatrixKind:
             m = build(g, kind)
             census._det_key(kind, m)
             census._shifted_det(kind, m)
+            kinds += [kind, None]
     assert len(inputs) == 2 * 10 * (25 - _KERNEL_ORDERS)
-    # a zero pivot that adding no row mends: 2 a_0m + a_mm = 0 for every m
+    # a zero pivot that adding no row mends: 2 a_0m + a_mm = 0 for every m;
+    # a01 = 1 gives c0 = -1, so it takes a two-step call with no mend
     m = _symmetrized(_random_matrix(rng, 11))
     m[0] = [0] + [1] * 10
     for i in range(1, 11):
         m[i][0], m[i][i] = 1, -2
-    inputs.append((11, list(chain.from_iterable(m))))
+    inputs.append(_upper(m))
+    # the same with a01 = a11 = 0, so c0 = 0: a single step, mended by subtracting
+    m = _symmetrized(_random_matrix(rng, 11))
+    m[0] = [0, 0] + [1] * 9
+    m[1][0] = m[1][1] = 0
+    for i in range(2, 11):
+        m[i][0], m[i][i] = 1, -2
+    inputs.append(_upper(m))
     # a repeated row and column: a zero row once the first step is taken
     m = _repeated_row(rng, _symmetrized(_random_matrix(rng, 11)))
-    inputs.append((11, list(chain.from_iterable(m))))
+    inputs.append(_upper(m))
+    kinds += [None] * 3
+    # _random_connected_graph joins vertices 0 and 1, so relabel one A to part them
+    m = build(_random_connected_graph(rng, 12), MatrixKind.A)
+    v = m[0].index(0, 1)
+    perm = list(range(12))
+    perm[1], perm[v] = v, 1
+    inputs.append(_upper([[m[i][j] for j in perm] for i in perm]))
+    kinds.append(MatrixKind.A)
     mends, loops, eliminate, mend = [], [], exact._eliminate, exact._mend
 
     def recorded_mend(rows):
@@ -624,22 +681,30 @@ def test_symmetric_determinant_matches_the_loop_above_the_kernels(monkeypatch):
 
     monkeypatch.setattr(exact, "_mend", recorded_mend)
     monkeypatch.setattr(exact, "_eliminate", lambda n, entries: loops.append(n) or eliminate(n, entries))
-    for n, entries in inputs:
-        m = [entries[i * n:i * n + n] for i in range(n)]
-        assert m == _symmetrized(m)
-        loop = eliminate(n, entries)
-        assert exact._determinant(n, entries) == loop == _det_oracle(m), m
-        assert exact._determinant(n, list(chain.from_iterable(_scrambled_lower(rng, m)))) == loop, m
-    assert loops == []
-    assert 0 in {k for k, _ in mends} and any(k for k, _ in mends)
-    assert {how for _, how in mends} == {"add", "subtract", "zero row"}
-    # A and D have a zero diagonal, so each mends its first pivot
-    for kind in (MatrixKind.A, MatrixKind.D):
+    first_mends = {MatrixKind.A: set(), MatrixKind.D: set()}
+    all_mends = []
+    for kind, rows in zip(kinds, inputs):
+        n = len(rows)
+        m = [[rows[min(i, j)][abs(j - i)] for j in range(n)] for i in range(n)]
+        loop = eliminate(n, list(chain.from_iterable(m)))
         mends.clear()
-        m = build(g, kind)
-        n = g.n
-        assert exact._determinant(n, list(chain.from_iterable(m))) == _det_oracle(m)
-        assert mends[0][0] == 0
+        assert exact._determinant(_upper(m)) == loop == _det_oracle(m), m
+        # A and D have a zero diagonal.  Up to order _STEP_MAX_ORDER, D's
+        # a01 = d(0, 1) > 0 gives c0 = -a01² != 0, so D never mends at step 0,
+        # while A mends there exactly when a01 = 0; above it step 0 is a
+        # single step, so both mend there
+        if kind in first_mends:
+            at_step_0 = bool(mends) and mends[0][0] == 0
+            two_step = n <= exact._STEP_MAX_ORDER
+            assert at_step_0 == (not two_step or kind is MatrixKind.A and m[0][1] == 0), (kind, m)
+            first_mends[kind].add((two_step, at_step_0))
+        all_mends += mends
+        assert determinant(m) == loop, m
+    assert loops == []
+    assert 0 in {k for k, _ in all_mends} and any(k for k, _ in all_mends)
+    assert {how for _, how in all_mends} == {"add", "subtract", "zero row"}
+    assert first_mends == {MatrixKind.A: {(True, False), (True, True), (False, True)},
+                           MatrixKind.D: {(True, False), (False, True)}}
 
 
 def test_determinant_reads_a_matrix_that_is_not_symmetric_whole():

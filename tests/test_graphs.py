@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphinv import graphs
 from graphinv.graphs import (
     Graph,
     Graph6ParseError,
@@ -378,6 +379,21 @@ def test_conductance_matches_fraction_loop():
             assert conductance(g) == conductance_fraction_loop(g)
             checked += 1
     assert checked == 1 + 2 + 6 + 21 + 112 + 853
+
+
+def test_conductance_as_two_ints_reads_the_same_float():
+    # the bounds suite reads the least ratio as boundary / size, with no
+    # Fraction: correctly rounded, so bit for bit float(phi), though the
+    # pair need not be in lowest terms
+    unreduced = 0
+    for n in range(2, 8):
+        for g in generate_connected_graphs(n):
+            boundary, size, mask = graphs._conductance(g)
+            phi, s = conductance(g)
+            assert Fraction(boundary, size) == phi and boundary / size == float(phi)
+            assert [v for v in range(n) if mask >> v & 1] == list(s)
+            unreduced += math.gcd(boundary, size) > 1
+    assert unreduced
 
 
 def test_conductance_limits():
