@@ -9,10 +9,8 @@ comparing invariant factors, so no floating point or tolerance enters any
 census.
 
 A symmetric matrix's determinant keeps the upper triangle only, as a Bareiss
-step ``(a_ij·p − a_ki·a_kj) / q`` keeps the trailing block symmetric.  Each
-order n <= 8 (``_KERNEL_MAX_ORDER``) with a nonzero first entry tries a
-straight-line kernel, which gives up at a zero pivot.  Otherwise a trailing
-block of order s <= 16 (``_STEP_MAX_ORDER``) whose leading 2x2 minor
+step ``(a_ij·p − a_ki·a_kj) / q`` keeps the trailing block symmetric.  A
+trailing block of order s <= 16 (``_STEP_MAX_ORDER``) whose leading 2x2 minor
 ``c0 = a00·a11 − a01²`` is nonzero takes two steps in one generated
 ``_step2(s)`` call (Bareiss's two-step form).  With q the pivot before the
 block, Sylvester's identity makes each entry two orders down the 3x3 minor
@@ -31,8 +29,8 @@ first m with ``a_mm − 2·a_km ≠ 0``, which exists as some ``a_km ≠ 0``.
 Either determinant-1 congruence fixes the leading blocks, so it applies in
 place to the bordered minors the rows hold, bilinear in their bordering row
 and column.  Only a non-symmetric matrix takes the loop with row swaps.
-``_generated`` compiles each kernel on first use (none at import);
-``spectra`` uses it too.
+``_generated`` compiles only ``_step2`` and ``spectra``'s Jacobi sweeps,
+each kernel on its first use (none at import).
 """
 
 from __future__ import annotations
@@ -213,9 +211,6 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-# Orders with a straight-line determinant kernel: every graph the census and
-# the verify suites read.  A larger one costs too much memory to compile.
-_KERNEL_MAX_ORDER = 8
 # Trailing orders with a two-step kernel (3..16); compiling 17..64 too would
 # take 0.7 s and 21 MB.
 _STEP_MAX_ORDER = 16
@@ -237,39 +232,14 @@ def _generated(label: str):
     return decorate
 
 
-def _unpacked(n: int) -> str:
-    """A kernel line that unpacks the upper-triangle ``rows`` of an order-n
-    block into the locals ``a{i}_{j}``."""
-    targets = (f"({''.join(f'a{i}_{j}, ' for j in range(i, n))})" for i in range(n))
-    return f"    [{', '.join(targets)}] = rows"
-
-
-@_generated("Bareiss")
-def _bareiss(n: int):
-    """Fraction-free elimination of a symmetric order-n matrix: ``f(rows)``,
-    ``rows`` its upper-triangle rows, returns the determinant, or None at a
-    zero pivot.  Step k divides by step k-1's pivot, and step 0 by 1."""
-    def a(i: int, j: int) -> str:
-        return f"a{i}_{j}"
-
-    lines = ["def kernel(rows):", _unpacked(n)]
-    for k in range(n - 1):
-        lines += [f"    if not {a(k, k)}:",
-                  "        return None"]
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                update = f"{a(i, j)} * {a(k, k)} - {a(k, i)} * {a(k, j)}"
-                lines.append(f"    {a(i, j)} = " + (f"({update}) // {a(k - 1, k - 1)}" if k else update))
-    lines.append(f"    return {a(n - 1, n - 1) if n else 1}")
-    return lines, {}
-
-
 @_generated("Bareiss two-step")
 def _step2(s: int):
     """Two Bareiss steps on the upper-triangle rows of an order-s block:
     ``f(rows, q, c0)``, with q the pivot before the block and c0 its nonzero
-    leading 2x2 minor, returns the rows of the block two orders down."""
-    lines = ["def kernel(rows, q, c0):", _unpacked(s), "    qq = q * q"]
+    leading 2x2 minor, returns the rows of the block two orders down.  It
+    unpacks ``rows`` into the locals ``a{i}_{j}``."""
+    targets = (f"({''.join(f'a{i}_{j}, ' for j in range(i, s))})" for i in range(s))
+    lines = ["def kernel(rows, q, c0):", f"    [{', '.join(targets)}] = rows", "    qq = q * q"]
     for j in range(2, s):
         lines.append(f"    x{j} = a0_{j} * a1_1 - a0_1 * a1_{j}; y{j} = a0_0 * a1_{j} - a0_{j} * a0_1")
     rows = (", ".join(f"(a{i}_{j} * c0 - a0_{i} * x{j} - a1_{i} * y{j}) // qq" for j in range(i, s))
@@ -290,11 +260,6 @@ def _determinant(rows: list[list[int]]) -> int:
     """The determinant of a symmetric matrix from its upper-triangle
     ``rows``: row i holds the entries (i, i), (i, i+1), ...; ``rows`` may
     be mended in place."""
-    n = len(rows)
-    if 0 < n <= _KERNEL_MAX_ORDER and rows[0][0]:
-        det = _bareiss(n)(rows)
-        if det is not None:
-            return det
     q = 1
     while (s := len(rows)) > 1:
         top = rows[0]
@@ -311,7 +276,7 @@ def _determinant(rows: list[list[int]]) -> int:
         top = rows[0]
         rows = [[(x * pivot - top[i] * y) // q for x, y in zip(rows[i], top[i:])] for i in range(1, s)]
         q = pivot
-    return rows[0][0] if n else 1
+    return rows[0][0] if rows else 1
 
 
 def _mend(rows: list[list[int]]) -> int:

@@ -139,7 +139,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 # Named small graphs used throughout the tests and the CLI examples.
 
 def complete_graph(n: int) -> Graph:
-    _require_int("vertex count", n)
+    _require_order(n)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << u) for u in range(n)))
 
@@ -159,6 +159,8 @@ def cycle_graph(n: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """Star with ``leaves`` leaves attached to centre 0 (leaves + 1 vertices)."""
     _require_int("leaves", leaves)
+    if not 0 <= leaves < MAX_VERTICES:
+        raise ValueError(f"leaves must be in 0..{MAX_VERTICES - 1}, got {leaves}")
     return graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 import signal
 from fractions import Fraction
@@ -368,7 +369,8 @@ def test_determinant_vs_invariant_factors():
             assert abs(d) == prod
 
 
-_KERNEL_ORDERS = exact._KERNEL_MAX_ORDER + 1
+# the orders the small-matrix case builders draw
+_KERNEL_ORDERS = range(9)
 
 
 def _det_oracle(m):
@@ -386,12 +388,12 @@ def _upper(m):
 
 
 def _kernel_cases(rng):
-    """Seeded matrices of every kernel order 0..8 (none symmetric but by
-    chance): dense with wide entries, sparse 0/+-1, and three that force the
-    fallback: a leading principal minor made singular midway, a repeated row
-    and a zero row."""
+    """Seeded matrices of every order 0..8 (none symmetric but by chance):
+    dense with wide entries, sparse 0/+-1, and three with a zero pivot: a
+    leading principal minor made singular midway, a repeated row and a zero
+    row."""
     cases = []
-    for n in range(_KERNEL_ORDERS):
+    for n in _KERNEL_ORDERS:
         for bound in (1, 9, 1000):
             cases += [_random_matrix(rng, n, bound) for _ in range(8)]
         cases += [_sparse_unit_matrix(rng, n) for _ in range(8)]
@@ -415,12 +417,12 @@ def _symmetrized(m):
 
 
 def _symmetric_kernel_cases(rng):
-    """Seeded symmetric matrices of every kernel order 0..8: dense with wide
-    entries, sparse 0/+-1, and three that force the fallback: a leading
-    principal minor made singular midway, a repeated row and column, and a
-    zero row and column."""
+    """Seeded symmetric matrices of every order 0..8: dense with wide
+    entries, sparse 0/+-1, and three with a zero pivot: a leading principal
+    minor made singular midway, a repeated row and column, and a zero row and
+    column."""
     cases = []
-    for n in range(_KERNEL_ORDERS):
+    for n in _KERNEL_ORDERS:
         for bound in (1, 9, 1000):
             cases += [_symmetrized(_random_matrix(rng, n, bound)) for _ in range(8)]
         cases += [_symmetrized(_sparse_unit_matrix(rng, n)) for _ in range(8)]
@@ -456,57 +458,52 @@ def _zero_row(rng, m):
     return m
 
 
-def test_determinant_kernels_match_oracle_and_loop(monkeypatch):
-    # on a symmetric matrix each order's kernel gives the determinant or None
-    # from the upper-triangle rows, and determinant() gives the oracle's
-    # value, the same as with every order on the row updates and as the
-    # general loop; a matrix that is not symmetric takes the general loop
+def test_determinant_kernels_match_oracle_and_loop():
+    # on a symmetric matrix of order 0..8 the two-step kernels and single
+    # steps give the oracle's value from the upper-triangle rows, the same
+    # as determinant() and as the general loop; a matrix that is not
+    # symmetric takes the general loop
     rng = random.Random(2026)
     cases = _symmetric_kernel_cases(rng)
     assert all(m == _symmetrized(m) for m in cases)
-    fallbacks, kernel_dets = set(), 0
-    with_kernels = [determinant(m) for m in cases]
-    monkeypatch.setattr(exact, "_KERNEL_MAX_ORDER", -1)
-    for m, det in zip(cases, with_kernels):
+    for m in cases:
         entries = list(chain.from_iterable(m))
+        det = exact._determinant(_upper(m))
         assert det == _det_oracle(m) == determinant(m) == exact._eliminate(len(m), entries), m
-        kernel_det = exact._bareiss(len(m))(_upper(m))
-        assert kernel_det in (None, det), m
-        if kernel_det is None:
-            fallbacks.add(len(m))
-        kernel_dets += kernel_det is not None
-    assert fallbacks == set(range(2, _KERNEL_ORDERS))
-    assert kernel_dets > len(cases) // 2
-    monkeypatch.undo()
     for m in _kernel_cases(rng):
         assert determinant(m) == _det_oracle(m), m
 
 
-def test_determinant_kernel_falls_back_at_a_zero_pivot():
-    # a tree distance matrix has a zero first pivot
+def test_determinant_kernel_falls_back_at_a_zero_pivot(monkeypatch):
+    orders, step2 = [], exact._step2
+    monkeypatch.setattr(exact, "_step2", lambda s: orders.append(s) or step2(s))
+    # a tree distance matrix has a zero first pivot but a nonzero leading 2x2
+    # minor c0, so its first two steps are still one two-step call
     for t in generate_trees(8):
         d = build(t, MatrixKind.D)
-        assert exact._bareiss(8)(_upper(d)) is None
+        orders.clear()
         assert determinant(d) == det_tree_distance(8)
-    # the second pivot a00 a11 - a10 a01 is zero, though the matrix is not singular
+        assert orders[:1] == [8]
+    # the second pivot a00 a11 - a10 a01 is zero, though the matrix is not
+    # singular: c0 = 0, so it takes a single step and no two-step call
     m = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
-    assert exact._bareiss(3)(_upper(m)) is None
+    orders.clear()
     assert determinant(m) == det_cofactor(m) == -1
-    # singular: the kernel's last step gives 0, or a zero pivot sends it to the row updates
+    assert orders == []
+    # singular: the two-step call's last step gives 0, or c0 = 0 sends it to a single step
     for m in ([[1, 2], [2, 4]], [[1, 2, 3], [2, 5, 8], [3, 8, 13]], [[2, 2, 1], [2, 2, 1], [1, 1, 5]]):
-        assert exact._bareiss(len(m))(_upper(m)) in (None, 0)
+        orders.clear()
         assert determinant(m) == 0
+        assert orders == ([3] if m[0][0] * m[1][1] != m[0][1] ** 2 else []), m
     # singular and not symmetric: the general loop
     for m in ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[2, 1, 1], [2, 1, 1], [0, 0, 5]]):
         assert determinant(m) == 0
 
 
 def test_each_determinant_kernel_is_compiled_once():
-    # every order's kernel and every block order's two-step kernel (3..16)
-    # compiles on its first use only; a zero diagonal skips the straight-line
-    # kernel, and orders above _STEP_MAX_ORDER take plain row updates
+    # every block order's two-step kernel (3..16) compiles on its first use
+    # only, and orders above _STEP_MAX_ORDER take plain row updates
     rng = random.Random(7)
-    exact._bareiss.cache_clear()
     exact._step2.cache_clear()
     orders = range(exact._STEP_MAX_ORDER + 3)
     for _ in range(3):
@@ -517,8 +514,6 @@ def test_each_determinant_kernel_is_compiled_once():
             for i in range(n):
                 m[i][i] = 0
             assert determinant(m) == _det_oracle(m)
-    info = exact._bareiss.cache_info()
-    assert (info.currsize, info.misses) == (_KERNEL_ORDERS - 1, _KERNEL_ORDERS - 1)
     info = exact._step2.cache_info()
     assert (info.currsize, info.misses) == (exact._STEP_MAX_ORDER - 2, exact._STEP_MAX_ORDER - 2)
 
@@ -558,13 +553,11 @@ def _singular_leading_block(rng, n, k):
 def test_determinant_steps_match_the_loop_across_the_hand_over(monkeypatch):
     # orders 0..20, 33 and 64 cross the hand-over from row updates to
     # two-step kernels at _STEP_MAX_ORDER: the upper triangle alone gives the
-    # general loop's and the oracle's value; a zero first entry skips the
-    # straight-line kernel, no two-step kernel outside 3.._STEP_MAX_ORDER is
-    # asked for, and a block whose leading 2x2 minor c0 is 0, at step 0 or
-    # midway, takes a single step instead
+    # general loop's and the oracle's value; a block of order 3..16 whose
+    # leading 2x2 minor c0 is nonzero takes a two-step call, no two-step
+    # kernel outside 3.._STEP_MAX_ORDER is asked for, and a block with c0 = 0,
+    # at step 0 or midway, takes a single step instead
     rng = random.Random(32)
-    tried, bareiss = [], exact._bareiss
-    monkeypatch.setattr(exact, "_bareiss", lambda n: tried.append(n) or bareiss(n))
     orders, step2 = [], exact._step2
     monkeypatch.setattr(exact, "_step2", lambda s: orders.append(s) or step2(s))
     for n in [*range(21), 33, 64]:
@@ -580,11 +573,11 @@ def test_determinant_steps_match_the_loop_across_the_hand_over(monkeypatch):
         for m in cases:
             assert m == _symmetrized(m)
             det = exact._eliminate(n, list(chain.from_iterable(m)))
-            tried.clear()
             orders.clear()
             assert exact._determinant(_upper(m)) == det == _det_oracle(m), m
             asked.append(list(orders))
-            assert tried == ([n] if 0 < n <= exact._KERNEL_MAX_ORDER and m[0][0] else []), m
+            c0 = m[0][0] * m[1][1] - m[0][1] ** 2 if n > 1 else 0
+            assert (orders[:1] == [n]) == (3 <= n <= exact._STEP_MAX_ORDER and c0 != 0), m
             assert determinant(m) == det, m
             assert all(3 <= s <= exact._STEP_MAX_ORDER for s in orders), m
         if 3 <= n <= exact._STEP_MAX_ORDER:
@@ -608,7 +601,6 @@ def test_large_determinant_compiles_no_step_kernel_above_the_cap(monkeypatch):
     monkeypatch.setattr(exact, "compile", recorded_compile, raising=False)
     for n in (20, 64):
         m = _symmetrized(_random_matrix(rng, n))
-        exact._bareiss.cache_clear()
         exact._step2.cache_clear()
         compiled.clear()
         det = determinant(m)
@@ -627,24 +619,26 @@ def _random_connected_graph(rng, n):
     return graph_from_edges(n, edges)
 
 
-def test_symmetric_determinant_matches_the_loop_above_the_kernels(monkeypatch):
+def test_symmetric_determinant_matches_the_loop_on_census_inputs(monkeypatch):
     # every d input (the L and DL leading blocks among them) and every second
-    # key input of seeded connected graphs with 9 <= n <= 24 in all ten kinds,
+    # key input of seeded connected graphs with 2 <= n <= 24 in all ten kinds,
     # as the census passes them: the two-step kernels and row updates give the
     # general loop's and the oracle's value from the upper triangle alone,
     # never reach the loop, and between them take every way out of a zero
-    # pivot
-    rng = random.Random(31)
+    # pivot; orders 2..8 draw from their own generator, so the seeded inputs
+    # of orders 9..24 and after stay as they were
+    rng, small = random.Random(31), random.Random(37)
     inputs, kinds = [], []
     monkeypatch.setattr(census, "_determinant", lambda rows: inputs.append(rows) or 0)
-    for n in range(_KERNEL_ORDERS, 25):
-        g = _random_connected_graph(rng, n)
+    graphs = [_random_connected_graph(small, n) for n in range(2, 9)]
+    graphs += [_random_connected_graph(rng, n) for n in range(9, 25)]
+    for g in graphs:
         for kind in MatrixKind:
             m = build(g, kind)
             census._det_key(kind, m)
             census._shifted_det(kind, m)
             kinds += [kind, None]
-    assert len(inputs) == 2 * 10 * (25 - _KERNEL_ORDERS)
+    assert len(inputs) == 2 * 10 * (25 - 2)
     # a zero pivot that adding no row mends: 2 a_0m + a_mm = 0 for every m;
     # a01 = 1 gives c0 = -1, so it takes a two-step call with no mend
     m = _symmetrized(_random_matrix(rng, 11))
@@ -715,6 +709,21 @@ def test_determinant_reads_a_matrix_that_is_not_symmetric_whole():
         m = [list(row) for row in s]
         m[n - 1][0] += 1
         assert determinant(m) == _det_oracle(m) != determinant(s) == _det_oracle(s)
+
+
+def test_determinant_leaves_its_argument_unchanged(monkeypatch):
+    # an A whose zero first pivot is mended (a00 = a01 = 0, so c0 = 0), a
+    # symmetric matrix of order above 16, and a matrix that is not symmetric
+    # and needs a row swap
+    rng = random.Random(41)
+    mended, mend = [], exact._mend
+    monkeypatch.setattr(exact, "_mend", lambda rows: mended.append(len(rows)) or mend(rows))
+    a = build(graph_from_edges(4, [(0, 2), (1, 2), (1, 3)]), MatrixKind.A)
+    for m in (a, _symmetrized(_random_matrix(rng, 20)), [[0, 1, 2], [3, 4, 5], [6, 7, 9]]):
+        before = copy.deepcopy(m)
+        assert determinant(m) == _det_oracle(before)
+        assert m == before
+    assert mended[:1] == [4]
 
 
 def test_cokernel():

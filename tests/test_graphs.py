@@ -49,10 +49,14 @@ def test_graph_validation():
 
 def test_graph_rejects_a_non_integer_order_or_bool_row():
     # 3.0 once failed with a raw TypeError from 1 << n; True passed as n = 1,
-    # and as a row, since a bool is an int
+    # and as a row, since a bool is an int; complete_graph(-1) once failed with
+    # a raw "negative shift count", and star_graph(-1) blamed a vertex count of 0
     for make, message in ((lambda: Graph(3.0, (6, 5, 3)), "vertex count is not an integer: 3.0"),
                           (lambda: Graph(True, (0,)), "vertex count is not an integer: True"),
                           (lambda: complete_graph(True), "vertex count is not an integer: True"),
+                          (lambda: complete_graph(-1), "vertex count must be in 1..64, got -1"),
+                          (lambda: star_graph(-1), "leaves must be in 0..63, got -1"),
+                          (lambda: star_graph(64), "leaves must be in 0..63, got 64"),
                           (lambda: Graph(2, (2, True)), "adjacency row 1 is not an integer: True")):
         with pytest.raises(ValueError, match=message):
             make()
