@@ -1,4 +1,4 @@
-"""Closed-form Smith normal forms for particular graph families.
+"""Closed-form Smith normal forms for particular graph families, and worked examples.
 
 These are formula-only oracles (no matrix is ever built), used as
 independent cross-checks of the generic elimination in ``exact``:
@@ -9,18 +9,29 @@ independent cross-checks of the generic elimination in ``exact``:
 
 Degenerate tiny parameters are resolved by what direct computation gives
 (a trailing formula value of 0 is a genuine zero diagonal entry, and the
-two-vertex tree is hard-coded).
+two-vertex tree is hard-coded).  ``EXAMPLES`` holds worked examples' values.
 """
 
 from __future__ import annotations
 
 from .exact import SnfResult
-from .graphs import _require_int
+from .graphs import _require_int, cricket_graph, cycle_graph, path_graph
 from .matrices import MatrixKind
 
 MINUS_FAMILY = (MatrixKind.Atr, MatrixKind.Ddeg, MatrixKind.L)
 PLUS_FAMILY = (MatrixKind.AtrPlus, MatrixKind.DdegPlus, MatrixKind.Q)
 STAR_FAMILY = (MatrixKind.Ddeg, MatrixKind.DdegPlus)
+
+# The worked examples as (name, graph, wants): a kind's Smith diagonal, the cone
+# Laplacian's ("cone"), or ``sandpile_group``'s ((torsion, free rank), tree count),
+# Z_7 + Z_812 for the cricket.  P3 shares K3's DdegPlus Smith form (1, 1, 4).
+EXAMPLES = (
+    ("cricket", cricket_graph(), {"Atr": (1, 1, 1, 7, 812), "cone": (1, 1, 1, 7, 812, 0),
+                                  "sandpile": (((7, 812), 0), 5684)}),
+    ("C5", cycle_graph(5), {"A": (1, 1, 1, 1, 2), "L": (1, 1, 1, 5, 0),
+                            "Atr": (1, 1, 1, 41, 164), "AtrPlus": (1, 1, 1, 29, 232)}),
+    ("P3", path_graph(3), {"DdegPlus": (1, 1, 4)}),
+)
 
 
 def _as_result(diagonal: list[int], n: int) -> SnfResult:

@@ -56,10 +56,6 @@ class SnfResult(NamedTuple):
     zeros: int
     n: int
 
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
-
     def diagonal(self) -> tuple[int, ...]:
         return self.factors + (0,) * self.zeros
 
@@ -68,10 +64,6 @@ class IntPolynomial(NamedTuple):
     """Monic integer polynomial, coefficients from x^degree down to x^0."""
 
     coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 class AbelianGroup(NamedTuple):
@@ -250,10 +242,10 @@ def _step2(s: int):
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = _check_square(m)
+    _check_square(m)
     if list(zip(*m)) == list(map(tuple, m)):
         return _determinant([row[i:] for i, row in enumerate(m)])
-    return _eliminate(n, list(chain.from_iterable(m)))
+    return _eliminate(m)
 
 
 def _determinant(rows: list[list[int]]) -> int:
@@ -294,10 +286,11 @@ def _mend(rows: list[list[int]]) -> int:
     return 0
 
 
-def _eliminate(n: int, entries: list[int]) -> int:
-    """The determinant of any order-n matrix with row-major ``entries``:
+def _eliminate(m: IntMatrix) -> int:
+    """The determinant of any square matrix ``m``, left unchanged:
     fraction-free elimination with row swaps."""
-    a = [entries[i * n:i * n + n] for i in range(n)]
+    n = len(m)
+    a = [list(row) for row in m]
     sign = prev = 1
     for k in range(n):
         if a[k][k] == 0:

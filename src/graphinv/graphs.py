@@ -319,15 +319,10 @@ def distance_profile(g: Graph) -> DistanceProfile:
 
 
 def triangle_count(g: Graph) -> int:
-    """Number of vertex triples inducing a triangle (each counted once)."""
-    total = 0
-    for u in range(g.n):
-        row_u = g.adj[u]
-        for v in _bits(row_u >> (u + 1)):
-            v += u + 1
-            above = ~((1 << (v + 1)) - 1)
-            total += (row_u & g.adj[v] & above).bit_count()
-    return total
+    """Number of vertex triples inducing a triangle (each counted once, at
+    its edge u < v and its common neighbours w > v)."""
+    adj = g.adj
+    return sum(((adj[u] & adj[v]) >> (v + 1)).bit_count() for u, v in g.edges())
 
 
 def wiener_indices(profile: DistanceProfile) -> tuple[int, int]:

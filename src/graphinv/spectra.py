@@ -3,7 +3,7 @@
 The eigensolver is a dependency-free cyclic Jacobi iteration, accurate for
 the symmetric integer matrices and sizes (n <= 64) used here.  For each
 order n <= 8 (``_JACOBI_MAX_ORDER``, the largest graph any ``verify``
-suite reads) it runs a sweep function generated from one template: the
+graph suite reads) it runs a sweep function generated from one template: the
 upper triangle lives in locals ``a{i}_{j}``, the (p, q) pairs and the
 updates of each other row k are unrolled, and each rotation is inlined:
 the angle and the new diagonal pair are formed in line by ``_rotate``'s
@@ -64,10 +64,6 @@ class InequalityRecord(NamedTuple):
     holds: bool
     applicable: bool = True
 
-    @property
-    def slack(self) -> float:
-        return self.right - self.left
-
 
 class BoundReport(NamedTuple):
     checks: tuple[InequalityRecord, ...]
@@ -93,7 +89,7 @@ def _eq_exact(name: str, left: int, right: int) -> InequalityRecord:
 # Jacobi converges quadratically: the default tolerances on every connected
 # graph with n <= 7 need at most 6 sweeps.
 JACOBI_MAX_SWEEPS = 100
-# Orders with a generated sweep function: every graph the verify suites read.
+# Orders with a generated sweep function: every graph the verify graph suites read.
 _JACOBI_MAX_ORDER = 8
 
 
@@ -291,8 +287,6 @@ def check_conductance_bracket(ctx: GraphSpectra) -> BoundReport:
     The lower bound is strict in exact arithmetic; numerically it is
     checked with the usual slack.
     """
-    if ctx.g.n < 2:
-        raise ValueError("second eigenvalue needs at least two vertices")
     boundary, size, _ = _conductance(ctx.g)
     phi = boundary / size  # correctly rounded, so float(conductance(g)[0]) bit for bit
     atr = ctx[MatrixKind.Atr]

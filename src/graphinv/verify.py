@@ -1,16 +1,20 @@
 """Property suites behind ``graphinv verify``.
 
-``run`` sweeps each named suite over every object up to ``n_max`` and
-returns a ``SuiteResult`` per suite: how many objects it checked (graphs, or
+``run`` is the one entry point: the CLI and the acceptance tests call it.
+It sweeps each named suite over every object up to ``n_max`` and returns a
+``SuiteResult`` per suite: how many objects it checked (graphs, or
 closed-form cases), how many individual checks it evaluated, and one line
-per failed check.  The acceptance tests call the same suites.
+per failed check.
 
     bounds        extreme-eigenvalue, lambda_1, Weyl and conductance bounds
                   on the connected graphs with 2 <= n <= n_max
     closed-forms  closed-form SNFs of complete graphs (2 <= n <= n_max) and
-                  stars (1 <= m <= n_max) against direct SNFs, and the SNF
-                  and determinant of the distance matrix of every tree with
-                  2 <= n <= min(n_max, 12)
+                  stars (1 <= m <= n_max) against direct SNFs; the SNF and
+                  determinant of the distance matrix of every tree with
+                  2 <= n <= min(n_max, 12); ``closedforms.EXAMPLES`` up to
+                  n_max; and ``check_shift_lemmas``, where a record that does
+                  not apply fails, on K_n (n <= 8), C_n (3 <= n <= 12) and,
+                  once n_max >= 10, the Petersen graph
     sandpile      cone cross-check on the non-complete connected graphs
                   with 2 <= n <= n_max
     moments       exact trace identities for the first three powers of Atr
@@ -24,9 +28,10 @@ from typing import NamedTuple
 from . import closedforms
 from .exact import determinant, snf
 from .generators import CONNECTED_MAX_VERTICES, generate_connected_graphs, generate_trees
-from .graphs import MAX_VERTICES, _require_int, complete_graph, star_graph, write_graph6
+from .graphs import (MAX_VERTICES, _require_int, complete_graph, cycle_graph, petersen_graph, star_graph,
+                     write_graph6)
 from .matrices import MatrixKind, build
-from .sandpile import cross_check
+from .sandpile import cone_graph, cross_check, sandpile_group
 from .spectra import (
     THIRD_MOMENT_EXPANSION,
     GraphSpectra,
@@ -34,6 +39,7 @@ from .spectra import (
     check_extreme_bounds,
     check_lambda1_bracket,
     check_moments,
+    check_shift_lemmas,
     check_weyl_sandwich,
 )
 
@@ -93,19 +99,31 @@ def run(names: list[str], n_max: int) -> dict[str, SuiteResult]:
                     objects, checks, failures = results[name]
                     failures += got[1]
                     results[name] = SuiteResult(objects + 1, checks + got[0], failures)
-    return {name: closed_forms(n_max) if name == "closed-forms" else results[name] for name in names}
+    return {name: _closed_forms(n_max) if name == "closed-forms" else results[name] for name in names}
 
 
-def closed_forms(n_max: int) -> SuiteResult:
-    require_n_max("closed-forms", n_max)
+def _example(g, want: str):
+    """What ``want``, a key of a ``closedforms.EXAMPLES`` entry, reads of g."""
+    if want == "sandpile":
+        return sandpile_group(g)
+    return snf(cone_graph(g).laplacian() if want == "cone" else build(g, MatrixKind[want])).diagonal()
+
+
+def _closed_forms(n_max: int) -> SuiteResult:
     def compare(label, got, want):  # one check, as (holds, failure line)
         return got == want, f"{label}: {got} != {want}"
+
+    def shifts(label, g):  # a record that is not applicable fails
+        return [(c.applicable and c.holds, f"shift {label}: {c.name} deviation {c.left}")
+                for c in check_shift_lemmas(GraphSpectra(g)).checks]
+
     objects = []  # per object, its checks
     for n in range(2, n_max + 1):
         kn = complete_graph(n)
         objects.append([compare(f"complete n={n} kind={kind.value}", snf(build(kn, kind)),
                                 closedforms.snf_complete(kind, n))
-                        for kind in closedforms.MINUS_FAMILY + closedforms.PLUS_FAMILY])
+                        for kind in closedforms.MINUS_FAMILY + closedforms.PLUS_FAMILY]
+                       + (shifts(f"complete n={n}", kn) if n <= 8 else []))
     for m in range(1, n_max + 1):
         star = star_graph(m)
         objects.append([compare(f"star m={m} kind={kind.value}", snf(build(star, kind)),
@@ -117,6 +135,11 @@ def closed_forms(n_max: int) -> SuiteResult:
             d, g6 = build(t, MatrixKind.D), write_graph6(t)
             objects.append([(snf(d) == want_snf, f"tree distance SNF n={n}: {g6}"),
                             (determinant(d) == want_det, f"tree distance det n={n}: {g6}")])
+    objects += [shifts(f"cycle n={n}", cycle_graph(n)) for n in range(3, min(n_max, 12) + 1)]
+    if n_max >= 10:
+        objects.append(shifts("petersen", petersen_graph()))
+    objects += [[compare(f"{name} {want}", _example(g, want), value) for want, value in wants.items()]
+                for name, g, wants in closedforms.EXAMPLES if g.n <= n_max]
     checks = [check for object_checks in objects for check in object_checks]
     return SuiteResult(len(objects), len(checks), [line for holds, line in checks if not holds])
 

@@ -14,15 +14,12 @@ from graphinv import verify
 from graphinv.census import completeness_check, run_census, tree_census
 from graphinv.exact import charpoly, snf
 from graphinv.generators import generate_connected_graphs
-from graphinv.graphs import complete_graph, cricket_graph, cycle_graph, petersen_graph
-from graphinv.matrices import MatrixKind, build
-from graphinv.sandpile import cone_graph, sandpile_group
+from graphinv.matrices import MatrixKind
 from graphinv.spectra import (
     THIRD_MOMENT_EXPANSION,
     THIRD_MOMENT_UNIT_MIXED,
     GraphSpectra,
     check_moments,
-    check_shift_lemmas,
 )
 
 from oracles import charpoly_cofactor, minor_gcd
@@ -127,48 +124,35 @@ def test_criterion_03_tree_censuses():
     _report(3, "tree censuses for n <= 14", failures)
 
 
-def test_criterion_04_cricket_cone_example():
-    failures = []
-    cricket = cricket_graph()
-    got = snf(build(cricket, MatrixKind.Atr)).diagonal()
-    if got != (1, 1, 1, 7, 812):
-        failures.append(f"SNF(Atr) = {got}")
-    cone = cone_graph(cricket)
-    got = snf(cone.laplacian()).diagonal()
-    if got != (1, 1, 1, 7, 812, 0):
-        failures.append(f"SNF(cone Laplacian) = {got}")
-    group, tau = sandpile_group(cricket)
-    if group.torsion != (7, 812) or group.free_rank != 0:
-        failures.append(f"sandpile group = {group}")
-    if tau != 5684:
-        failures.append(f"tau = {tau}")
-    _report(4, "cricket cone: SNF (1,1,1,7,812), group Z_7 + Z_812, tau 5684", failures)
+@pytest.fixture(scope="module")
+def closed_forms():
+    """verify's closed-forms suite at n_max = 30: (objects, checks, failure lines by
+    criterion), the cricket's to 4, C5's to 5, the shift identities' to 9, others to 6."""
+    objects, checks, failures = verify.run(["closed-forms"], 30)["closed-forms"]
+    owner = {"cricket": 4, "C5": 5, "shift": 9}
+    return objects, checks, {c: [line for line in failures if owner.get(line.split()[0], 6) == c]
+                             for c in (4, 5, 6, 9)}
 
 
-def test_criterion_05_cycle5_example_set():
-    failures = []
-    c5 = cycle_graph(5)
-    cases = [
-        (MatrixKind.A, (1, 1, 1, 1, 2)),
-        (MatrixKind.L, (1, 1, 1, 5, 0)),
-        (MatrixKind.Atr, (1, 1, 1, 41, 164)),
-        (MatrixKind.AtrPlus, (1, 1, 1, 29, 232)),
-    ]
-    for kind, want in cases:
-        got = snf(build(c5, kind)).diagonal()
-        if got != want:
-            failures.append(f"SNF({kind.value}(C5)) = {got} != {want}")
-    _report(5, "five-cycle SNFs for A, L, Atr, AtrPlus", failures)
+def test_criterion_04_cricket_cone_example(closed_forms):
+    _report(4, "cricket cone: SNF (1,1,1,7,812), group Z_7 + Z_812, tau 5684", closed_forms[2][4])
 
 
-def test_criterion_06_closed_form_oracles():
-    # complete graphs n = 2..30, stars m = 1..30, trees n = 2..12
-    cases, comparisons, failures = verify.closed_forms(30)
+def test_criterion_05_cycle5_example_set(closed_forms):
+    _report(5, "five-cycle SNFs for A, L, Atr, AtrPlus", closed_forms[2][5])
+
+
+def test_criterion_06_closed_form_oracles(closed_forms):
+    cases, comparisons, by_criterion = closed_forms
+    failures = list(by_criterion[6])
     if {(2 * m + 1) % 3 == 0 for m in range(1, 31)} != {True, False}:
         failures.append("divisibility branches not both exercised")
     trees = sum(TREE_COUNTS.values())
-    # six kinds per complete graph, two per star, SNF and determinant per tree
-    want = (29 + 30 + trees, 6 * 29 + 2 * 30 + 2 * trees)
+    # objects: K2..K30, stars m = 1..30, the trees, C3..C12, Petersen, 3 examples; checks:
+    # 6 kinds per complete graph plus 2 shift records on K2..K8, 2 kinds per star, SNF and
+    # determinant per tree, 2 shift records per cycle and Petersen, 3 + 4 + 1 example values
+    want = (29 + 30 + trees + 10 + 1 + 3,
+            6 * 29 + 2 * 7 + 2 * 30 + 2 * trees + 2 * 10 + 2 + 8)
     if (cases, comparisons) != want:
         failures.append(f"(cases, comparisons) = {(cases, comparisons)} != {want}")
     _report(6, "closed forms agree with direct SNF (complete n<=30, stars m<=30, trees n<=12)", failures)
@@ -194,19 +178,8 @@ def test_criterion_08_bound_property_suite():
     _report(8, f"eigenvalue bounds hold on all {graphs_checked} connected graphs with n <= 7", failures)
 
 
-def test_criterion_09_shift_identities():
-    failures = []
-    subjects = [cycle_graph(n) for n in range(3, 13)]
-    subjects += [complete_graph(n) for n in range(2, 9)]
-    subjects.append(petersen_graph())
-    for g in subjects:
-        report = check_shift_lemmas(GraphSpectra(g))
-        for c in report.checks:
-            if not c.applicable:
-                failures.append(f"{g.n} vertices: {c.name} unexpectedly inapplicable")
-            elif not c.holds:
-                failures.append(f"{g.n} vertices: {c.name} deviation {c.left}")
-    _report(9, "shift identities on cycles (n<=12), complete graphs (n<=8), Petersen", failures)
+def test_criterion_09_shift_identities(closed_forms):
+    _report(9, "shift identities on cycles (n<=12), complete graphs (n<=8), Petersen", closed_forms[2][9])
 
 
 def test_criterion_10_exact_algebra_suite():

@@ -325,14 +325,20 @@ def test_verify_counts_on_stderr(capsys):
     assert main(["verify", "--n-max", "4"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "".join(f"ok {name} (n <= 4)\n" for name in verify.N_MAX_RANGE)
-    # 9 graphs with 2 <= n <= 4; closed forms: K2..K4, 4 stars, 4 trees;
-    # sandpile skips K2, K3, K4; moments adds K1
+    # 9 graphs with 2 <= n <= 4; closed forms: K2..K4 (6 kinds, 2 shift records), 4 stars (2 kinds),
+    # 4 trees (SNF, det), C3, C4 (2 shift records), P3 (1 value): 3 + 4 + 4 + 2 + 1 = 14 objects,
+    # 24 + 8 + 8 + 4 + 1 = 45 checks; sandpile skips K2, K3, K4; moments adds K1
     assert captured.err.splitlines() == [
         "bounds: 9 objects, 136 checks",
-        "closed-forms: 11 objects, 34 checks",
+        "closed-forms: 14 objects, 45 checks",
         "sandpile: 6 objects, 6 checks",
         "moments: 10 objects, 30 checks",
     ]
+    # every cap applies at 12: K2..K12 (6 kinds; 2 shift records on K2..K8), 12 stars, 986 trees,
+    # C3..C12 and Petersen (2 shift records), cricket, C5, P3 (3 + 4 + 1 values):
+    # 11 + 12 + 986 + 11 + 3 = 1023 objects, 66 + 14 + 24 + 1972 + 22 + 8 = 2106 checks
+    assert main(["verify", "--suite", "closed-forms", "--n-max", "12"]) == 0
+    assert capsys.readouterr() == ("ok closed-forms (n <= 12)\n", "closed-forms: 1023 objects, 2106 checks\n")
 
 
 def test_verify_fail_exits_1(monkeypatch, capsys):
@@ -346,7 +352,7 @@ def test_verify_fail_exits_1(monkeypatch, capsys):
 
 def test_verify_rejects_n_max_before_any_work(monkeypatch, capsys):
     ran = []
-    for name in ("generate_connected_graphs", "generate_trees", "closed_forms"):
+    for name in ("generate_connected_graphs", "generate_trees", "_closed_forms"):
         monkeypatch.setattr(verify, name, ran.append)
     # moments reaches n = 9 only after computing every n <= 8
     for argv, allowed in ((["--suite", "moments", "--n-max", "9"], "1 <= n_max <= 8"),
@@ -374,8 +380,7 @@ def test_verify_rejects_non_integer_n_max_before_any_work(monkeypatch):
         monkeypatch.setattr(verify, name, ran.append)
     for call, n_max in ((lambda n: verify.run(["moments"], n), 5.0),
                         (lambda n: verify.run(["moments"], n), True),
-                        (lambda n: verify.run(["closed-forms"], n), 3.0),
-                        (verify.closed_forms, 3.0)):
+                        (lambda n: verify.run(["closed-forms"], n), 3.0)):
         with pytest.raises(ValueError, match=f"n_max is not an integer: {n_max}"):
             call(n_max)
     assert ran == []

@@ -11,6 +11,7 @@ from graphinv.exact import SnfResult, determinant, snf
 from graphinv.generators import generate_trees
 from graphinv.graphs import complete_graph, path_graph, star_graph
 from graphinv.matrices import MatrixKind, build
+from graphinv.spectra import BoundReport, InequalityRecord
 
 
 def test_snf_complete_examples():
@@ -89,9 +90,10 @@ def _snf(*diagonal):
 
 
 def test_closed_forms_failure_lines(monkeypatch):
-    # each closed form in turn returns a wrong value; verify.closed_forms(4)
-    # checks K2..K4 on six kinds, stars with 1..4 leaves on two, and the
-    # four trees with n <= 4 (A_, Bo, Cs, Cq) on SNF and determinant
+    # each closed form in turn returns a wrong value; verify._closed_forms(4)
+    # checks K2..K4 on six kinds and two shift records, stars with 1..4 leaves
+    # on two kinds, the four trees with n <= 4 (A_, Bo, Cs, Cq) on SNF and
+    # determinant, C3 and C4 on two shift records, and P3's DdegPlus SNF
     wrong = _snf(7)
     assert (f"complete n=2 kind=Atr: {_snf(1, 0)} != {wrong}"
             == "complete n=2 kind=Atr: SnfResult(factors=(1,), zeros=1, n=2) "
@@ -112,7 +114,7 @@ def test_closed_forms_failure_lines(monkeypatch):
         "snf_tree_distance": [f"tree distance SNF n={n}: {g6}" for n, g6 in trees],
         "det_tree_distance": [f"tree distance det n={n}: {g6}" for n, g6 in trees],
     }
-    assert verify.closed_forms(4) == (11, 34, [])
+    assert verify._closed_forms(4) == (14, 45, [])
 
     def patch(m, name):
         m.setattr(closedforms, name, lambda *args: 7 if name.startswith("det") else wrong)
@@ -120,10 +122,24 @@ def test_closed_forms_failure_lines(monkeypatch):
     for name, lines in expected.items():
         with monkeypatch.context() as m:
             patch(m, name)
-            assert verify.closed_forms(4) == (11, 34, lines)
+            assert verify._closed_forms(4) == (14, 45, lines)
     # all four at once: families in order, each tree's SNF line before its det line
     for name in expected:
         patch(monkeypatch, name)
     tree_pairs = zip(expected["snf_tree_distance"], expected["det_tree_distance"])
-    assert verify.closed_forms(4) == (
-        11, 34, expected["snf_complete"] + expected["snf_star"] + [line for pair in tree_pairs for line in pair])
+    assert verify._closed_forms(4) == (
+        14, 45, expected["snf_complete"] + expected["snf_star"] + [line for pair in tree_pairs for line in pair])
+
+
+def test_closed_forms_example_and_shift_failure_lines(monkeypatch):
+    # a wrong example value fails once n_max reaches its graph's order, and a
+    # shift record fails when it does not hold or does not apply
+    name, g, wants = closedforms.EXAMPLES[0]
+    monkeypatch.setattr(closedforms, "EXAMPLES", ((name, g, {**wants, "Atr": (7,)}),))
+    assert verify._closed_forms(4)[2] == []
+    assert verify._closed_forms(5)[2] == ["cricket Atr: (1, 1, 1, 7, 812) != (7,)"]
+    records = (InequalityRecord("x", 1.0, 0.0, 0.0, False), InequalityRecord("y", 0.0, 0.0, 0.0, True, False))
+    monkeypatch.setattr(verify, "check_shift_lemmas", lambda ctx: BoundReport(records))
+    subjects = ("complete n=2", "complete n=3", "cycle n=3")
+    assert verify._closed_forms(3)[2] == [f"shift {subject}: {line}" for subject in subjects
+                                          for line in ("x deviation 1.0", "y deviation 0.0")]

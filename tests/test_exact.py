@@ -2,7 +2,6 @@ import copy
 import random
 import signal
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 
 import pytest
@@ -59,14 +58,6 @@ def test_snf_tiny_examples():
     assert snf(identity_matrix(4)).factors == (1, 1, 1, 1)
 
 
-def test_snf_cycle5_family():
-    c5 = cycle_graph(5)
-    assert snf(build(c5, MatrixKind.A)).diagonal() == (1, 1, 1, 1, 2)
-    assert snf(build(c5, MatrixKind.L)).diagonal() == (1, 1, 1, 5, 0)
-    assert snf(build(c5, MatrixKind.Atr)).diagonal() == (1, 1, 1, 41, 164)
-    assert snf(build(c5, MatrixKind.AtrPlus)).diagonal() == (1, 1, 1, 29, 232)
-
-
 def test_snf_tree_distance_all_trees_on_8():
     for t in generate_trees(8):
         assert snf(build(t, MatrixKind.D)).diagonal() == (1, 1, 2, 2, 2, 2, 2, 14)
@@ -78,7 +69,7 @@ def test_snf_divisibility_chain_and_negation():
         n = rng.randint(1, 6)
         m = _random_matrix(rng, n)
         res = snf(m)
-        assert res.rank + res.zeros == n
+        assert len(res.factors) + res.zeros == n
         for a, b in zip(res.factors, res.factors[1:]):
             assert b % a == 0
         assert all(f >= 1 for f in res.factors)
@@ -118,8 +109,8 @@ def test_snf_matches_minor_gcd_oracle():
         for k, f in enumerate(res.factors, start=1):
             prod *= f
             assert prod == abs(minor_gcd(m, k))
-        if res.rank < len(m):
-            assert minor_gcd(m, res.rank + 1) == 0
+        if len(res.factors) < len(m):
+            assert minor_gcd(m, len(res.factors) + 1) == 0
 
 
 def test_snf_matches_reference_on_graph_matrices():
@@ -328,7 +319,7 @@ def test_charpoly_newton_power_sums():
 
 def test_charpoly_eval_and_degree():
     cp = charpoly(build(cycle_graph(4), MatrixKind.A))
-    assert cp.degree == 4
+    assert len(cp.coeffs) - 1 == 4
     assert poly_eval(cp, 2) == 0  # 2 is an adjacency eigenvalue of any cycle
 
 
@@ -467,9 +458,8 @@ def test_determinant_kernels_match_oracle_and_loop():
     cases = _symmetric_kernel_cases(rng)
     assert all(m == _symmetrized(m) for m in cases)
     for m in cases:
-        entries = list(chain.from_iterable(m))
         det = exact._determinant(_upper(m))
-        assert det == _det_oracle(m) == determinant(m) == exact._eliminate(len(m), entries), m
+        assert det == _det_oracle(m) == determinant(m) == exact._eliminate(m), m
     for m in _kernel_cases(rng):
         assert determinant(m) == _det_oracle(m), m
 
@@ -572,7 +562,7 @@ def test_determinant_steps_match_the_loop_across_the_hand_over(monkeypatch):
         asked = []
         for m in cases:
             assert m == _symmetrized(m)
-            det = exact._eliminate(n, list(chain.from_iterable(m)))
+            det = exact._eliminate(m)
             orders.clear()
             assert exact._determinant(_upper(m)) == det == _det_oracle(m), m
             asked.append(list(orders))
@@ -604,7 +594,7 @@ def test_large_determinant_compiles_no_step_kernel_above_the_cap(monkeypatch):
         exact._step2.cache_clear()
         compiled.clear()
         det = determinant(m)
-        assert det == _det_oracle(m) == exact._eliminate(n, list(chain.from_iterable(m)))
+        assert det == _det_oracle(m) == exact._eliminate(m)
         orders = range(exact._STEP_MAX_ORDER, 3, -2)
         assert compiled == [f"<Bareiss two-step kernel, n = {s}>" for s in orders]
         assert exact._step2.cache_info().currsize == len(orders)
@@ -674,13 +664,13 @@ def test_symmetric_determinant_matches_the_loop_on_census_inputs(monkeypatch):
         return pivot
 
     monkeypatch.setattr(exact, "_mend", recorded_mend)
-    monkeypatch.setattr(exact, "_eliminate", lambda n, entries: loops.append(n) or eliminate(n, entries))
+    monkeypatch.setattr(exact, "_eliminate", lambda m: loops.append(len(m)) or eliminate(m))
     first_mends = {MatrixKind.A: set(), MatrixKind.D: set()}
     all_mends = []
     for kind, rows in zip(kinds, inputs):
         n = len(rows)
         m = [[rows[min(i, j)][abs(j - i)] for j in range(n)] for i in range(n)]
-        loop = eliminate(n, list(chain.from_iterable(m)))
+        loop = eliminate(m)
         mends.clear()
         assert exact._determinant(_upper(m)) == loop == _det_oracle(m), m
         # A and D have a zero diagonal.  Up to order _STEP_MAX_ORDER, D's

@@ -166,13 +166,13 @@ def test_extreme_bounds_equalities_on_cycle():
     report = check_extreme_bounds(GraphSpectra(cycle_graph(5)))
     assert report.all_hold()
     for c in report.checks:
-        assert abs(c.slack) <= c.tol  # vertex-transitive: all four are tight
+        assert abs(c.right - c.left) <= c.tol  # vertex-transitive: all four are tight
 
 
 def test_extreme_bounds_cricket_and_complete():
     report = check_extreme_bounds(GraphSpectra(cricket_graph()))
     assert report.all_hold()
-    assert any(c.slack > 1e-6 for c in report.checks)
+    assert any(c.right - c.left > 1e-6 for c in report.checks)
     for n in range(2, 7):
         report = check_extreme_bounds(GraphSpectra(complete_graph(n)))
         assert report.all_hold()
@@ -186,7 +186,7 @@ def test_weyl_sandwich():
         report = check_weyl_sandwich(GraphSpectra(g))
         assert report.all_hold()
         for c in report.checks:
-            assert abs(c.slack) <= c.tol
+            assert abs(c.right - c.left) <= c.tol
     report = check_weyl_sandwich(GraphSpectra(path_graph(4)))
     assert report.all_hold()
     assert len(report.checks) == 8
@@ -215,6 +215,8 @@ def test_conductance_bracket():
     assert abs(upper.right - 4.0) <= 1e-9
     assert check_conductance_bracket(GraphSpectra(cycle_graph(5))).all_hold()
     assert check_conductance_bracket(GraphSpectra(path_graph(3))).all_hold()
+    with pytest.raises(ValueError, match="^conductance needs at least two vertices$"):
+        check_conductance_bracket(GraphSpectra(complete_graph(1)))
 
 
 def test_shift_lemmas_petersen():
